@@ -15,11 +15,6 @@
 //     (trace/profile/slice-tree executions) than the baseline's
 //     MaxWarmGridStageBuilds (0 since the staged-pipeline tentpole: warm
 //     sweep points reuse every cached upstream artifact), and
-//   - the batched engine's paired speedup at width 4 (BenchmarkSimBatched/
-//     speedup4, which interleaves four serial runs against one width-4 batch
-//     per workload so machine-speed drift cancels out of the ratio) must
-//     stay at or above the baseline's MinBatchSpeedupK4 (machine-independent
-//     > 1.0: four batched runs must beat four serial runs), and
 //   - the critical-path scheduler's paired cold-sweep gain on the 3-axis
 //     grid (BenchmarkSweepSched, naive and scheduled sides interleaved per
 //     iteration) must stay at or above the baseline's MinSweepSchedGain
@@ -70,20 +65,6 @@ type Report struct {
 	TraceSpillMapSec  float64
 	SpillMapGain      float64
 
-	// Batched engine columns (BenchmarkSimBatched): aggregate sim-cycles/s
-	// across all instances of a batch, per width (informational — measured
-	// at different times, so the ratios carry machine drift). The gated
-	// column is BatchSpeedupK4, the paired speedup4 sub-benchmark's ratio:
-	// four serial runs and one width-4 batch interleaved per workload, so
-	// drift cancels. BatchAllocsPerOp is the k4 loop's steady-state
-	// allocation rate (0 under batch-simulator reuse).
-	BatchK1CyclesPerSec float64
-	BatchK2CyclesPerSec float64
-	BatchK4CyclesPerSec float64
-	BatchK8CyclesPerSec float64
-	BatchSpeedupK4      float64
-	BatchAllocsPerOp    float64
-
 	// Sweep grid columns (BenchmarkSweepGrid): seconds per 3-point
 	// single-axis sweep, cold (fresh engine) vs warm (every stage
 	// artifact cached), plus the heavy stage executions (trace + profile
@@ -122,10 +103,6 @@ type Baseline struct {
 	// (machine-independent; 0 = warm sweep points must reuse every cached
 	// upstream artifact — the staged-pipeline contract).
 	MaxWarmGridStageBuilds float64
-	// MinBatchSpeedupK4 is the required paired serial/batched wall-clock
-	// ratio at width 4 (machine-independent; > 1.0 = a width-4 batch must
-	// beat four serial runs of the same workloads).
-	MinBatchSpeedupK4 float64
 	// MinSweepSchedGain is the required paired naive/scheduled cold-sweep
 	// wall-clock ratio (machine-independent; 1.0 = the critical-path
 	// scheduler must be no worse than naive grid order on the 3-axis grid).
@@ -147,7 +124,7 @@ func main() {
 	flag.Parse()
 
 	rep := Report{}
-	// Ratio-gated columns (event/scan, k4/k1) are measured -count 3 and
+	// The ratio-gated event/scan columns are measured -count 3 and
 	// aggregated best-of per column: on shared runners a single sample of
 	// either side can swing ±20% from CPU steal, which would trip (or mask)
 	// a ratio gate; the best observed throughput of each column is the
@@ -165,32 +142,6 @@ func main() {
 	rep.Speedup = rep.EventCyclesPerSec / rep.ScanCyclesPerSec
 	rep.EventAllocsPerOp = event.allocsPerOp
 	rep.EventBytesPerOp = event.bytesPerOp
-
-	batched, err := runBench("BenchmarkSimBatched/(k1|k2|k4|k8)", *benchtime, 3)
-	if err != nil {
-		fatal("batched benchmark: %v", err)
-	}
-	k4 := batched["BenchmarkSimBatched/k4"]
-	rep.BatchK1CyclesPerSec = batched["BenchmarkSimBatched/k1"].metric
-	rep.BatchK2CyclesPerSec = batched["BenchmarkSimBatched/k2"].metric
-	rep.BatchK4CyclesPerSec = k4.metric
-	rep.BatchK8CyclesPerSec = batched["BenchmarkSimBatched/k8"].metric
-	if rep.BatchK1CyclesPerSec <= 0 || rep.BatchK4CyclesPerSec <= 0 {
-		fatal("missing sim-cycles/s metrics in batched benchmark output")
-	}
-	rep.BatchAllocsPerOp = k4.allocsPerOp
-	// The gated ratio comes from the paired sub-benchmark, not the k4/k1
-	// columns above: pairing serial and batched timings per workload within
-	// each iteration is what makes a 1.0 threshold meaningful on machines
-	// whose clock drifts more than the batching win.
-	paired, err := runBench("BenchmarkSimBatched/speedup4", "2x", 3)
-	if err != nil {
-		fatal("paired batch speedup benchmark: %v", err)
-	}
-	rep.BatchSpeedupK4 = paired["BenchmarkSimBatched/speedup4"].batchSpeedup
-	if rep.BatchSpeedupK4 <= 0 {
-		fatal("missing batch-speedup-k4 metric in paired benchmark output")
-	}
 
 	grid, err := runBench("BenchmarkSweepGrid", "1x", 1)
 	if err != nil {
@@ -210,9 +161,9 @@ func main() {
 		fatal("missing warm sweep grid benchmark output (BenchmarkSweepGrid/warm)")
 	}
 
-	// The scheduler comparison is paired like speedup4: naive and scheduled
-	// cold sweeps of the same 3-axis grid interleave within each iteration,
-	// so the gain ratio is robust to drift; best-of over repeats, because a
+	// The scheduler comparison is paired: naive and scheduled cold sweeps
+	// of the same 3-axis grid interleave within each iteration, so the gain
+	// ratio is robust to drift; best-of over repeats, because a
 	// single sample's ratio carries per-run noise the pairing cannot cancel.
 	sched, err := runBench("BenchmarkSweepSched", "1x", 3)
 	if err != nil {
@@ -226,8 +177,8 @@ func main() {
 		fatal("missing sweep-sched-gain metric in scheduler benchmark output")
 	}
 
-	// The spill comparison pairs its two sides per iteration like speedup4
-	// and the scheduler gate; best-of over repeats for the same reason.
+	// The spill comparison pairs its two sides per iteration like the
+	// scheduler gate; best-of over repeats for the same reason.
 	spill, err := runBench("BenchmarkTraceSpill", "10x", 3)
 	if err != nil {
 		fatal("trace spill benchmark: %v", err)
@@ -249,9 +200,6 @@ func main() {
 		rep.EventCyclesPerSec, rep.EventAllocsPerOp, rep.EventBytesPerOp, rep.ScanCyclesPerSec, rep.Speedup)
 	fmt.Printf("benchgate: sweep grid cold %.2fs (%.0f stage builds), warm %.2fs (%.0f stage builds)\n",
 		rep.SweepColdSec, rep.ColdGridStageBuilds, rep.SweepWarmSec, rep.WarmGridStageBuilds)
-	fmt.Printf("benchgate: batched k1 %.0f, k2 %.0f, k4 %.0f, k8 %.0f sim-cycles/s; paired k4 speedup %.2fx (%.0f allocs/op)\n",
-		rep.BatchK1CyclesPerSec, rep.BatchK2CyclesPerSec, rep.BatchK4CyclesPerSec,
-		rep.BatchK8CyclesPerSec, rep.BatchSpeedupK4, rep.BatchAllocsPerOp)
 	fmt.Printf("benchgate: 3-axis cold sweep naive %.2fs, scheduled %.2fs, paired gain %.2fx\n",
 		rep.SweepColdNaiveSec, rep.SweepColdSchedSec, rep.SweepSchedGain)
 	fmt.Printf("benchgate: trace spill v1 decode %.4fs, mapped open %.4fs, paired gain %.2fx\n",
@@ -264,7 +212,6 @@ func main() {
 			MaxEventAllocsPerOp:    rep.EventAllocsPerOp,
 			MaxEventBytesPerOp:     rep.EventBytesPerOp,
 			MaxWarmGridStageBuilds: rep.WarmGridStageBuilds,
-			MinBatchSpeedupK4:      1.0,
 			MinSweepSchedGain:      1.0,
 			MinSpillMapGain:        5.0,
 			Note:                   "measured by cmd/benchgate -update; scale EventCyclesPerSec down for heterogeneous CI runners (see EXPERIMENTS.md)",
@@ -312,10 +259,6 @@ func main() {
 		fatal("stage-reuse regression: warm sweep grid performed %.0f heavy stage builds > allowed %.0f (warm points must reuse cached trace/profile/slices)",
 			rep.WarmGridStageBuilds, base.MaxWarmGridStageBuilds)
 	}
-	if base.MinBatchSpeedupK4 > 0 && rep.BatchSpeedupK4 < base.MinBatchSpeedupK4 {
-		fatal("batch speedup regression: paired k4 %.2fx < required %.2fx (a width-4 batch must beat four serial runs)",
-			rep.BatchSpeedupK4, base.MinBatchSpeedupK4)
-	}
 	if base.MinSweepSchedGain > 0 && rep.SweepSchedGain < base.MinSweepSchedGain {
 		fatal("scheduler regression: paired cold-sweep gain %.2fx < required %.2fx (critical-path scheduling must be no worse than naive grid order)",
 			rep.SweepSchedGain, base.MinSweepSchedGain)
@@ -324,14 +267,13 @@ func main() {
 		fatal("spill regression: paired mapped trace-load gain %.2fx < required %.2fx (the zero-copy mapped path must beat the v1 heap decode)",
 			rep.SpillMapGain, base.MinSpillMapGain)
 	}
-	fmt.Printf("benchgate: PASS (floor %.0f sim-cycles/s, min speedup %.2fx, max %.0f allocs/op, max %.0f warm grid stage builds, min batch speedup %.2fx, min sched gain %.2fx, min spill map gain %.2fx)\n",
-		floor, base.MinSpeedup, base.MaxEventAllocsPerOp, base.MaxWarmGridStageBuilds, base.MinBatchSpeedupK4, base.MinSweepSchedGain, base.MinSpillMapGain)
+	fmt.Printf("benchgate: PASS (floor %.0f sim-cycles/s, min speedup %.2fx, max %.0f allocs/op, max %.0f warm grid stage builds, min sched gain %.2fx, min spill map gain %.2fx)\n",
+		floor, base.MinSpeedup, base.MaxEventAllocsPerOp, base.MaxWarmGridStageBuilds, base.MinSweepSchedGain, base.MinSpillMapGain)
 }
 
 type benchLine struct {
 	nsPerOp         float64
 	metric          float64 // the benchmark's custom sim-cycles/s metric, if reported
-	batchSpeedup    float64 // BenchmarkSimBatched/speedup4's paired batch-speedup-k4 ratio
 	gridStageBuilds float64 // BenchmarkSweepGrid's grid-stage-builds metric
 	sweepNaiveSec   float64 // BenchmarkSweepSched's sweep-cold-naive-sec metric
 	sweepSchedSec   float64 // BenchmarkSweepSched's sweep-cold-sched-sec metric
@@ -378,8 +320,6 @@ func runBench(pattern, benchtime string, count int) (map[string]benchLine, error
 				bl.nsPerOp = v
 			case "sim-cycles/s":
 				bl.metric = v
-			case "batch-speedup-k4":
-				bl.batchSpeedup = v
 			case "grid-stage-builds":
 				bl.gridStageBuilds = v
 			case "sweep-cold-naive-sec":
@@ -402,7 +342,6 @@ func runBench(pattern, benchtime string, count int) (map[string]benchLine, error
 		}
 		if prev, ok := res[name]; ok {
 			bl.metric = max(bl.metric, prev.metric)
-			bl.batchSpeedup = max(bl.batchSpeedup, prev.batchSpeedup)
 			bl.nsPerOp = min(bl.nsPerOp, prev.nsPerOp)
 			bl.allocsPerOp = max(bl.allocsPerOp, prev.allocsPerOp)
 			bl.bytesPerOp = max(bl.bytesPerOp, prev.bytesPerOp)

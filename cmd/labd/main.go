@@ -34,13 +34,19 @@ import (
 	"repro/internal/labd"
 )
 
+// Connection timeouts: a client gets readHeaderTimeout to send its request
+// headers, and an idle keep-alive connection is closed after idleTimeout.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	dir := flag.String("dir", "", "artifact store directory (required)")
 	maxBytes := flag.Int64("max-store-bytes", 0, "disk store byte budget (0 = unlimited)")
 	parallelism := flag.Int("j", 0, "worker-pool bound (0 = GOMAXPROCS)")
-	engine := flag.String("engine", "", "simulation engine for every job: event, scan or batched")
-	batch := flag.Int("batch", 0, "sweep batch width k: run up to k same-trace measurements per streaming pass (0/1 = serial)")
+	engine := flag.String("engine", "", "simulation engine for every job: event or scan")
 	mmapSpill := flag.Bool("mmap", true, "serve warm trace loads from read-only memory mappings (zero-copy; false = heap decode)")
 	flag.Parse()
 
@@ -49,14 +55,17 @@ func main() {
 		os.Exit(2)
 	}
 	srv, err := labd.New(labd.Config{Dir: *dir, MaxStoreBytes: *maxBytes,
-		Parallelism: *parallelism, Engine: *engine, BatchWidth: *batch,
+		Parallelism: *parallelism, Engine: *engine,
 		DisableMappedSpill: !*mmapSpill})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "labd:", err)
 		os.Exit(1)
 	}
 
-	httpSrv := &http.Server{Addr: *addr, Handler: srv}
+	// No WriteTimeout: job event streams are long-lived responses that a
+	// write deadline would cut off.
+	httpSrv := &http.Server{Addr: *addr, Handler: srv,
+		ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.ListenAndServe() }()
 	fmt.Fprintf(os.Stderr, "labd: serving on %s, store in %s\n", *addr, *dir)

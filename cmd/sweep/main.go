@@ -8,14 +8,9 @@
 //	sweep -axis idle,mem -bench vortex      # 3×3 cartesian grid
 //	sweep -axis l2 -all                     # all nine benchmarks
 //	sweep -axis mem -targets L,P2           # custom target set
-//	sweep -axis mem -batch 4                # batch same-trace measurements
 //	sweep -axis mem -engine scan            # reference scan engine
 //	sweep -axis mem -json                   # machine-readable artifact
 //	                                        # (render with: report -render -)
-//
-// With -batch k (or -engine batched), measurements whose grid points share
-// one prepared trace ride a single streaming pass in batches of up to k —
-// bit-identical results, fewer passes over the trace columns.
 //
 // Local sweeps order their work through the cost-modeled critical-path
 // scheduler by default; -sched=false falls back to naive bench-major grid
@@ -39,9 +34,8 @@
 // persistent artifact store makes repeated and concurrent submissions share
 // every preparation stage — across clients and across daemon restarts.
 // Every locally checkable flag (-axis, -targets, -gen, -engine) is
-// validated client-side before anything is submitted; -engine and -batch
-// configure local runs only (a daemon's own -engine/-batch govern its
-// jobs):
+// validated client-side before anything is submitted; -engine configures
+// local runs only (a daemon's own -engine governs its jobs):
 //
 //	sweep -addr http://localhost:8080 -axis idle -bench gap
 package main
@@ -69,7 +63,6 @@ type cli struct {
 	targets     []preexec.Target
 	targetNames []string
 	engine      preexec.Engine
-	batch       int
 	parallelism int
 	sched       bool
 	asJSON      bool
@@ -87,8 +80,7 @@ func parseCLI(args []string) (*cli, error) {
 	bench := fs.String("bench", "", "comma-separated benchmarks (default: the paper's triple for the first axis)")
 	all := fs.Bool("all", false, "sweep every benchmark")
 	targetNames := fs.String("targets", "", "comma-separated selection targets (default: L,E,P)")
-	engineName := fs.String("engine", "", "simulation engine: event, scan or batched (local sweeps; a daemon uses its own -engine)")
-	fs.IntVar(&c.batch, "batch", 0, "batch width k: run up to k same-trace measurements per streaming pass (local sweeps; 0/1 = serial)")
+	engineName := fs.String("engine", "", "simulation engine: event or scan (local sweeps; a daemon uses its own -engine)")
 	fs.IntVar(&c.parallelism, "j", 0, "worker-pool bound (0 = GOMAXPROCS)")
 	fs.BoolVar(&c.sched, "sched", true, "cost-modeled critical-path scheduling of the grid's stage DAG (local sweeps; false = naive grid order, identical results)")
 	fs.BoolVar(&c.asJSON, "json", false, "emit the JSON artifact instead of the rendered table")
@@ -174,7 +166,6 @@ func main() {
 	lab := preexec.New(
 		preexec.WithConfig(cfg),
 		preexec.WithParallelism(c.parallelism),
-		preexec.WithBatchWidth(c.batch),
 		preexec.WithScheduling(c.sched),
 		preexec.WithObserver(func(ev preexec.Event) {
 			switch ev.Kind {

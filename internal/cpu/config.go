@@ -79,13 +79,6 @@ const (
 	EngineEvent Engine = ""
 	// EngineScan is the reference per-cycle window rescan.
 	EngineScan Engine = "scan"
-	// EngineBatched is the event engine driven through a BatchSimulator:
-	// K config instances advance over one shared streaming pass of the
-	// trace's column chunks. A single Simulator rejects it (batching is a
-	// scheduling property, not a per-instance one); the experiments layer
-	// normalizes it to EngineEvent per instance and enables batch
-	// scheduling in sweeps.
-	EngineBatched Engine = "batched"
 )
 
 // ParseEngine resolves an engine name from user input (flags, wire
@@ -98,10 +91,8 @@ func ParseEngine(s string) (Engine, error) {
 		return EngineEvent, nil
 	case "scan":
 		return EngineScan, nil
-	case "batched":
-		return EngineBatched, nil
 	}
-	return "", fmt.Errorf("cpu: unknown engine %q (valid engines: event, scan, batched)", s)
+	return "", fmt.Errorf("cpu: unknown engine %q (valid engines: event, scan)", s)
 }
 
 // DefaultConfig returns the paper's processor configuration.

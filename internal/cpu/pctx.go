@@ -31,23 +31,13 @@ type pctx struct {
 	spawnID int32
 	statIdx int32 // index into the simulator's pthStats
 
-	// Precomputed at spawn: the active slices the issue pass reads. For a
-	// serial spawn they alias the context-owned bufs below; for a batched
-	// spawn they alias a shared, read-only spawn record computed once per
-	// trigger site by the batch's spawn oracle.
+	// Precomputed at spawn.
 	vals       []int64
 	addrs      []int64
 	dep1       []depRef
 	dep2       []depRef
 	targetMask []bool // per body index: is a prefetch target load
 	abortAt    int    // body index of a wild (out-of-range) address; len(Body) if none
-
-	// Context-owned storage backing serial spawns (grow-only).
-	valsBuf   []int64
-	addrsBuf  []int64
-	dep1Buf   []depRef
-	dep2Buf   []depRef
-	targetBuf []bool
 
 	// Progress.
 	fetched      int
@@ -69,20 +59,21 @@ func (c *pctx) isTarget(j int) bool { return c.targetMask[j] }
 // instructions. Called once per context at simulator construction; init then
 // reslices without allocating.
 func (c *pctx) grow(n int) {
-	if cap(c.valsBuf) >= n {
+	if cap(c.vals) >= n {
 		return
 	}
-	c.valsBuf = make([]int64, n)
-	c.addrsBuf = make([]int64, n)
-	c.dep1Buf = make([]depRef, n)
-	c.dep2Buf = make([]depRef, n)
+	c.vals = make([]int64, n)
+	c.addrs = make([]int64, n)
+	c.dep1 = make([]depRef, n)
+	c.dep2 = make([]depRef, n)
 	c.completeAt = make([]int64, n)
-	c.targetBuf = make([]bool, n)
+	c.targetMask = make([]bool, n)
 }
 
-// beginInstance resets the per-instance progress and timing state shared by
-// both spawn paths. grow must have been called for n first.
-func (c *pctx) beginInstance(pt *PThread, spawnID, statIdx int32, now int64, n int) {
+// init prepares the context for a new instance of pt, executing the body
+// functionally to obtain values, addresses and dependence references.
+func (c *pctx) init(pt *PThread, spawnID, statIdx int32, s *Simulator) {
+	n := len(pt.Body)
 	c.active = true
 	c.pt = pt
 	c.spawnID = spawnID
@@ -91,26 +82,18 @@ func (c *pctx) beginInstance(pt *PThread, spawnID, statIdx int32, now int64, n i
 	c.dispatched = 0
 	c.issued = 0
 	c.freed = 0
-	c.nextBlockAt = now
-	c.blockReadyAt = now
-	c.abortAt = n
+	c.nextBlockAt = s.now
+	c.blockReadyAt = s.now
+	c.grow(n) // no-op in steady state: NewSimulator sized the pools
+	c.vals = c.vals[:n]
+	c.addrs = c.addrs[:n]
+	c.dep1 = c.dep1[:n]
+	c.dep2 = c.dep2[:n]
 	c.completeAt = c.completeAt[:n]
 	for i := range c.completeAt {
 		c.completeAt[i] = 0
 	}
-}
-
-// init prepares the context for a new instance of pt, executing the body
-// functionally to obtain values, addresses and dependence references.
-func (c *pctx) init(pt *PThread, spawnID, statIdx int32, s *Simulator) {
-	n := len(pt.Body)
-	c.grow(n) // no-op in steady state: NewSimulator sized the pools
-	c.beginInstance(pt, spawnID, statIdx, s.now, n)
-	c.vals = c.valsBuf[:n]
-	c.addrs = c.addrsBuf[:n]
-	c.dep1 = c.dep1Buf[:n]
-	c.dep2 = c.dep2Buf[:n]
-	c.targetMask = c.targetBuf[:n]
+	c.targetMask = c.targetMask[:n]
 	for i := range c.targetMask {
 		c.targetMask[i] = false
 	}
@@ -122,25 +105,6 @@ func (c *pctx) init(pt *PThread, spawnID, statIdx int32, s *Simulator) {
 	if c.abortAt < n {
 		s.pthStats[statIdx].Aborted++
 	}
-}
-
-// initShared prepares the context for a batched instance of pt whose
-// functional pre-execution was already performed by the batch's shared
-// spawn oracle. The dataflow slices alias the read-only record (identical
-// for every instance sharing the trace and p-thread set, since the
-// dispatch-time architectural state is a pure function of the program-order
-// prefix); only timing state — progress counters and completion times — is
-// per-context.
-func (c *pctx) initShared(pt *PThread, spawnID, statIdx int32, now int64, rec *spawnRec, mask []bool) {
-	n := len(pt.Body)
-	c.grow(n)
-	c.beginInstance(pt, spawnID, statIdx, now, n)
-	c.vals = rec.vals
-	c.addrs = rec.addrs
-	c.dep1 = rec.dep1
-	c.dep2 = rec.dep2
-	c.targetMask = mask
-	c.abortAt = rec.abortAt
 }
 
 // execBody functionally pre-executes body against a dispatch-time

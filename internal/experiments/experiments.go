@@ -32,26 +32,15 @@ import (
 // freshly-constructed state (pinned by the golden and reuse tests).
 var simPool sync.Pool
 
-// normalizeEngine maps EngineBatched to the event engine it denotes per
-// instance: batching is a sweep-scheduling property (see Runner.Sweep), so a
-// single simulation under a batched configuration is exactly an event-engine
-// run.
-func normalizeEngine(e cpu.Engine) cpu.Engine {
-	if e == cpu.EngineBatched {
-		return cpu.EngineEvent
-	}
-	return e
-}
-
 // validateEngine rejects engines outside the typed enum with one error
 // listing the valid set, so entry points fail fast instead of surfacing the
 // simulator's rejection deep inside a prepared run.
 func validateEngine(e cpu.Engine) error {
 	switch e {
-	case cpu.EngineEvent, cpu.EngineScan, cpu.EngineBatched:
+	case cpu.EngineEvent, cpu.EngineScan:
 		return nil
 	}
-	return fmt.Errorf("experiments: unknown engine %q (valid engines: event, scan, batched)", e)
+	return fmt.Errorf("experiments: unknown engine %q (valid engines: event, scan)", e)
 }
 
 // ValidateEngine exposes the engine-enum check to the public API layer, so
@@ -62,7 +51,6 @@ func ValidateEngine(e cpu.Engine) error { return validateEngine(e) }
 // Simulate runs one timing simulation through the simulator pool and
 // returns an owned (cloned) Result.
 func Simulate(ctx context.Context, cfg cpu.Config, tr *trace.Trace, pthreads []*cpu.PThread) (*cpu.Result, error) {
-	cfg.Engine = normalizeEngine(cfg.Engine)
 	s, _ := simPool.Get().(*cpu.Simulator)
 	if s == nil {
 		s = new(cpu.Simulator)

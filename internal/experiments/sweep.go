@@ -160,14 +160,6 @@ func (g Grid) points(base Config) ([]gridPoint, error) {
 // EventPointDone events. The report's points are ordered benchmark-major,
 // then row-major across the axes (first axis slowest), independent of
 // worker scheduling.
-//
-// With a batch width of k >= 2 installed (SetBatchWidth, or a base
-// configuration selecting cpu.EngineBatched), measurements whose points
-// share identical prepared artifacts — the same trace — are partitioned
-// into batches of up to k and advanced through one shared streaming pass
-// per batch (cpu.BatchSimulator). Results are bit-identical to the serial
-// path; points measured this way carry Batched/BatchWidth in the report.
-// K=1 and reference scan-engine points always take the serial path.
 func (r *Runner) Sweep(ctx context.Context, g Grid) (*SweepReport, error) {
 	jobs, targets, axes, err := r.expandGrid(g)
 	if err != nil {
@@ -182,8 +174,6 @@ func (r *Runner) Sweep(ctx context.Context, g Grid) (*SweepReport, error) {
 	defer r.costs.flush()
 	var done atomic.Int64
 	switch {
-	case r.effectiveBatchWidth() >= 2:
-		r.sweepBatched(ctx, jobs, targets, r.effectiveBatchWidth(), rep, errs)
 	case r.sched:
 		// Critical-path order: the grid's full stage DAG plus one
 		// measurement sink per job, pulled longest-remaining-path-first.

@@ -362,46 +362,32 @@ func TestReplayBufferBound(t *testing.T) {
 	}
 }
 
-// TestBatchedDaemonMatchesSerial pins the daemon's -batch/-engine wiring: a
-// batched daemon rejects unknown engines at construction with one error
-// listing the valid set, and a batched daemon's sweep artifact is
-// byte-identical to a serial daemon's modulo throughput and the
-// Batched/BatchWidth provenance fields.
-func TestBatchedDaemonMatchesSerial(t *testing.T) {
-	if _, err := New(Config{Dir: t.TempDir(), Engine: "bogus"}); err == nil {
-		t.Fatal("New accepted an unknown engine")
-	} else if !strings.Contains(err.Error(), "valid engines: event, scan, batched") {
-		t.Errorf("error %q does not list the valid engines", err)
-	}
-
-	run := func(cfg Config) *preexec.SweepReport {
-		_, ts := newTestServer(t, cfg)
-		id := submitSweep(t, ts.URL, smokeRequest)
-		return sweepArtifact(t, streamEvents(t, ts.URL, id))
-	}
-	serial := run(Config{Dir: t.TempDir()})
-	batched := run(Config{Dir: t.TempDir(), BatchWidth: 4})
-
-	for i := range batched.Points {
-		if !batched.Points[i].Batched || batched.Points[i].BatchWidth != 4 {
-			t.Errorf("point %d = {Batched: %v, BatchWidth: %d}, want {true, 4}",
-				i, batched.Points[i].Batched, batched.Points[i].BatchWidth)
+// TestNewRejectsUnknownEngine pins the daemon's -engine wiring: an unknown
+// engine name fails New with one error listing the valid set.
+func TestNewRejectsUnknownEngine(t *testing.T) {
+	for _, name := range []string{"bogus", "batched"} {
+		if _, err := New(Config{Dir: t.TempDir(), Engine: name}); err == nil {
+			t.Errorf("New accepted engine %q", name)
+		} else if !strings.Contains(err.Error(), "valid engines: event, scan)") {
+			t.Errorf("error %q does not list the valid engines", err)
 		}
 	}
-	strip := func(rep *preexec.SweepReport) {
-		for i := range rep.Points {
-			rep.Points[i].Batched = false
-			rep.Points[i].BatchWidth = 0
-			for j := range rep.Points[i].Runs {
-				rep.Points[i].Runs[j].SimCyclesPerSec = 0
-			}
-		}
+}
+
+// TestOversizedSweepBody pins the request-body cap: a sweep body past
+// maxSweepBody is refused with 413 and starts no job.
+func TestOversizedSweepBody(t *testing.T) {
+	_, ts := newTestServer(t, Config{Dir: t.TempDir()})
+	body := `{"benchmarks":["` + strings.Repeat("a", maxSweepBody) + `"]}`
+	resp, err := http.Post(ts.URL+"/v1/sweep", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
 	}
-	strip(serial)
-	strip(batched)
-	a, _ := json.Marshal(serial)
-	b, _ := json.Marshal(batched)
-	if !bytes.Equal(a, b) {
-		t.Errorf("batched daemon report diverges from serial:\nserial:  %s\nbatched: %s", a, b)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("status %d, want 413", resp.StatusCode)
+	}
+	if n := len(getStats(t, ts.URL).Jobs); n != 0 {
+		t.Errorf("%d jobs after an oversized body, want 0", n)
 	}
 }

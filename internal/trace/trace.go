@@ -279,49 +279,6 @@ func (cu *Cursor) Taken() bool {
 	return cu.c.taken[cu.off>>6]&(1<<uint(cu.off&63)) != 0
 }
 
-// SharedCursor steps over the trace one column chunk at a time, exposing
-// each chunk's dynamic-index window [Lo, Hi). It is the sharing point for
-// batched simulation: K readers advanced in lockstep to each boundary all
-// stream the same chunk's columns while they are hot in cache, instead of
-// each re-streaming the whole trace. A SharedCursor is a value (no
-// allocation); obtain a fresh one per pass with Trace.SharedCursor.
-type SharedCursor struct {
-	t  *Trace
-	ci int
-}
-
-// SharedCursor returns a chunk-window cursor positioned before the first
-// chunk.
-func (t *Trace) SharedCursor() SharedCursor {
-	return SharedCursor{t: t, ci: -1}
-}
-
-// Next advances to the next chunk window, reporting whether one exists. An
-// empty trace has no windows.
-//
-//lab:hotpath
-func (sc *SharedCursor) Next() bool {
-	sc.ci++
-	return sc.ci < len(sc.t.chunks)
-}
-
-// Window returns the current chunk's dynamic-index span [lo, hi). The final
-// chunk's window is truncated to the trace length.
-//
-//lab:hotpath
-func (sc *SharedCursor) Window() (lo, hi int) {
-	lo = sc.ci << chunkBits
-	hi = lo + chunkLen
-	if hi > sc.t.n {
-		hi = sc.t.n
-	}
-	return lo, hi
-}
-
-// NumChunks returns the number of column chunks backing the trace (the
-// number of windows a SharedCursor yields).
-func (t *Trace) NumChunks() int { return len(t.chunks) }
-
 // append records one entry. p1/p2 are producer dynamic indices (or
 // NoProducer); the builder encodes them as 32-bit backward deltas, escaping
 // to the overflow maps past deltaLimit.

@@ -459,35 +459,3 @@ func TestDeterminismProperty(t *testing.T) {
 		}
 	}
 }
-
-// TestSharedCursorWindows pins the chunk-window contract batched simulation
-// relies on: windows are contiguous, ascending, cover exactly [0, Len), and
-// every window but the last spans one full chunk.
-func TestSharedCursorWindows(t *testing.T) {
-	for _, n := range []int64{0, 10, chunkLen/6 + 5, 2*chunkLen/6 + 7} {
-		mem := make([]int64, 8*(n+1))
-		tr := MustRun(sumLoop(n, mem))
-		sc := tr.SharedCursor()
-		next, windows := 0, 0
-		for sc.Next() {
-			lo, hi := sc.Window()
-			if lo != next {
-				t.Fatalf("n=%d: window %d starts at %d, want %d", n, windows, lo, next)
-			}
-			if hi <= lo || hi > tr.Len() {
-				t.Fatalf("n=%d: window %d = [%d, %d) out of range (len %d)", n, windows, lo, hi, tr.Len())
-			}
-			if hi != tr.Len() && hi-lo != chunkLen {
-				t.Fatalf("n=%d: interior window %d has length %d, want %d", n, windows, hi-lo, chunkLen)
-			}
-			next = hi
-			windows++
-		}
-		if next != tr.Len() {
-			t.Fatalf("n=%d: windows cover [0, %d), want [0, %d)", n, next, tr.Len())
-		}
-		if windows != tr.NumChunks() {
-			t.Fatalf("n=%d: %d windows, NumChunks %d", n, windows, tr.NumChunks())
-		}
-	}
-}
