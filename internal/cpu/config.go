@@ -120,3 +120,41 @@ func DefaultConfig() Config {
 }
 
 const defaultMaxCycles = 2_000_000_000
+
+// Validate rejects a configuration the simulator cannot run: an unknown
+// engine, a non-positive width, window size, port count or fetch-buffer
+// capacity, fewer than one thread context, or a negative latency. Each
+// problem is one error naming the field; without the check a zero window
+// or width spins until the deadlock guard fires and zero contexts panic
+// while sizing the p-thread contexts.
+func (c Config) Validate() error {
+	if c.Engine != EngineEvent && c.Engine != EngineScan {
+		return fmt.Errorf("cpu: unknown engine %q (valid engines: event, scan)", c.Engine)
+	}
+	type field struct {
+		name string
+		v    int
+	}
+	for _, f := range []field{
+		{"FetchWidth", c.FetchWidth}, {"DispatchWidth", c.DispatchWidth},
+		{"IssueWidth", c.IssueWidth}, {"CommitWidth", c.CommitWidth},
+		{"ROBSize", c.ROBSize}, {"RSSize", c.RSSize}, {"PhysRegs", c.PhysRegs},
+		{"LoadPorts", c.LoadPorts}, {"StorePorts", c.StorePorts},
+		{"FetchQCap", c.FetchQCap}, {"Contexts", c.Contexts},
+	} {
+		if f.v < 1 {
+			return fmt.Errorf("cpu: %s must be at least 1, got %d", f.name, f.v)
+		}
+	}
+	for _, f := range []field{
+		{"FrontEndDepth", c.FrontEndDepth}, {"RedirectPen", c.RedirectPen},
+		{"PthFrontEnd", c.PthFrontEnd}, {"Hier.L1I.HitLatency", c.Hier.L1I.HitLatency},
+		{"Hier.L1D.HitLatency", c.Hier.L1D.HitLatency}, {"Hier.L2.HitLatency", c.Hier.L2.HitLatency},
+		{"Hier.TLBMissPen", c.Hier.TLBMissPen}, {"Hier.MemLatency", c.Hier.MemLatency},
+	} {
+		if f.v < 0 {
+			return fmt.Errorf("cpu: latency %s must not be negative, got %d", f.name, f.v)
+		}
+	}
+	return nil
+}

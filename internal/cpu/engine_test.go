@@ -2,6 +2,7 @@ package cpu
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/isa"
@@ -109,5 +110,70 @@ func TestUnknownEngineRejected(t *testing.T) {
 	cfg.Engine = "bogus"
 	if _, err := Run(cfg, trace.MustRun(aluChain(4)), nil); err == nil {
 		t.Fatal("unknown engine accepted")
+	}
+}
+
+// TestConfigValidate checks every structural limit: each bad field is one
+// error naming it, returned by both Validate and Reset, never a panic or a
+// run into the deadlock guard.
+func TestConfigValidate(t *testing.T) {
+	if err := DefaultConfig().Validate(); err != nil {
+		t.Fatalf("default config rejected: %v", err)
+	}
+	cases := map[string]func(*Config){
+		"FetchWidth":          func(c *Config) { c.FetchWidth = 0 },
+		"DispatchWidth":       func(c *Config) { c.DispatchWidth = 0 },
+		"IssueWidth":          func(c *Config) { c.IssueWidth = 0 },
+		"CommitWidth":         func(c *Config) { c.CommitWidth = -1 },
+		"ROBSize":             func(c *Config) { c.ROBSize = 0 },
+		"RSSize":              func(c *Config) { c.RSSize = 0 },
+		"PhysRegs":            func(c *Config) { c.PhysRegs = 0 },
+		"LoadPorts":           func(c *Config) { c.LoadPorts = 0 },
+		"StorePorts":          func(c *Config) { c.StorePorts = 0 },
+		"FetchQCap":           func(c *Config) { c.FetchQCap = 0 },
+		"Contexts":            func(c *Config) { c.Contexts = 0 },
+		"FrontEndDepth":       func(c *Config) { c.FrontEndDepth = -1 },
+		"RedirectPen":         func(c *Config) { c.RedirectPen = -1 },
+		"PthFrontEnd":         func(c *Config) { c.PthFrontEnd = -1 },
+		"Hier.L1I.HitLatency": func(c *Config) { c.Hier.L1I.HitLatency = -1 },
+		"Hier.L1D.HitLatency": func(c *Config) { c.Hier.L1D.HitLatency = -1 },
+		"Hier.L2.HitLatency":  func(c *Config) { c.Hier.L2.HitLatency = -1 },
+		"Hier.TLBMissPen":     func(c *Config) { c.Hier.TLBMissPen = -1 },
+		"Hier.MemLatency":     func(c *Config) { c.Hier.MemLatency = -1 },
+		"Engine":              func(c *Config) { c.Engine = "bogus" },
+	}
+	tr := trace.MustRun(aluChain(50))
+	for field, mutate := range cases {
+		cfg := DefaultConfig()
+		mutate(&cfg)
+		err := cfg.Validate()
+		if err == nil {
+			t.Errorf("%s: bad value accepted", field)
+			continue
+		}
+		if field != "Engine" && !strings.Contains(err.Error(), field) {
+			t.Errorf("%s: error %q does not name the field", field, err)
+		}
+		func() {
+			defer func() {
+				if p := recover(); p != nil {
+					t.Errorf("%s: Reset panicked: %v", field, p)
+				}
+			}()
+			if rerr := new(Simulator).Reset(cfg, tr, nil); rerr == nil || rerr.Error() != err.Error() {
+				t.Errorf("%s: Reset error %v, want %v", field, rerr, err)
+			}
+		}()
+	}
+	// The smallest legal machine still runs: one context means no
+	// p-thread contexts, not a panic.
+	cfg := DefaultConfig()
+	cfg.Contexts = 1
+	s, err := NewSimulator(cfg, tr, nil)
+	if err == nil {
+		_, err = s.Run()
+	}
+	if err != nil {
+		t.Errorf("one-context machine: %v", err)
 	}
 }

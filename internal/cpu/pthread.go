@@ -2,6 +2,7 @@ package cpu
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/isa"
 )
@@ -54,6 +55,18 @@ func (p *PThread) Validate() error {
 		}
 	}
 	return nil
+}
+
+// SamePThreads reports whether a and b are the same ordered p-thread list,
+// field for field: ID, TriggerPC, TargetPC, Body and Targets. The simulator
+// is deterministic in (config, trace, p-threads), so two such lists measured
+// under one config on one trace yield identical Results — the rule that lets
+// selection targets converging on one p-thread set share a measurement.
+func SamePThreads(a, b []*PThread) bool {
+	return slices.EqualFunc(a, b, func(p, q *PThread) bool {
+		return p.ID == q.ID && p.TriggerPC == q.TriggerPC && p.TargetPC == q.TargetPC &&
+			slices.Equal(p.Body, q.Body) && slices.Equal(p.Targets, q.Targets)
+	})
 }
 
 // MaxBodyLen returns the longest body among the given p-threads (0 for

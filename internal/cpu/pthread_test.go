@@ -89,3 +89,39 @@ func TestPThreadCounters(t *testing.T) {
 		t.Errorf("ALUs = %d, want 3", p.ALUs())
 	}
 }
+
+// TestSamePThreads pins the sharing rule: two selections share one
+// measurement only when their ordered p-thread lists agree field for field.
+func TestSamePThreads(t *testing.T) {
+	list := func() []*PThread {
+		a := validPThread()
+		b := validPThread()
+		b.ID, b.TriggerPC, b.TargetPC = 2, 11, 21
+		b.Body = append(b.Body, isa.Inst{Op: isa.Load, Dst: 5, Src1: 1})
+		b.Targets = []int{3, 4}
+		return []*PThread{a, b}
+	}
+	if !SamePThreads(list(), list()) {
+		t.Fatal("deep-equal lists rejected")
+	}
+	if !SamePThreads(nil, []*PThread{}) {
+		t.Error("two empty selections rejected")
+	}
+	cases := map[string]func([]*PThread) []*PThread{
+		"one ID": func(l []*PThread) []*PThread { l[1].ID = 7; return l },
+		"one body instruction": func(l []*PThread) []*PThread {
+			l[0].Body[1].Imm++
+			return l
+		},
+		"targets order": func(l []*PThread) []*PThread { l[1].Targets = []int{4, 3}; return l },
+		"list order":    func(l []*PThread) []*PThread { return []*PThread{l[1], l[0]} },
+		"trigger PC":    func(l []*PThread) []*PThread { l[0].TriggerPC++; return l },
+		"target PC":     func(l []*PThread) []*PThread { l[0].TargetPC++; return l },
+		"shorter list":  func(l []*PThread) []*PThread { return l[:1] },
+	}
+	for name, mutate := range cases {
+		if SamePThreads(list(), mutate(list())) {
+			t.Errorf("%s: lists that differ were accepted as the same", name)
+		}
+	}
+}

@@ -148,8 +148,8 @@ func grow[T any](s []T, n int) []T {
 // Reset and the subsequent run allocate nothing. Any Result previously
 // returned by this simulator is invalidated (see Simulator doc).
 func (s *Simulator) Reset(cfg Config, tr *trace.Trace, pthreads []*PThread) error {
-	if cfg.Engine != EngineEvent && cfg.Engine != EngineScan {
-		return fmt.Errorf("cpu: unknown engine %q (valid engines: event, scan)", cfg.Engine)
+	if err := cfg.Validate(); err != nil {
+		return err
 	}
 	for _, pt := range pthreads {
 		if err := pt.Validate(); err != nil {

@@ -32,22 +32,6 @@ import (
 // freshly-constructed state (pinned by the golden and reuse tests).
 var simPool sync.Pool
 
-// validateEngine rejects engines outside the typed enum with one error
-// listing the valid set, so entry points fail fast instead of surfacing the
-// simulator's rejection deep inside a prepared run.
-func validateEngine(e cpu.Engine) error {
-	switch e {
-	case cpu.EngineEvent, cpu.EngineScan:
-		return nil
-	}
-	return fmt.Errorf("experiments: unknown engine %q (valid engines: event, scan)", e)
-}
-
-// ValidateEngine exposes the engine-enum check to the public API layer, so
-// a Lab can reject an out-of-enum engine at construction with the same
-// single error every other entry point produces.
-func ValidateEngine(e cpu.Engine) error { return validateEngine(e) }
-
 // Simulate runs one timing simulation through the simulator pool and
 // returns an owned (cloned) Result.
 func Simulate(ctx context.Context, cfg cpu.Config, tr *trace.Trace, pthreads []*cpu.PThread) (*cpu.Result, error) {
@@ -197,10 +181,22 @@ func (t *TargetRun) SimCyclesPerSec() float64 {
 // (sel == meas for ideal profiling; they differ for the realistic-profiling
 // experiment). Cancellation is honored mid-simulation.
 func RunTarget(ctx context.Context, sel, meas *Prepared, target pthsel.Target, cfg Config) (*TargetRun, error) {
+	return runTarget(ctx, sel, meas, target, cfg, nil)
+}
+
+// runTarget is RunTarget reusing the Result of a run in prior (same sel,
+// meas and cfg) whose p-threads are the same list (cpu.SamePThreads). A
+// shared run did not simulate: SimSeconds stays 0, reporting no throughput.
+func runTarget(ctx context.Context, sel, meas *Prepared, target pthsel.Target, cfg Config, prior []*TargetRun) (*TargetRun, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	selection := pthsel.Select(sel.Trace, sel.Prof, sel.Trees, sel.Params, target)
+	for _, p := range prior {
+		if cpu.SamePThreads(p.Sel.PThreads, selection.PThreads) {
+			return Derive(selection, meas.Baseline, p.Res), nil
+		}
+	}
 	start := time.Now()
 	res, err := Simulate(ctx, cfg.CPU, meas.Trace, selection.PThreads)
 	if err != nil {
@@ -238,27 +234,10 @@ type BenchResult struct {
 	Runs     map[pthsel.Target]*TargetRun
 }
 
-// RunBenchmark prepares one benchmark and evaluates the given targets with
-// ideal (same-run) profiling, as in the paper's primary study.
+// RunBenchmark prepares one benchmark on a fresh engine and evaluates the
+// given targets with ideal (same-run) profiling, as in the primary study.
 func RunBenchmark(ctx context.Context, name string, targets []pthsel.Target, cfg Config) (*BenchResult, error) {
-	prep, err := Prepare(ctx, name, cfg.MeasureInput, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return measureTargets(ctx, prep, targets, cfg)
-}
-
-// measureTargets runs every target on an already-prepared benchmark.
-func measureTargets(ctx context.Context, prep *Prepared, targets []pthsel.Target, cfg Config) (*BenchResult, error) {
-	br := &BenchResult{Name: prep.Name, Prepared: prep, Runs: map[pthsel.Target]*TargetRun{}}
-	for _, tgt := range targets {
-		run, err := RunTarget(ctx, prep, prep, tgt, cfg)
-		if err != nil {
-			return nil, err
-		}
-		br.Runs[tgt] = run
-	}
-	return br, nil
+	return NewRunner(cfg, 1, nil).runBench(ctx, name, targets, cfg)
 }
 
 // RunAll evaluates the given benchmarks × targets on a bounded worker pool

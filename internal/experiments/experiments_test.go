@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -279,4 +280,119 @@ func TestSweepScanMatchesEvent(t *testing.T) {
 	if !bytes.Equal(a, b) {
 		t.Errorf("scan-engine sweep diverges from event engine:\nscan:  %s\nevent: %s", a, b)
 	}
+}
+
+// TestSweepSharesMeasurements pins the shared-measurement rule on the
+// memory-latency grid over the paper nine under L, E and P: targets at one
+// point whose selections are the same p-thread list share one simulation.
+// (a) The warm sweep's reports, throughput stripped, are byte-identical to
+// the same runs built one by one through RunTarget. (b) Exactly the
+// distinct selections — counted with pthsel.Select and cpu.SamePThreads —
+// report a throughput, and there are fewer of them than runs. (c) Nothing
+// is remembered across calls: a second identical sweep simulates as many.
+func TestSweepSharesMeasurements(t *testing.T) {
+	ctx := context.Background()
+	var runDone, simulated int // observer calls are serialized
+	r := NewRunner(DefaultConfig(), 2, func(ev Event) {
+		if ev.Kind == EventRunDone {
+			runDone++
+			if ev.SimCyclesPerSec > 0 {
+				simulated++
+			}
+		}
+	})
+	grid := Grid{Axes: []Axis{GridAxis(SweepMemLatency)}, Benchmarks: PaperBenchmarks(), Targets: Figure4Targets}
+	cold, err := r.Sweep(ctx, grid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm, err := r.Sweep(ctx, grid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	measured := func(rep *SweepReport) (n int) {
+		for _, pt := range rep.Points {
+			for _, run := range pt.Runs {
+				if run.SimCyclesPerSec > 0 {
+					n++
+				}
+			}
+		}
+		return n
+	}
+	coldMeasured, warmMeasured := measured(cold), measured(warm)
+	if runDone != 2*grid.Points()*len(grid.Benchmarks)*len(grid.Targets) || simulated != coldMeasured+warmMeasured {
+		t.Errorf("run-done events: %d, %d with a throughput; want one per target run and %d with a throughput",
+			runDone, simulated, coldMeasured+warmMeasured)
+	}
+
+	pts, err := grid.points(r.cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The reference: every run built one by one through RunTarget, which
+	// shares nothing (run.Sel is pthsel.Select's own), benchmarks fanned
+	// out on the engine's pool.
+	perPoint, err := perBench(ctx, r, grid.Benchmarks, func(ctx context.Context, bench string) ([][]*TargetRun, error) {
+		var out [][]*TargetRun
+		for _, pt := range pts {
+			prep, err := r.Prepare(ctx, bench, pt.cfg.MeasureInput, pt.cfg)
+			if err != nil {
+				return nil, err
+			}
+			var runs []*TargetRun
+			for _, tgt := range grid.Targets {
+				run, err := RunTarget(ctx, prep, prep, tgt, pt.cfg)
+				if err != nil {
+					return nil, err
+				}
+				runs = append(runs, run)
+			}
+			out = append(out, runs)
+		}
+		return out, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []RunReport
+	distinct := 0
+	for _, points := range perPoint {
+		for _, runs := range points {
+			for i, run := range runs {
+				rr := runReport(run)
+				rr.SimCyclesPerSec = 0
+				want = append(want, rr)
+				if !slices.ContainsFunc(runs[:i], func(p *TargetRun) bool { return cpu.SamePThreads(p.Sel.PThreads, run.Sel.PThreads) }) {
+					distinct++
+				}
+			}
+		}
+	}
+
+	stripThroughput(cold)
+	stripThroughput(warm)
+	var got []RunReport
+	for _, pt := range warm.Points {
+		got = append(got, pt.Runs...)
+	}
+	a, _ := json.Marshal(got)
+	b, _ := json.Marshal(want)
+	if !bytes.Equal(a, b) {
+		t.Errorf("shared-measurement sweep diverges from one-by-one RunTarget:\nsweep:     %s\nRunTarget: %s", a, b)
+	}
+	c, _ := json.Marshal(cold.Points)
+	w, _ := json.Marshal(warm.Points)
+	if !bytes.Equal(c, w) {
+		t.Error("cold and warm sweeps disagree")
+	}
+	if warmMeasured != distinct || distinct >= len(want) {
+		t.Errorf("warm sweep simulated %d of %d runs, want the %d distinct selections (fewer than the runs)",
+			warmMeasured, len(want), distinct)
+	}
+	if coldMeasured != warmMeasured {
+		t.Errorf("second sweep simulated %d runs, first %d: measurements must not be remembered across calls",
+			warmMeasured, coldMeasured)
+	}
+	t.Logf("%d distinct selections of %d runs", distinct, len(want))
 }

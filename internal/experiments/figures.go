@@ -78,29 +78,46 @@ func (r *Runner) Table3(ctx context.Context, names []string) (*Table3Report, err
 	if err := validateNames(names); err != nil {
 		return nil, err
 	}
-	rep := &Table3Report{Rows: make([]Table3Row, 0, len(names))}
-	for _, name := range names {
+	rows, err := perBench(ctx, r, names, func(ctx context.Context, name string) (Table3Row, error) {
 		prep, err := r.Prepare(ctx, name, r.cfg.MeasureInput, r.cfg)
 		if err != nil {
-			return nil, err
+			return Table3Row{}, err
 		}
 		run, err := RunTarget(ctx, prep, prep, pthsel.TargetL, r.cfg)
 		if err != nil {
-			return nil, err
+			return Table3Row{}, err
 		}
 		base, res := prep.Baseline, run.Res
 		// Measured composite at W=0.5 (the paper's P metric).
 		pBase := metrics.Composite(0.5, float64(base.Cycles), base.Energy.Total())
 		pPE := metrics.Composite(0.5, float64(res.Cycles), res.Energy.Total())
 		predP := pthselCompositePred(prep, run)
-		rep.Rows = append(rep.Rows, Table3Row{
+		return Table3Row{
 			Name:        name,
 			LatencyPred: metrics.Ratio(float64(base.Cycles-res.Cycles), run.Sel.PredLADV),
 			EnergyPred:  metrics.Ratio(base.Energy.Total()-res.Energy.Total(), run.Sel.PredEADV),
 			EDPred:      metrics.Ratio(pBase-pPE, predP),
-		})
+		}, nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	return rep, nil
+	return &Table3Report{Rows: rows}, nil
+}
+
+// perBench runs fn for every benchmark on r's pool into rows parallel to
+// names. The error is the first failing benchmark's in names order (the one
+// a serial loop stops at), else the context's if the pool stopped early.
+func perBench[T any](ctx context.Context, r *Runner, names []string, fn func(context.Context, string) (T, error)) ([]T, error) {
+	rows := make([]T, len(names))
+	errs := make([]error, len(names))
+	r.forEach(ctx, len(names), func(i int) { rows[i], errs[i] = fn(ctx, names[i]) })
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return rows, ctx.Err()
 }
 
 func pthselCompositePred(prep *Prepared, run *TargetRun) float64 {
@@ -119,27 +136,26 @@ func (r *Runner) Figure4(ctx context.Context, names []string) (*Figure4Report, e
 	if err := validateNames(names); err != nil {
 		return nil, err
 	}
-	rep := &Figure4Report{Targets: targetNames(Figure4Targets)}
-	for _, name := range names {
+	benches, err := perBench(ctx, r, names, func(ctx context.Context, name string) (BenchRuns, error) {
 		profPrep, err := r.Prepare(ctx, name, program.Ref, r.cfg)
 		if err != nil {
-			return nil, err
+			return BenchRuns{}, err
 		}
 		measPrep, err := r.Prepare(ctx, name, r.cfg.MeasureInput, r.cfg)
 		if err != nil {
-			return nil, err
+			return BenchRuns{}, err
 		}
+		runs, err := r.measure(ctx, name, profPrep, measPrep, Figure4Targets, r.cfg)
 		bench := BenchRuns{Name: name}
-		for _, tgt := range Figure4Targets {
-			run, err := RunTarget(ctx, profPrep, measPrep, tgt, r.cfg)
-			if err != nil {
-				return nil, err
-			}
+		for _, run := range runs {
 			bench.Runs = append(bench.Runs, runReport(run))
 		}
-		rep.Benchmarks = append(rep.Benchmarks, bench)
+		return bench, err
+	})
+	if err != nil {
+		return nil, err
 	}
-	return rep, nil
+	return &Figure4Report{Targets: targetNames(Figure4Targets), Benchmarks: benches}, nil
 }
 
 // SweepAxis identifies a Figure 5 sensitivity axis.

@@ -123,11 +123,12 @@ func deriveConfig(cfg Config) pthsel.DeriveConfig {
 // workload itself — empty for the built-in corpus, whose (benchmark, input)
 // pair alone identifies the trace, and the generated-spec fingerprint for
 // registered generator workloads, so a respun spec under a reused name can
-// never alias a cached stage. A configuration that cannot be fingerprinted
-// (e.g. a sweep mutation smuggling in a NaN) is reported as an error instead
-// of panicking from inside the artifact store.
+// never alias a cached stage. A configuration the simulator cannot run
+// (cpu.Config.Validate) or that cannot be fingerprinted (e.g. a sweep
+// mutation smuggling in a NaN) is reported as an error instead of failing
+// from inside the artifact store.
 func planFor(cfg Config, workloadFP string) (stagePlan, error) {
-	if err := validateEngine(cfg.CPU.Engine); err != nil {
+	if err := cfg.CPU.Validate(); err != nil {
 		return stagePlan{}, err
 	}
 	p := stagePlan{

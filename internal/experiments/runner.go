@@ -290,7 +290,7 @@ func (r *Runner) emit(ctx context.Context, ev Event) {
 // when the failure was a context cancellation, which is the waiting
 // caller's problem, not the artifact's.
 func (r *Runner) Prepare(ctx context.Context, name string, input program.InputClass, cfg Config) (*Prepared, error) {
-	if err := validateEngine(cfg.CPU.Engine); err != nil {
+	if err := cfg.CPU.Validate(); err != nil {
 		return nil, err
 	}
 	// The outer key needs only the whole-config fingerprint chained through
@@ -401,12 +401,30 @@ func (r *Runner) runBench(ctx context.Context, name string, targets []pthsel.Tar
 	if err != nil {
 		return nil, err
 	}
-	br := &BenchResult{Name: name, Prepared: prep, Runs: map[pthsel.Target]*TargetRun{}}
+	runs, err := r.measure(ctx, name, prep, prep, targets, cfg)
+	if err != nil {
+		return nil, err
+	}
+	br := &BenchResult{Name: name, Prepared: prep, Runs: make(map[pthsel.Target]*TargetRun, len(targets))}
+	for i, tgt := range targets {
+		br.Runs[tgt] = runs[i]
+	}
+	return br, nil
+}
+
+// measure selects p-threads on sel for each target in order and measures
+// them on meas, simulating each distinct selection once: a target whose
+// p-threads equal an earlier target's (cpu.SamePThreads) derives its run
+// from that Result, which the deterministic simulator would reproduce
+// exactly. Each target gets its own run-start/run-done pair. Nothing
+// outlives the call, so a repeated sweep simulates again.
+func (r *Runner) measure(ctx context.Context, bench string, sel, meas *Prepared, targets []pthsel.Target, cfg Config) ([]*TargetRun, error) {
 	start := time.Now()
+	runs := make([]*TargetRun, 0, len(targets))
 	for _, tgt := range targets {
-		r.emit(ctx, Event{Kind: EventRunStart, Bench: name, Target: tgt.String()})
-		run, err := RunTarget(ctx, prep, prep, tgt, cfg)
-		ev := Event{Kind: EventRunDone, Bench: name, Target: tgt.String(), Err: err}
+		r.emit(ctx, Event{Kind: EventRunStart, Bench: bench, Target: tgt.String()})
+		run, err := runTarget(ctx, sel, meas, tgt, cfg, runs)
+		ev := Event{Kind: EventRunDone, Bench: bench, Target: tgt.String(), Err: err}
 		if err == nil {
 			ev.SimCyclesPerSec = run.SimCyclesPerSec()
 		}
@@ -414,13 +432,12 @@ func (r *Runner) runBench(ctx context.Context, name string, targets []pthsel.Tar
 		if err != nil {
 			return nil, err
 		}
-		br.Runs[tgt] = run
+		runs = append(runs, run)
 	}
 	if len(targets) > 0 {
-		r.costs.record(stageMeasure, name, cfg.MeasureInput,
-			time.Since(start).Seconds()/float64(len(targets)))
+		r.costs.record(stageMeasure, bench, meas.Input, time.Since(start).Seconds()/float64(len(targets)))
 	}
-	return br, nil
+	return runs, nil
 }
 
 // benchResults evaluates names × targets on the pool. The returned slice is

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"strings"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/program/gen"
 	"repro/internal/pthsel"
@@ -282,24 +281,10 @@ func (r *Runner) sweepPoint(ctx context.Context, bench string, pt gridPoint, tar
 	if err != nil {
 		return SweepPointReport{}, err
 	}
-	start := time.Now()
+	runs, err := r.measure(ctx, bench, prep, prep, targets, pt.cfg)
 	point := SweepPointReport{Bench: bench, Labels: pt.labels}
-	for _, tgt := range targets {
-		r.emit(ctx, Event{Kind: EventRunStart, Bench: bench, Target: tgt.String()})
-		run, err := RunTarget(ctx, prep, prep, tgt, pt.cfg)
-		ev := Event{Kind: EventRunDone, Bench: bench, Target: tgt.String(), Err: err}
-		if err == nil {
-			ev.SimCyclesPerSec = run.SimCyclesPerSec()
-		}
-		r.emit(ctx, ev)
-		if err != nil {
-			return SweepPointReport{}, err
-		}
+	for _, run := range runs {
 		point.Runs = append(point.Runs, runReport(run))
 	}
-	if len(targets) > 0 {
-		r.costs.record(stageMeasure, bench, pt.cfg.MeasureInput,
-			time.Since(start).Seconds()/float64(len(targets)))
-	}
-	return point, nil
+	return point, err
 }

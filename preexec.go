@@ -403,15 +403,16 @@ type Lab struct {
 	diskErr error
 }
 
-// New creates a Lab engine. An out-of-enum engine in the configuration is
-// caught here: every entry point then fails with one error listing the
-// valid engines (also available up front through ConfigErr).
+// New creates a Lab engine. An out-of-enum engine or a processor
+// configuration the simulator cannot run (a zero width or window, no thread
+// context, a negative latency) is caught here: every entry point then fails
+// with that one error (also available up front through ConfigErr).
 func New(opts ...Option) *Lab {
 	l := &Lab{cfg: experiments.DefaultConfig()}
 	for _, opt := range opts {
 		opt(l)
 	}
-	l.cfgErr = experiments.ValidateEngine(l.cfg.CPU.Engine)
+	l.cfgErr = l.cfg.CPU.Validate()
 	l.run = experiments.NewRunner(l.cfg, l.parallelism, l.observe)
 	if l.scheduling != nil {
 		l.run.SetScheduling(*l.scheduling)

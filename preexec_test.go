@@ -2,6 +2,7 @@ package preexec
 
 import (
 	"context"
+	"strings"
 	"testing"
 )
 
@@ -114,5 +115,28 @@ func TestParseTarget(t *testing.T) {
 	}
 	if _, err := ParseTarget("Q"); err == nil {
 		t.Error("unknown target accepted")
+	}
+}
+
+// TestLabRejectsUnrunnableConfig: a processor the simulator cannot run is
+// reported once at construction and by every entry point, instead of a
+// panic (zero contexts) or a million-cycle run into the deadlock guard
+// (zero window or width).
+func TestLabRejectsUnrunnableConfig(t *testing.T) {
+	for name, mutate := range map[string]func(*Config){
+		"Contexts":   func(c *Config) { c.CPU.Contexts = 0 },
+		"ROBSize":    func(c *Config) { c.CPU.ROBSize = 0 },
+		"FetchQCap":  func(c *Config) { c.CPU.FetchQCap = 0 },
+		"IssueWidth": func(c *Config) { c.CPU.IssueWidth = 0 },
+	} {
+		cfg := DefaultConfig()
+		mutate(&cfg)
+		lab := New(WithConfig(cfg))
+		if err := lab.ConfigErr(); err == nil || !strings.Contains(err.Error(), name) {
+			t.Errorf("%s: ConfigErr = %v, want an error naming the field", name, err)
+		}
+		if _, err := lab.AnalyzeBenchmark(context.Background(), "gap"); err == nil {
+			t.Errorf("%s: AnalyzeBenchmark accepted the config", name)
+		}
 	}
 }
