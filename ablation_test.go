@@ -77,14 +77,14 @@ func BenchmarkAblationBusEdges(b *testing.B) {
 		aWith := critpath.New(prep.Trace, prep.Prof, cpCfg)
 		cpCfg.BusOcc = 0
 		aWithout := critpath.New(prep.Trace, prep.Prof, cpCfg)
-		var pc int32 = -1
-		for k := range prep.Curves {
-			pc = k
-			break
-		}
-		if pc < 0 {
+		// The load with the most L2 misses (ties by PC): vortex has two
+		// problem loads, and the metrics must not depend on which one a
+		// map iteration happens to yield.
+		problems := prep.Prof.ProblemLoads(cfg.ProblemCoverage, cfg.MinMisses)
+		if len(problems) == 0 {
 			b.Fatal("no problem loads")
 		}
+		pc := problems[0].PC
 		withBus = aWith.CostCurve(pc).Gain[3]
 		withoutBus = aWithout.CostCurve(pc).Gain[3]
 	}

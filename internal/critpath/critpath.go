@@ -17,9 +17,10 @@
 package critpath
 
 import (
+	"math"
+
 	"repro/internal/cache"
 	"repro/internal/fingerprint"
-	"repro/internal/isa"
 	"repro/internal/profile"
 	"repro/internal/trace"
 )
@@ -66,13 +67,16 @@ type Curve struct {
 
 // GainAt returns the per-miss execution-time reduction for tolerating the
 // given number of cycles of the load's latency, interpolating the sampled
-// curve. Tolerated latencies beyond the full miss latency saturate.
+// curve. Tolerated latencies beyond the full miss latency saturate; a NaN
+// tolerated latency and a NaN or non-positive MissLat gain nothing.
 func (c Curve) GainAt(tolerated float64) float64 {
-	if tolerated <= 0 || c.MissLat <= 0 {
+	// Written so that NaN, which fails every comparison, takes the early
+	// returns: the segment index below needs 0 ≤ f < 1.
+	if !(tolerated > 0) || !(c.MissLat > 0) {
 		return 0
 	}
 	f := tolerated / c.MissLat
-	if f >= 1 {
+	if !(f < 1) {
 		return c.Gain[3]
 	}
 	// Piecewise-linear through (0,0), (.25,G0), (.5,G1), (.75,G2), (1,G3).
@@ -93,7 +97,8 @@ func FlatCurve(missLat float64) Curve {
 	return Curve{MissLat: missLat, Gain: [4]float64{0.25 * missLat, 0.5 * missLat, 0.75 * missLat, missLat}}
 }
 
-// Analyzer owns the model state for one trace.
+// Analyzer owns the model state for one trace. It is read-only after New,
+// so CostCurve may be called concurrently.
 type Analyzer struct {
 	cfg     Config
 	tr      *trace.Trace
@@ -112,7 +117,21 @@ func New(tr *trace.Trace, prof *profile.Profile, cfg Config) *Analyzer {
 	a := &Analyzer{cfg: cfg, tr: tr, prof: prof}
 	a.levels = prof.Levels
 	a.mispred = modelMispredicts(tr)
-	a.baseline, a.breakdown = a.pass(passConfig{attribute: true, reducePC: -1})
+	n := tr.Len()
+	if n == 0 {
+		return a
+	}
+	// The baseline is one lane with no target load and no misses resolved.
+	p := lanePlan[[1]float64]{target: -1}
+	p.setLane(cfg, 0, 0, false)
+	E := make([][1]float64, n)
+	rec := &attribution{
+		D: make([]float64, n), C: make([]float64, n),
+		dFrom: make([]uint8, n), eFrom: make([]uint8, n), cFrom: make([]uint8, n),
+	}
+	end := scan(a, &p, E, rec)
+	a.baseline = int64(end[0] + 0.5)
+	a.breakdown = a.attribute(E, rec)
 	return a
 }
 
@@ -123,198 +142,217 @@ func (a *Analyzer) Baseline() int64 { return a.baseline }
 // fetch — the paper's Figure 2 stack order.
 func (a *Analyzer) Breakdown() [5]int64 { return a.breakdown }
 
-// passConfig controls one longest-path computation.
-type passConfig struct {
-	attribute bool
-	// reducePC, when ≥ 0, scales the miss latency of that static load's L2
-	// misses by (1-reduceFrac).
-	reducePC   int32
-	reduceFrac float64
-	// resolveOthers treats every other load's L2/memory misses as L2 hits
-	// (the optimistic interaction-cost estimate).
-	resolveOthers bool
+// lanes is the per-node time vector of one scan: each lane is an
+// independent longest-path computation over the same trace. The baseline
+// runs one lane, a cost curve nine.
+type lanes interface{ [1]float64 | [9]float64 }
+
+// lanePlan fixes, per lane, the modelled load-to-use latency of a
+// memory-level load and whether the access is still a demand memory access
+// (bus-bound at use time): one pair for the target load's misses, one for
+// every other load's. Covered/resolved misses are served from the L2 at use
+// time — their prefetch consumed bus bandwidth earlier — so they are not
+// demand-bound. Loads served by the L1 or L2, and non-loads, take the same
+// latency in every lane.
+type lanePlan[V lanes] struct {
+	target              int32 // static load whose misses are shortened; -1 for none
+	targetLat, otherLat V
+	// Bit k set: lane k's access is demand-bound.
+	targetDemand, otherDemand uint16
 }
 
-// latency returns the modelled load-to-use latency of instruction i and
-// whether the access is still a demand memory access (bus-bound at use
-// time). Covered/resolved misses are served from the L2 at use time — their
-// prefetch consumed bus bandwidth earlier — so they are not demand-bound.
-func (a *Analyzer) latency(i int, in isa.Inst, pc passConfig) (lat float64, demandMem bool) {
-	if !in.IsLoad() {
-		if in.IsALU() {
-			return float64(in.ExecLatency()), false
-		}
-		return 1, false
+// setLane configures lane k: the target load's misses are shortened by
+// reduceFrac of the miss latency, and resolveOthers treats every other
+// load's misses as L2 hits (the optimistic interaction-cost estimate).
+func (p *lanePlan[V]) setLane(cfg Config, k int, reduceFrac float64, resolveOthers bool) {
+	miss := float64(cfg.LatMem) - float64(cfg.LatL1)
+	// A partially-covered miss still completes through memory.
+	p.targetLat[k] = float64(cfg.LatL1) + miss*(1-reduceFrac)
+	if reduceFrac < 1 {
+		p.targetDemand |= 1 << k
 	}
-	lvl := a.levels[i]
-	base := float64(a.cfg.LatL1)
-	switch lvl {
-	case profile.LvlL2:
-		base = float64(a.cfg.LatL2)
-	case profile.LvlMem:
-		base = float64(a.cfg.LatMem)
+	if resolveOthers {
+		p.otherLat[k] = float64(cfg.LatL2) // resolved: found in the L2
+	} else {
+		p.otherLat[k] = float64(cfg.LatMem)
+		p.otherDemand |= 1 << k
 	}
-	isTargetMiss := pc.reducePC >= 0 && a.tr.PC(i) == pc.reducePC && lvl == profile.LvlMem
-	if isTargetMiss {
-		miss := base - float64(a.cfg.LatL1)
-		// A partially-covered miss still completes through memory.
-		return float64(a.cfg.LatL1) + miss*(1-pc.reduceFrac), pc.reduceFrac < 1
-	}
-	if pc.resolveOthers && lvl == profile.LvlMem {
-		return float64(a.cfg.LatL2), false // resolved: found in the L2
-	}
-	return base, lvl == profile.LvlMem
 }
 
-// pass runs the longest-path DP and returns total time and, if requested,
-// the per-category attribution of the critical path.
-func (a *Analyzer) pass(pc passConfig) (int64, [5]int64) {
-	n := a.tr.Len()
-	if n == 0 {
-		return 0, [5]int64{}
+// Last-arriving edge codes, recorded by the baseline scan for attribute.
+const (
+	fromDOrder = iota // D[i-1] / bandwidth
+	fromMispred
+	fromROB
+	fromDSelf // E determined by own dispatch
+	fromProd1
+	fromProd2
+	fromE // C determined by own execute
+	fromCOrder
+)
+
+// attribution is what the backward critical-path walk needs beyond E: the
+// full dispatch and commit times (the scan itself keeps only rings of them)
+// and each node's last-arriving edge.
+type attribution struct {
+	D, C                []float64
+	dFrom, eFrom, cFrom []uint8
+}
+
+// record stores entry i's node times and last-arriving edges, given the
+// arrival time along each edge (dBand: D[i-Width]+1; cOrd: the later of
+// C[i-1] and C[i-Width]+1). The last-arriving edge is the first, in edge
+// order, to reach the node's time.
+func (r *attribution) record(i int, d, e, c, dPrev, dBand, dMis, dROB, e1, e2, cOrd float64) {
+	r.D[i], r.C[i] = d, c
+	r.dFrom[i] = fromDOrder
+	if dOrd := later(later(0, dPrev), dBand); dROB > later(dOrd, dMis) {
+		r.dFrom[i] = fromROB
+	} else if dMis > dOrd {
+		r.dFrom[i] = fromMispred
 	}
+	r.eFrom[i] = fromDSelf
+	if e2 > later(d, e1) {
+		r.eFrom[i] = fromProd2
+	} else if e1 > d {
+		r.eFrom[i] = fromProd1
+	}
+	r.cFrom[i] = fromE
+	if cOrd > e+1 {
+		r.cFrom[i] = fromCOrder
+	}
+}
+
+// scan runs the longest-path DP over the trace once for every lane of p,
+// fills E (one row per dynamic instruction) and returns each lane's last
+// commit time. Dispatch and commit reach back at most max(ROBSize, Width)
+// entries, so they live in rings; producers and the last mispredicted
+// branch can sit arbitrarily far back, so E is n-long. rec, when non-nil,
+// receives the full D and C and the edge codes (single-lane scans only).
+// Width and ROBSize must be at least 1.
+func scan[V lanes](a *Analyzer, p *lanePlan[V], E []V, rec *attribution) V {
 	cfg := a.cfg
-	// Node times.
-	D := make([]float64, n)
-	E := make([]float64, n)
-	C := make([]float64, n)
-	// Last-arriving edge codes for attribution.
-	const (
-		fromDOrder = iota // D[i-1] / bandwidth
-		fromMispred
-		fromROB
-		fromDSelf // E determined by own dispatch
-		fromProd1
-		fromProd2
-		fromE // C determined by own execute
-		fromCOrder
-	)
-	var eFrom, cFrom []uint8
-	var dFrom []uint8
-	if pc.attribute {
-		dFrom = make([]uint8, n)
-		eFrom = make([]uint8, n)
-		cFrom = make([]uint8, n)
+	ringLen := 1
+	for ringLen <= max(cfg.ROBSize, cfg.Width) {
+		ringLen <<= 1
 	}
-
+	mask := ringLen - 1
+	// Ring rows not yet written read as zero, which is what the first
+	// entry's D[i-1] and C[i-1] edges need. An edge that does not exist
+	// reads the absent row, -Inf in every lane, which is never later.
+	Dr := make([]V, ringLen)
+	Cr := make([]V, ringLen)
+	var absent, busFree V
+	fill(&absent, math.Inf(-1))
 	lastMispred := -1
-	busFree := 0.0
-	busOcc := float64(a.cfg.BusOcc)
+	busOcc := float64(cfg.BusOcc)
+	pen := float64(cfg.MispredPen)
+	insts := a.tr.Prog.Insts
 	// The longest-path DP is a pure forward scan; the cursor streams the PC
 	// and producer columns chunk by chunk.
 	for cu := a.tr.Cursor(); cu.Next(); {
 		i := cu.Index()
-		in := a.tr.Prog.Insts[cu.PC()]
+		pc := cu.PC()
+		in := insts[pc]
+		lvl := a.levels[i]
 
-		// Dispatch.
-		d := 0.0
-		from := uint8(fromDOrder)
-		if i > 0 && D[i-1] > d {
-			d = D[i-1]
-		}
-		if i >= cfg.Width {
-			if v := D[i-cfg.Width] + 1; v > d {
-				d = v
+		var lat V
+		var demand uint16
+		switch {
+		case !in.IsLoad():
+			l := 1.0
+			if in.IsALU() {
+				l = float64(in.ExecLatency())
 			}
+			fill(&lat, l)
+		case lvl == profile.LvlMem && pc == p.target:
+			lat, demand = p.targetLat, p.targetDemand
+		case lvl == profile.LvlMem:
+			lat, demand = p.otherLat, p.otherDemand
+		case lvl == profile.LvlL2:
+			fill(&lat, float64(cfg.LatL2))
+		default:
+			fill(&lat, float64(cfg.LatL1))
 		}
-		if lastMispred >= 0 {
-			if v := E[lastMispred] + float64(cfg.MispredPen); v > d {
-				d = v
-				from = fromMispred
-			}
-		}
-		if i >= cfg.ROBSize {
-			if v := C[i-cfg.ROBSize]; v > d {
-				d = v
-				from = fromROB
-			}
-		}
-		D[i] = d
-		if pc.attribute {
-			dFrom[i] = from
-		}
-
-		// Execute.
-		lat, demandMem := a.latency(i, in, pc)
-		base := d
-		efrom := uint8(fromDSelf)
-		if p1 := cu.Prod1(); p1 != trace.NoProducer {
-			if v := E[p1]; v > base {
-				base = v
-				efrom = fromProd1
-			}
-		}
-		if p2 := cu.Prod2(); p2 != trace.NoProducer {
-			if v := E[p2]; v > base {
-				base = v
-				efrom = fromProd2
-			}
-		}
-		E[i] = base + lat
 		// Memory-bus bandwidth: every original L2 miss occupies a bus slot
 		// (covered misses via their earlier prefetch), and a demand miss
 		// cannot complete before its slot plus the memory latency.
-		if a.levels[i] == profile.LvlMem && busOcc > 0 {
-			slot := busFree
-			if base > slot {
-				slot = base
-			}
-			busFree = slot + busOcc
-			if demandMem {
-				if v := slot + lat; v > E[i] {
-					E[i] = v
+		bus := lvl == profile.LvlMem && busOcc > 0
+
+		dPrev, cPrev := &Dr[(i-1)&mask], &Cr[(i-1)&mask]
+		dW, cW, cROB, eMis, e1, e2 := &absent, &absent, &absent, &absent, &absent, &absent
+		if i >= cfg.Width {
+			dW, cW = &Dr[(i-cfg.Width)&mask], &Cr[(i-cfg.Width)&mask]
+		}
+		if i >= cfg.ROBSize {
+			cROB = &Cr[(i-cfg.ROBSize)&mask]
+		}
+		if lastMispred >= 0 {
+			eMis = &E[lastMispred]
+		}
+		if p1 := cu.Prod1(); p1 != trace.NoProducer {
+			e1 = &E[p1]
+		}
+		if p2 := cu.Prod2(); p2 != trace.NoProducer {
+			e2 = &E[p2]
+		}
+		dRow, eRow, cRow := &Dr[i&mask], &E[i], &Cr[i&mask]
+
+		// Dispatch: in-order bandwidth, mispredict refill, ROB.
+		for k := 0; k < len(lat); k++ {
+			(*dRow)[k] = later(later(later(later(0, (*dPrev)[k]), (*dW)[k]+1), (*eMis)[k]+pen), (*cROB)[k])
+		}
+		// Execute.
+		for k := 0; k < len(lat); k++ {
+			base := later(later((*dRow)[k], (*e1)[k]), (*e2)[k])
+			e := base + lat[k]
+			if bus {
+				slot := later(busFree[k], base)
+				busFree[k] = slot + busOcc
+				if demand>>k&1 != 0 {
+					e = later(e, slot+lat[k])
 				}
 			}
+			(*eRow)[k] = e
 		}
-		if pc.attribute {
-			eFrom[i] = efrom
-		}
-
 		// Commit.
-		c := E[i] + 1
-		cfrom := uint8(fromE)
-		if i > 0 && C[i-1] > c {
-			c = C[i-1]
-			cfrom = fromCOrder
+		for k := 0; k < len(lat); k++ {
+			(*cRow)[k] = later(later((*eRow)[k]+1, (*cPrev)[k]), (*cW)[k]+1)
 		}
-		if i >= cfg.Width {
-			if v := C[i-cfg.Width] + 1; v > c {
-				c = v
-				cfrom = fromCOrder
-			}
-		}
-		C[i] = c
-		if pc.attribute {
-			cFrom[i] = cfrom
+		if rec != nil {
+			rec.record(i, (*dRow)[0], (*eRow)[0], (*cRow)[0], (*dPrev)[0], (*dW)[0]+1,
+				(*eMis)[0]+pen, (*cROB)[0], (*e1)[0], (*e2)[0], later((*cPrev)[0], (*cW)[0]+1))
 		}
 
 		if in.IsBranch() && a.mispred[i] {
 			lastMispred = i
 		}
 	}
-	total := int64(C[n-1] + 0.5)
-	var bd [5]int64
-	if pc.attribute {
-		bd = a.attribute(D, E, C, dFrom, eFrom, cFrom, pc)
+	return Cr[(a.tr.Len()-1)&mask]
+}
+
+// later returns the later of two node times: b only if strictly later,
+// the tie-break the longest-path DP's edge order relies on.
+func later(a, b float64) float64 {
+	if b > a {
+		return b
 	}
-	return total, bd
+	return a
+}
+
+// fill sets every lane of v to x.
+func fill[V lanes](v *V, x float64) {
+	for k := 0; k < len(*v); k++ {
+		(*v)[k] = x
+	}
 }
 
 // attribute walks the critical path backward from the last commit,
 // assigning each edge's time to a category: 0=mem, 1=L2, 2=exec, 3=commit,
 // 4=fetch (matching the simulator's StallCategory order).
-func (a *Analyzer) attribute(D, E, C []float64, dFrom, eFrom, cFrom []uint8, pc passConfig) [5]int64 {
+func (a *Analyzer) attribute(E [][1]float64, rec *attribution) [5]int64 {
 	var bd [5]float64
-	const (
-		fromDOrder = iota
-		fromMispred
-		fromROB
-		fromDSelf
-		fromProd1
-		fromProd2
-		fromE
-		fromCOrder
-	)
+	D, C := rec.D, rec.C
 	type node struct {
 		kind uint8 // 0=D,1=E,2=C
 		i    int
@@ -327,7 +365,7 @@ func (a *Analyzer) attribute(D, E, C []float64, dFrom, eFrom, cFrom []uint8, pc 
 		var cat int
 		switch cur.kind {
 		case 2: // commit node
-			if cFrom[cur.i] == fromCOrder {
+			if rec.cFrom[cur.i] == fromCOrder {
 				if cur.i == 0 {
 					bd[3] += curT
 					goto done
@@ -337,7 +375,7 @@ func (a *Analyzer) attribute(D, E, C []float64, dFrom, eFrom, cFrom []uint8, pc 
 				cat = 3 // commit
 			} else {
 				next = node{1, cur.i}
-				nextT = E[cur.i]
+				nextT = E[cur.i][0]
 				cat = 3 // the E->C edge is commit overhead (1 cycle)
 			}
 		case 1: // execute node
@@ -350,13 +388,13 @@ func (a *Analyzer) attribute(D, E, C []float64, dFrom, eFrom, cFrom []uint8, pc 
 			default:
 				cat = 2
 			}
-			switch eFrom[cur.i] {
+			switch rec.eFrom[cur.i] {
 			case fromProd1:
 				next = node{1, int(a.tr.Prod1(cur.i))}
-				nextT = E[next.i]
+				nextT = E[next.i][0]
 			case fromProd2:
 				next = node{1, int(a.tr.Prod2(cur.i))}
-				nextT = E[next.i]
+				nextT = E[next.i][0]
 			default:
 				next = node{0, cur.i}
 				nextT = D[cur.i]
@@ -369,7 +407,7 @@ func (a *Analyzer) attribute(D, E, C []float64, dFrom, eFrom, cFrom []uint8, pc 
 				bd[4] += curT
 				goto done
 			}
-			switch dFrom[cur.i] {
+			switch rec.dFrom[cur.i] {
 			case fromROB:
 				next = node{2, cur.i - a.cfg.ROBSize}
 				nextT = C[next.i]
@@ -398,7 +436,10 @@ done:
 
 // CostCurve computes the per-miss cost curve for the given static problem
 // load: the average of the pessimistic estimate (only this load shortened)
-// and the optimistic one (all other misses resolved), per §4.1.
+// and the optimistic one (all other misses resolved), per §4.1. All nine
+// estimates come from one nine-lane scan: lane 0 is the optimistic baseline
+// (all *other* loads' misses resolved, this load's untouched), lanes 1–4
+// the pessimistic and lanes 5–8 the optimistic estimates at 25/50/75/100%.
 func (a *Analyzer) CostCurve(pc int32) Curve {
 	ls := a.prof.Loads[pc]
 	missLat := float64(a.cfg.LatMem - a.cfg.LatL1)
@@ -408,16 +449,20 @@ func (a *Analyzer) CostCurve(pc int32) Curve {
 	}
 	nMiss := float64(ls.L2Misses)
 
-	pessBase := a.baseline
-	// Optimistic baseline: all *other* loads' misses resolved, this load's
-	// misses untouched (reducePC exempts the target from resolution and a
-	// zero fraction leaves its latency intact).
-	optBase, _ := a.pass(passConfig{reducePC: pc, reduceFrac: 0, resolveOthers: true})
-
 	fracs := [4]float64{0.25, 0.5, 0.75, 1.0}
+	p := lanePlan[[9]float64]{target: pc}
+	p.setLane(a.cfg, 0, 0, true)
 	for k, f := range fracs {
-		pess, _ := a.pass(passConfig{reducePC: pc, reduceFrac: f})
-		opt, _ := a.pass(passConfig{reducePC: pc, reduceFrac: f, resolveOthers: true})
+		p.setLane(a.cfg, 1+k, f, false)
+		p.setLane(a.cfg, 5+k, f, true)
+	}
+	end := scan(a, &p, make([][9]float64, a.tr.Len()), nil)
+
+	pessBase := a.baseline
+	optBase := int64(end[0] + 0.5)
+	for k := range fracs {
+		pess := int64(end[1+k] + 0.5)
+		opt := int64(end[5+k] + 0.5)
 		pessGain := float64(pessBase-pess) / nMiss
 		optGain := float64(optBase-opt) / nMiss
 		if pessGain < 0 {

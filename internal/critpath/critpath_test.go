@@ -1,13 +1,18 @@
 package critpath
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
+	"sync"
 	"testing"
 
 	"repro/internal/cache"
+	"repro/internal/cpu"
 	"repro/internal/isa"
 	"repro/internal/profile"
 	"repro/internal/program"
+	"repro/internal/program/gen"
 	"repro/internal/trace"
 )
 
@@ -206,6 +211,23 @@ func TestGainAtEdgeCases(t *testing.T) {
 	if got := FlatCurve(0).GainAt(50); got != 0 || math.IsNaN(got) {
 		t.Errorf("FlatCurve(0).GainAt(50) = %v, want 0", got)
 	}
+	// NaN tolerated latencies and NaN miss latencies gain nothing (they
+	// used to index the sample array with int(NaN) and panic).
+	nan := math.NaN()
+	if got := FlatCurve(200).GainAt(nan); got != 0 {
+		t.Errorf("FlatCurve(200).GainAt(NaN) = %v, want 0", got)
+	}
+	for _, tol := range []float64{nan, 50, 1e12, math.Inf(1)} {
+		if got := (Curve{MissLat: nan, Gain: [4]float64{10, 30, 60, 100}}).GainAt(tol); got != 0 {
+			t.Errorf("NaN-latency curve GainAt(%v) = %v, want 0", tol, got)
+		}
+	}
+	// An infinite miss latency tolerated infinitely (Inf/Inf is NaN)
+	// saturates rather than panicking.
+	inf := Curve{MissLat: math.Inf(1), Gain: [4]float64{10, 30, 60, 100}}
+	if got := inf.GainAt(math.Inf(1)); got != 100 {
+		t.Errorf("infinite-latency curve GainAt(+Inf) = %v, want 100", got)
+	}
 }
 
 func TestFlatCurveIsIdentity(t *testing.T) {
@@ -285,4 +307,446 @@ func TestMispredictModelFlagsChaoticBranches(t *testing.T) {
 	if count > 2500 {
 		t.Errorf("%d mispredicts: predictable branches also failing", count)
 	}
+}
+
+// refPassConfig, refLatency and refPass are the one-configuration-per-pass
+// longest-path DP that the nine-lane scan replaced, kept verbatim (minus
+// attribution) as the oracle the scan must reproduce bit for bit.
+type refPassConfig struct {
+	// reducePC, when ≥ 0, scales the miss latency of that static load's L2
+	// misses by (1-reduceFrac).
+	reducePC   int32
+	reduceFrac float64
+	// resolveOthers treats every other load's L2/memory misses as L2 hits
+	// (the optimistic interaction-cost estimate).
+	resolveOthers bool
+}
+
+func (a *Analyzer) refLatency(i int, in isa.Inst, pc refPassConfig) (lat float64, demandMem bool) {
+	if !in.IsLoad() {
+		if in.IsALU() {
+			return float64(in.ExecLatency()), false
+		}
+		return 1, false
+	}
+	lvl := a.levels[i]
+	base := float64(a.cfg.LatL1)
+	switch lvl {
+	case profile.LvlL2:
+		base = float64(a.cfg.LatL2)
+	case profile.LvlMem:
+		base = float64(a.cfg.LatMem)
+	}
+	isTargetMiss := pc.reducePC >= 0 && a.tr.PC(i) == pc.reducePC && lvl == profile.LvlMem
+	if isTargetMiss {
+		miss := base - float64(a.cfg.LatL1)
+		return float64(a.cfg.LatL1) + miss*(1-pc.reduceFrac), pc.reduceFrac < 1
+	}
+	if pc.resolveOthers && lvl == profile.LvlMem {
+		return float64(a.cfg.LatL2), false
+	}
+	return base, lvl == profile.LvlMem
+}
+
+func (a *Analyzer) refPass(pc refPassConfig) int64 {
+	n := a.tr.Len()
+	if n == 0 {
+		return 0
+	}
+	cfg := a.cfg
+	D := make([]float64, n)
+	E := make([]float64, n)
+	C := make([]float64, n)
+	lastMispred := -1
+	busFree := 0.0
+	busOcc := float64(a.cfg.BusOcc)
+	for cu := a.tr.Cursor(); cu.Next(); {
+		i := cu.Index()
+		in := a.tr.Prog.Insts[cu.PC()]
+
+		d := 0.0
+		if i > 0 && D[i-1] > d {
+			d = D[i-1]
+		}
+		if i >= cfg.Width {
+			if v := D[i-cfg.Width] + 1; v > d {
+				d = v
+			}
+		}
+		if lastMispred >= 0 {
+			if v := E[lastMispred] + float64(cfg.MispredPen); v > d {
+				d = v
+			}
+		}
+		if i >= cfg.ROBSize {
+			if v := C[i-cfg.ROBSize]; v > d {
+				d = v
+			}
+		}
+		D[i] = d
+
+		lat, demandMem := a.refLatency(i, in, pc)
+		base := d
+		if p1 := cu.Prod1(); p1 != trace.NoProducer {
+			if v := E[p1]; v > base {
+				base = v
+			}
+		}
+		if p2 := cu.Prod2(); p2 != trace.NoProducer {
+			if v := E[p2]; v > base {
+				base = v
+			}
+		}
+		E[i] = base + lat
+		if a.levels[i] == profile.LvlMem && busOcc > 0 {
+			slot := busFree
+			if base > slot {
+				slot = base
+			}
+			busFree = slot + busOcc
+			if demandMem {
+				if v := slot + lat; v > E[i] {
+					E[i] = v
+				}
+			}
+		}
+
+		c := E[i] + 1
+		if i > 0 && C[i-1] > c {
+			c = C[i-1]
+		}
+		if i >= cfg.Width {
+			if v := C[i-cfg.Width] + 1; v > c {
+				c = v
+			}
+		}
+		C[i] = c
+
+		if in.IsBranch() && a.mispred[i] {
+			lastMispred = i
+		}
+	}
+	return int64(C[n-1] + 0.5)
+}
+
+// refCostCurve is CostCurve as nine refPass calls; pessBase is
+// refPass with no target (the baseline).
+func (a *Analyzer) refCostCurve(pc int32, pessBase int64) Curve {
+	ls := a.prof.Loads[pc]
+	missLat := float64(a.cfg.LatMem - a.cfg.LatL1)
+	curve := Curve{MissLat: missLat}
+	if ls == nil || ls.L2Misses == 0 {
+		return curve
+	}
+	nMiss := float64(ls.L2Misses)
+	optBase := a.refPass(refPassConfig{reducePC: pc, reduceFrac: 0, resolveOthers: true})
+	fracs := [4]float64{0.25, 0.5, 0.75, 1.0}
+	for k, f := range fracs {
+		pess := a.refPass(refPassConfig{reducePC: pc, reduceFrac: f})
+		opt := a.refPass(refPassConfig{reducePC: pc, reduceFrac: f, resolveOthers: true})
+		pessGain := float64(pessBase-pess) / nMiss
+		optGain := float64(optBase-opt) / nMiss
+		if pessGain < 0 {
+			pessGain = 0
+		}
+		if optGain < 0 {
+			optGain = 0
+		}
+		curve.Gain[k] = (pessGain + optGain) / 2
+	}
+	for k := 1; k < 4; k++ {
+		if curve.Gain[k] < curve.Gain[k-1] {
+			curve.Gain[k] = curve.Gain[k-1]
+		}
+	}
+	return curve
+}
+
+// assertMatchesReference checks the baseline and the curve of every given
+// load against the reference with == (no tolerance).
+func assertMatchesReference(t *testing.T, name string, a *Analyzer, pcs []int32) {
+	t.Helper()
+	base := a.refPass(refPassConfig{reducePC: -1})
+	if a.Baseline() != base {
+		t.Errorf("%s: Baseline() = %d, reference %d", name, a.Baseline(), base)
+	}
+	for _, pc := range pcs {
+		if got, want := a.CostCurve(pc), a.refCostCurve(pc, base); got != want {
+			t.Errorf("%s: CostCurve(%d) = %+v, reference %+v", name, pc, got, want)
+		}
+	}
+}
+
+// Problem-load selection as the experiment pipeline's defaults make it.
+const (
+	testCoverage  = 0.9
+	testMinMisses = 100
+)
+
+func problemPCs(prof *profile.Profile) []int32 {
+	var pcs []int32
+	for _, ls := range prof.ProblemLoads(testCoverage, testMinMisses) {
+		pcs = append(pcs, ls.PC)
+	}
+	return pcs
+}
+
+// pipelineConfig is the critical-path model the experiment pipeline builds
+// from a processor configuration.
+func pipelineConfig(c cpu.Config) Config {
+	cc := DefaultConfig(c.Hier)
+	cc.Width = c.DispatchWidth
+	cc.ROBSize = c.ROBSize
+	cc.MispredPen = c.FrontEndDepth + c.RedirectPen
+	return cc
+}
+
+// TestCostCurveMatchesReference pins the nine-lane scan to the nine-pass
+// reference, bit for bit, on every problem load of the paper's nine
+// benchmarks (Train and Ref inputs) at the Figure 5 memory latencies and
+// L2 sizes and with the bus edges off.
+func TestCostCurveMatchesReference(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full benchmarks in short mode")
+	}
+	// The default point (200 cycles, 256KB L2) and the other Figure 5
+	// memory latencies and L2 sizes.
+	points := []struct {
+		name   string
+		mutate func(*cpu.Config)
+	}{
+		{"default", func(*cpu.Config) {}},
+		{"mem100", func(c *cpu.Config) { c.Hier.MemLatency = 100 }},
+		{"mem300", func(c *cpu.Config) { c.Hier.MemLatency = 300 }},
+		{"l2-128KB", func(c *cpu.Config) { c.Hier.L2.SizeBytes, c.Hier.L2.HitLatency = 128<<10, 10 }},
+		{"l2-512KB", func(c *cpu.Config) { c.Hier.L2.SizeBytes, c.Hier.L2.HitLatency = 512<<10, 15 }},
+	}
+	for _, name := range program.PaperNames() {
+		bm, err := program.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, input := range []program.InputClass{program.Train, program.Ref} {
+			tr := trace.MustRun(bm.Build(input))
+			for _, pt := range points {
+				at := fmt.Sprintf("%s/%v/%s", name, input, pt.name)
+				c := cpu.DefaultConfig()
+				pt.mutate(&c)
+				prof := profile.Collect(tr, profile.ConfigFromHier(c.Hier))
+				pcs := problemPCs(prof)
+				if len(pcs) == 0 {
+					t.Fatalf("%s: no problem loads", at)
+				}
+				cc := pipelineConfig(c)
+				assertMatchesReference(t, at, New(tr, prof, cc), pcs)
+				if pt.name == "default" {
+					cc.BusOcc = 0
+					assertMatchesReference(t, at+"/nobus", New(tr, prof, cc), pcs)
+				}
+			}
+		}
+	}
+}
+
+// TestBreakdownPinned pins the baseline and the Figure 2 attribution on
+// the paper's nine benchmarks (Train input, pipeline configuration) to the
+// values the one-estimate-per-pass analyzer produced: the single-lane scan
+// must reproduce its last-arriving-edge choices, ties included.
+func TestBreakdownPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full benchmarks in short mode")
+	}
+	want := map[string]struct {
+		base int64
+		bd   [5]int64
+	}{
+		"bzip2":     {428971, [5]int64{370796, 24514, 11020, 1793, 20848}},
+		"gap":       {350262, [5]int64{206091, 4578, 9581, 1254, 128758}},
+		"gcc":       {235019, [5]int64{54449, 1386, 9302, 363, 169519}},
+		"mcf":       {440796, [5]int64{169678, 10724, 8199, 874, 251321}},
+		"parser":    {292326, [5]int64{287507, 630, 1416, 1363, 1410}},
+		"twolf":     {363880, [5]int64{180541, 756, 23102, 857, 158624}},
+		"vortex":    {506942, [5]int64{130244, 4158, 2707, 339, 369494}},
+		"vpr.place": {348629, [5]int64{174918, 938, 26322, 846, 145605}},
+		"vpr.route": {657769, [5]int64{23262, 672, 601, 106, 633128}},
+	}
+	c := cpu.DefaultConfig()
+	for _, name := range program.PaperNames() {
+		bm, err := program.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr := trace.MustRun(bm.Build(program.Train))
+		a := New(tr, profile.Collect(tr, profile.ConfigFromHier(c.Hier)), pipelineConfig(c))
+		if w := want[name]; a.Baseline() != w.base || a.Breakdown() != w.bd {
+			t.Errorf("%s: baseline %d breakdown %v, want %d %v", name, a.Baseline(), a.Breakdown(), w.base, w.bd)
+		}
+	}
+}
+
+// TestCostCurveConcurrent calls CostCurve on one Analyzer from several
+// goroutines at once (the scan's buffers are per call; the Analyzer is
+// read-only after New) and checks every result against a serial call.
+func TestCostCurveConcurrent(t *testing.T) {
+	a, _, prof := analyzerFor(t, missLoop(300))
+	var pcs []int32
+	for pc := range prof.Loads {
+		pcs = append(pcs, pc)
+	}
+	want := make([]Curve, len(pcs))
+	for k, pc := range pcs {
+		want[k] = a.CostCurve(pc)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k, pc := range pcs {
+				if got := a.CostCurve(pc); got != want[k] {
+					t.Errorf("concurrent CostCurve(%d) = %+v, serial %+v", pc, got, want[k])
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestCostCurveMatchesReferenceGen runs the same differential over seeded
+// generated workloads.
+func TestCostCurveMatchesReferenceGen(t *testing.T) {
+	specs := []gen.Spec{
+		{Family: gen.PointerChase, Seed: 1},
+		{Family: gen.HashProbe, Seed: 2, ProblemLoads: 3},
+		{Family: gen.TreeWalk, Seed: 3, BranchMix: 40},
+	}
+	c := cpu.DefaultConfig()
+	for _, s := range specs {
+		bm, err := s.Benchmark()
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr := trace.MustRun(bm.Build(program.Train))
+		prof := profile.Collect(tr, profile.ConfigFromHier(c.Hier))
+		pcs := problemPCs(prof)
+		if len(pcs) == 0 {
+			t.Fatalf("%s: no problem loads", s.Name())
+		}
+		assertMatchesReference(t, s.Name(), New(tr, prof, pipelineConfig(c)), pcs)
+	}
+}
+
+// TestCostCurveMatchesReferenceTiny covers the ring-buffer edges on
+// hand-built traces and profiles: fewer entries than the dispatch width or
+// the ROB, a memory-level load at index 0, and memory-level non-load
+// entries (which still take a bus slot), under several machine shapes.
+func TestCostCurveMatchesReferenceTiny(t *testing.T) {
+	// Loads of zero: the first entry is a memory-level load.
+	first := func(loads int) *isa.Program {
+		b := isa.NewBuilder("tiny")
+		for k := 0; k < loads; k++ {
+			b.Load(isa.Reg(1+k%4), isa.Zero, int64(8*k))
+			b.AddI(isa.Reg(5), isa.Reg(1+k%4), 1)
+		}
+		b.Halt()
+		b.SetMem(make([]int64, 8*loads+8))
+		return b.MustBuild()
+	}
+	programs := []struct {
+		name string
+		p    *isa.Program
+	}{
+		{"n<width", first(1)},
+		{"n<rob", first(20)},
+		{"loop", missLoop(60)},
+	}
+	shapes := []Config{
+		DefaultConfig(cache.DefaultHierConfig()),
+		{Width: 1, ROBSize: 1, MispredPen: 3, LatL1: 2, LatL2: 12, LatMem: 200, BusOcc: 4},
+		{Width: 8, ROBSize: 3, MispredPen: 0, LatL1: 1, LatL2: 5, LatMem: 51, BusOcc: 40},
+		{Width: 2, ROBSize: 64, MispredPen: 10, LatL1: 3, LatL2: 15, LatMem: 215, BusOcc: 0},
+	}
+	traces := make([]*trace.Trace, len(programs))
+	for k, tp := range programs {
+		traces[k] = trace.MustRun(tp.p)
+	}
+	if n := traces[0].Len(); n >= shapes[0].Width {
+		t.Fatalf("n<width: %d entries", n)
+	}
+	if n := traces[1].Len(); n <= shapes[0].Width || n >= shapes[0].ROBSize {
+		t.Fatalf("n<rob: %d entries", n)
+	}
+	// Index 0 is made memory-level below: a load in first(n), a non-load
+	// in missLoop.
+	if !traces[0].Inst(0).IsLoad() || traces[2].Inst(0).IsLoad() {
+		t.Fatal("index 0: want a load in first(n) and a non-load in missLoop")
+	}
+	rng := rand.New(rand.NewSource(7))
+	for k, tp := range programs {
+		tr := traces[k]
+		for variant := 0; variant < 4; variant++ {
+			// Hand-built service levels: loads draw L1/L2/memory, the entry
+			// at index 0 is memory-level, and some non-loads are marked
+			// memory-level too.
+			prof := &profile.Profile{Loads: map[int32]*profile.LoadStats{}, Levels: make([]uint8, tr.Len())}
+			pcs := []int32{-1, 9999} // no such load
+			for i := 0; i < tr.Len(); i++ {
+				pc := tr.PC(i)
+				switch {
+				case i == 0 || (tr.Inst(i).IsLoad() && rng.Intn(2) == 0) || rng.Intn(8) == 0:
+					prof.Levels[i] = profile.LvlMem
+				case tr.Inst(i).IsLoad():
+					prof.Levels[i] = profile.LvlL1 + uint8(rng.Intn(2))
+				}
+				if tr.Inst(i).IsLoad() {
+					ls := prof.Loads[pc]
+					if ls == nil {
+						ls = &profile.LoadStats{PC: pc}
+						prof.Loads[pc] = ls
+						pcs = append(pcs, pc)
+					}
+					ls.Execs++
+					if prof.Levels[i] == profile.LvlMem {
+						ls.L2Misses++
+					}
+				}
+			}
+			for si, cc := range shapes {
+				assertMatchesReference(t, fmt.Sprintf("%s/v%d/shape%d", tp.name, variant, si), New(tr, prof, cc), pcs)
+			}
+		}
+	}
+}
+
+// BenchmarkCostCurves times the curves stage's per-load work: CostCurve
+// for every problem load of the paper's nine benchmarks (Train input,
+// default configuration). Tracing, profiling and New run before the timer.
+func BenchmarkCostCurves(b *testing.B) {
+	c := cpu.DefaultConfig()
+	type load struct {
+		a  *Analyzer
+		pc int32
+	}
+	var loads []load
+	var entries int
+	for _, name := range program.PaperNames() {
+		bm, err := program.ByName(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		tr := trace.MustRun(bm.Build(program.Train))
+		prof := profile.Collect(tr, profile.ConfigFromHier(c.Hier))
+		a := New(tr, prof, pipelineConfig(c))
+		for _, pc := range problemPCs(prof) {
+			loads = append(loads, load{a, pc})
+			entries += tr.Len()
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, l := range loads {
+			l.a.CostCurve(l.pc)
+		}
+	}
+	b.ReportMetric(float64(entries)*float64(b.N)/b.Elapsed().Seconds(), "entries/s")
 }
