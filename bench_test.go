@@ -276,12 +276,14 @@ func BenchmarkSweepSched(b *testing.B) {
 	var naive, sched time.Duration
 	for i := 0; i < b.N; i++ {
 		start := time.Now()
-		if _, err := New(WithParallelism(8), WithScheduling(false)).Sweep(ctx, grid); err != nil {
+		naiveLab := New(WithParallelism(8))
+		naiveLab.run.SetScheduling(false)
+		if _, err := naiveLab.Sweep(ctx, grid); err != nil {
 			b.Fatal(err)
 		}
 		naive += time.Since(start)
 		start = time.Now()
-		if _, err := New(WithParallelism(8), WithScheduling(true)).Sweep(ctx, grid); err != nil {
+		if _, err := New(WithParallelism(8)).Sweep(ctx, grid); err != nil {
 			b.Fatal(err)
 		}
 		sched += time.Since(start)
@@ -452,11 +454,12 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 }
 
 // BenchmarkTraceSpill times the two warm trace-load paths against each
-// other over the paper suite's spilled traces: the v1 heap path (container
-// read, whole-payload checksum, serial delta decode into fresh columns)
-// versus the zero-copy mapped path (mmap, chunk-parallel checksum + PC-range
-// verify, columns aliasing the mapping). Both sides run back to back per
-// iteration so machine-speed drift cancels out of the reported
+// other over the paper suite's spilled traces: the heap path (container
+// read, chunk-parallel checksum and column copy into fresh chunks, as on a
+// platform without mmap) versus the zero-copy mapped path (mmap,
+// chunk-parallel checksum + PC-range verify, columns aliasing the mapping).
+// Both read the same aligned spill file, and both sides run back to back
+// per iteration so machine-speed drift cancels out of the reported
 // spill-map-gain ratio, which cmd/benchgate gates (MinSpillMapGain).
 func BenchmarkTraceSpill(b *testing.B) {
 	if !artifactdisk.MapSupported() {
@@ -467,23 +470,14 @@ func BenchmarkTraceSpill(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	heapKeys := make([]artifactdisk.Key, len(workloads))
-	mapKeys := make([]artifactdisk.Key, len(workloads))
+	keys := make([]artifactdisk.Key, len(workloads))
 	for i, wl := range workloads {
-		name := fmt.Sprintf("wl%d", i)
-		heapKeys[i] = artifactdisk.Key{Name: name, Input: "train", Stage: "trace", FP: "v1"}
-		mapKeys[i] = artifactdisk.Key{Name: name, Input: "train", Stage: "trace", FP: "v2"}
-		var v1buf, v2buf bytes.Buffer
-		if err := wl.trace.EncodeBinary(&v1buf); err != nil {
+		keys[i] = artifactdisk.Key{Name: fmt.Sprintf("wl%d", i), Input: "train", Stage: "trace", FP: "fp"}
+		var buf bytes.Buffer
+		if err := wl.trace.EncodeBinaryV2(&buf); err != nil {
 			b.Fatal(err)
 		}
-		if err := store.Save(heapKeys[i], v1buf.Bytes()); err != nil {
-			b.Fatal(err)
-		}
-		if err := wl.trace.EncodeBinaryV2(&v2buf); err != nil {
-			b.Fatal(err)
-		}
-		if err := store.SaveAligned(mapKeys[i], v2buf.Bytes()); err != nil {
+		if err := store.SaveAligned(keys[i], buf.Bytes()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -492,16 +486,16 @@ func BenchmarkTraceSpill(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for j, wl := range workloads {
 			start := time.Now()
-			data, ok := store.Load(heapKeys[j])
+			data, ok := store.Load(keys[j])
 			if !ok {
 				b.Fatal("heap load missed")
 			}
-			if _, err := trace.DecodeBinary(bytes.NewReader(data), wl.trace.Prog); err != nil {
+			if _, err := trace.DecodeBinaryV2(data, wl.trace.Prog); err != nil {
 				b.Fatal(err)
 			}
 			loadT += time.Since(start)
 			start = time.Now()
-			m, ok := store.LoadMapped(mapKeys[j])
+			m, ok := store.LoadMapped(keys[j])
 			if !ok {
 				b.Fatal("mapped load missed")
 			}

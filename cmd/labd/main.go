@@ -47,7 +47,6 @@ func main() {
 	maxBytes := flag.Int64("max-store-bytes", 0, "disk store byte budget (0 = unlimited)")
 	parallelism := flag.Int("j", 0, "worker-pool bound (0 = GOMAXPROCS)")
 	engine := flag.String("engine", "", "simulation engine for every job: event or scan")
-	mmapSpill := flag.Bool("mmap", true, "serve warm trace loads from read-only memory mappings (zero-copy; false = heap decode)")
 	flag.Parse()
 
 	if *dir == "" {
@@ -55,8 +54,7 @@ func main() {
 		os.Exit(2)
 	}
 	srv, err := labd.New(labd.Config{Dir: *dir, MaxStoreBytes: *maxBytes,
-		Parallelism: *parallelism, Engine: *engine,
-		DisableMappedSpill: !*mmapSpill})
+		Parallelism: *parallelism, Engine: *engine})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "labd:", err)
 		os.Exit(1)

@@ -156,15 +156,16 @@ func (r *Runner) Config() Config { return r.cfg }
 
 // SetScheduling toggles cost-modeled critical-path scheduling of sweep and
 // campaign fan-out (enabled by default). Disabled, workers claim work in
-// naive bench-major grid order — the baseline the scheduling benchmark
-// gates against. It is scheduling state, not configuration: results are
+// naive bench-major grid order — the baseline the scheduling tests and
+// benchmark compare against; no public option exposes it. It is scheduling state, not configuration: results are
 // byte-identical either way, only build order and wall-clock change. Call
 // before issuing work; it is not synchronized with in-flight sweeps.
 func (r *Runner) SetScheduling(enabled bool) { r.sched = enabled }
 
 // SetMappedSpill toggles the zero-copy mmap path for trace spill loads
-// (enabled by default). Disabled — or on platforms without mmap — warm
-// trace loads fall back to the chunk-parallel heap decode. Results are
+// (enabled by default), a test hook with no public option. Disabled — or,
+// on its own, wherever mapping is impossible — warm trace loads fall back
+// to the chunk-parallel heap decode. Results are
 // byte-identical either way; only load cost and memory sharing change.
 // Call before issuing work; it is not synchronized with in-flight loads.
 func (r *Runner) SetMappedSpill(enabled bool) { r.mappedSpill = enabled }

@@ -14,6 +14,7 @@ package experiments
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"path/filepath"
 
 	"repro/internal/artifactdisk"
@@ -37,6 +38,15 @@ type stageCodec struct {
 	aligned bool
 }
 
+// encodeWith runs a streaming encoder into a fresh buffer.
+func encodeWith(enc func(io.Writer) error) ([]byte, error) {
+	var buf bytes.Buffer
+	if err := enc(&buf); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
+}
+
 func jsonCodec[T any]() stageCodec {
 	return stageCodec{
 		encode: func(v any) ([]byte, error) { return json.Marshal(v.(T)) },
@@ -58,49 +68,28 @@ func jsonCodec[T any]() stageCodec {
 // exported data and go through JSON.
 var stageCodecs = map[Stage]stageCodec{
 	StageTrace: {
-		// Traces spill in the page-aligned v2 format so the warm path can
-		// mmap them; the decoder still accepts v1-era files (a populated
-		// store directory keeps working across the format bump — v1 files
-		// just load through the heap path until rewritten).
-		encode: func(v any) ([]byte, error) {
-			var buf bytes.Buffer
-			if err := v.(*trace.Trace).EncodeBinaryV2(&buf); err != nil {
-				return nil, err
-			}
-			return buf.Bytes(), nil
-		},
+		// Traces spill in the page-aligned format so the warm path can mmap
+		// them. A file in an older trace format fails verification and is
+		// quarantined and rebuilt: the spill tier is a cache.
+		encode: func(v any) ([]byte, error) { return encodeWith(v.(*trace.Trace).EncodeBinaryV2) },
 		decode: func(name string, input program.InputClass, data []byte) (any, error) {
 			bm, err := program.ByName(name)
 			if err != nil {
 				return nil, err
 			}
-			prog := bm.Build(input)
-			if trace.IsV2(data) {
-				return trace.DecodeBinaryV2(data, prog)
-			}
-			return trace.DecodeBinary(bytes.NewReader(data), prog)
+			return trace.DecodeBinaryV2(data, bm.Build(input))
 		},
 		aligned: true,
 	},
 	StageProfile: {
-		encode: func(v any) ([]byte, error) {
-			var buf bytes.Buffer
-			if err := v.(*profile.Profile).EncodeBinary(&buf); err != nil {
-				return nil, err
-			}
-			return buf.Bytes(), nil
-		},
+		encode: func(v any) ([]byte, error) { return encodeWith(v.(*profile.Profile).EncodeBinary) },
 		decode: func(_ string, _ program.InputClass, data []byte) (any, error) {
 			return profile.DecodeBinary(bytes.NewReader(data))
 		},
 	},
 	StageSlices: {
 		encode: func(v any) ([]byte, error) {
-			var buf bytes.Buffer
-			if err := slicer.EncodeTrees(&buf, v.([]*slicer.Tree)); err != nil {
-				return nil, err
-			}
-			return buf.Bytes(), nil
+			return encodeWith(func(w io.Writer) error { return slicer.EncodeTrees(w, v.([]*slicer.Tree)) })
 		},
 		decode: func(_ string, _ program.InputClass, data []byte) (any, error) {
 			return slicer.DecodeTrees(bytes.NewReader(data))
@@ -181,9 +170,9 @@ func (r *Runner) spillLoad(key artifactKey) (v any, ok, mapped bool) {
 			return v, true, true
 		}
 		// Fall through to the heap path: the artifact may be absent, held
-		// in the unmappable v1 container, on a platform without mmap, or
-		// freshly quarantined (in which case the load below misses and the
-		// caller rebuilds).
+		// in the unmappable LABART01 container, on a platform without mmap,
+		// or freshly quarantined (in which case the load below misses and
+		// the caller rebuilds).
 	}
 	data, ok := r.disk.Load(dk)
 	if !ok {
@@ -198,7 +187,7 @@ func (r *Runner) spillLoad(key artifactKey) (v any, ok, mapped bool) {
 }
 
 // spillLoadMapped serves a trace from a read-only mapping of its spill
-// file: container and v2 verification run once per chunk, the columns alias
+// file: container and trace verification run once per chunk, the columns alias
 // the mapping, and the mapping is retained for the Runner's lifetime (the
 // in-memory artifact it backs lives that long too). Any verification
 // failure quarantines the file, exactly like the heap path.

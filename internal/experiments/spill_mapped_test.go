@@ -2,7 +2,9 @@ package experiments
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/json"
+	"hash/crc32"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -147,13 +149,15 @@ func TestMappedSpillRestartWarm(t *testing.T) {
 
 // TestMappedSpillCorruptionMatrix drives the mapped load path into every
 // corruption class it can meet — a flipped bit inside a chunk's CRC-covered
-// region, a truncated file tail, a stale v1 payload magic inside the aligned
-// container, and a damaged container key — and pins the same contract as the
+// region, a truncated file tail, a damaged container key — and into every
+// older trace format a populated store can hold: a version-1 or version-2
+// trace payload inside the aligned container, and a version-1 payload in the
+// packed LABART01 container that predates it. All pin the same contract as the
 // heap path: quarantine, cold rebuild, re-spill, never a fatal error, and a
 // baseline byte-identical to the committed golden.
 //
 // Payload geometry (see EXPERIMENTS.md): the LABART02 container header is
-// padded to 4096, so the PXTRC002 payload starts at file offset 4096; its own
+// padded to 4096, so the trace payload starts at file offset 4096; its own
 // header page puts the first chunk's CRC-covered columns at offset 8192.
 func TestMappedSpillCorruptionMatrix(t *testing.T) {
 	if !artifactdisk.MapSupported() {
@@ -175,19 +179,43 @@ func TestMappedSpillCorruptionMatrix(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	readFile := func(t *testing.T, path string) []byte {
+		t.Helper()
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
+	}
+	writeFile := func(t *testing.T, path string, raw []byte) {
+		t.Helper()
+		if err := os.WriteFile(path, raw, 0o666); err != nil {
+			t.Fatal(err)
+		}
+	}
 	flipAt := func(off int64) func(*testing.T, string) {
 		return func(t *testing.T, path string) {
-			raw, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
+			raw := readFile(t, path)
 			if int64(len(raw)) <= off {
 				t.Fatalf("trace file only %d bytes, cannot flip offset %d", len(raw), off)
 			}
 			raw[off] ^= 1
-			if err := os.WriteFile(path, raw, 0o666); err != nil {
-				t.Fatal(err)
-			}
+			writeFile(t, path, raw)
+		}
+	}
+	// The trace payload's magic ends in its format version digit; its
+	// header CRC (payload bytes 60..64) covers the first 60 bytes.
+	const payloadOff, magicVersion = 4096, 7
+	// staleMagic stamps the payload with an older format version and
+	// reseals the header CRC, so only the version check can reject it.
+	staleMagic := func(version byte) func(*testing.T, string) {
+		return func(t *testing.T, path string) {
+			raw := readFile(t, path)
+			hdr := raw[payloadOff:]
+			hdr[magicVersion] = version
+			crc := crc32.Checksum(hdr[:60], crc32.MakeTable(crc32.Castagnoli))
+			binary.LittleEndian.PutUint32(hdr[60:], crc)
+			writeFile(t, path, raw)
 		}
 	}
 	scenarios := []struct {
@@ -204,13 +232,27 @@ func TestMappedSpillCorruptionMatrix(t *testing.T) {
 				t.Fatal(err)
 			}
 		}},
-		{"stale-v1-magic", func(t *testing.T, path string) {
-			f, err := os.OpenFile(path, os.O_WRONLY, 0)
+		{"stale-v1-magic", staleMagic('1')},
+		{"stale-v2-magic", staleMagic('2')},
+		{"v1-container", func(t *testing.T, path string) {
+			// Re-save the payload, stamped version 1, under the same key in
+			// the packed container that pre-mmap stores wrote.
+			raw := readFile(t, path)
+			var key artifactdisk.Key
+			keyLen := binary.LittleEndian.Uint32(raw[8:])
+			if err := json.Unmarshal(raw[12:12+keyLen], &key); err != nil {
+				t.Fatal(err)
+			}
+			payload := raw[payloadOff:]
+			payload[magicVersion] = '1'
+			if err := os.Remove(path); err != nil {
+				t.Fatal(err)
+			}
+			st, err := artifactdisk.Open(filepath.Dir(filepath.Dir(path)), 0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer f.Close()
-			if _, err := f.WriteAt([]byte("PXTRC001"), 4096); err != nil {
+			if err := st.Save(key, payload); err != nil {
 				t.Fatal(err)
 			}
 		}},

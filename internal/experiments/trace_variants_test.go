@@ -15,8 +15,8 @@ import (
 
 // TestTraceVariantEnginesIdentical is the differential identity gate for the
 // spill format bump: for every paper benchmark and every generated corpus
-// workload, the fresh in-memory trace, its v1 decode, its v2 heap decode and
-// its zero-copy mapped view must all drive both engines (event, scan) to
+// workload, the fresh in-memory trace, its spill-format heap decode and its
+// zero-copy mapped view must all drive both engines (event, scan) to
 // byte-identical Result JSON. Any representation leak in the
 // mapped columns — aliasing, padding, the filled-length trailer — shows up
 // here as a diverging simulation.
@@ -65,15 +65,7 @@ func TestTraceVariantEnginesIdentical(t *testing.T) {
 				tr   *trace.Trace
 			}
 			variants := []variant{{"fresh", wl.tr}}
-			var v1buf, v2buf bytes.Buffer
-			if err := wl.tr.EncodeBinary(&v1buf); err != nil {
-				t.Fatal(err)
-			}
-			v1, err := trace.DecodeBinary(bytes.NewReader(v1buf.Bytes()), wl.tr.Prog)
-			if err != nil {
-				t.Fatalf("v1 decode: %v", err)
-			}
-			variants = append(variants, variant{"v1-decode", v1})
+			var v2buf bytes.Buffer
 			if err := wl.tr.EncodeBinaryV2(&v2buf); err != nil {
 				t.Fatal(err)
 			}

@@ -51,11 +51,6 @@ type Config struct {
 	// submitting client's, so every job shares the engine's cached
 	// artifacts.
 	Engine string
-	// DisableMappedSpill turns off the zero-copy mmap path for warm trace
-	// loads (cmd/labd's -mmap=false). The zero value keeps the default:
-	// mapped spill on, falling back to heap decode where mmap is
-	// unavailable. Results are identical either way.
-	DisableMappedSpill bool
 	// QueueLen is each event subscriber's bounded queue length
 	// (<= 0: 1024). Tests shrink it to exercise the lagging path.
 	QueueLen int
@@ -143,7 +138,6 @@ func New(cfg Config) (*Server, error) {
 		preexec.WithParallelism(cfg.Parallelism),
 		preexec.WithObserver(s.observe),
 		preexec.WithDiskStore(cfg.Dir, cfg.MaxStoreBytes),
-		preexec.WithMappedSpill(!cfg.DisableMappedSpill),
 	)
 	if err := s.lab.DiskStoreErr(); err != nil {
 		cancel()

@@ -53,69 +53,6 @@ func TestGenCorpusEnginesAgree(t *testing.T) {
 	}
 }
 
-// TestGenCorpusDeltaLimitEscape drives the producer-delta overflow-escape
-// path with generated long-range-producer workloads: the loop-invariant base
-// registers of every family are written once and consumed for the rest of
-// the trace, so lowering Interpreter.DeltaLimit forces those links through
-// the overflow maps. The escaped trace must decode identically entry for
-// entry, and both engines must produce Results identical to the inline-delta
-// trace's.
-func TestGenCorpusDeltaLimitEscape(t *testing.T) {
-	for _, s := range []Spec{
-		{Family: PointerChase, Seed: 41, WorkingSet: 1 << 13, Depth: 400},
-		{Family: HashProbe, Seed: 42, WorkingSet: 1 << 13, Depth: 300, ProblemLoads: 2},
-		{Family: BranchyParser, Seed: 43, WorkingSet: 1 << 13, Depth: 500},
-	} {
-		s := s
-		t.Run(s.Name(), func(t *testing.T) {
-			bm, err := s.Benchmark()
-			if err != nil {
-				t.Fatal(err)
-			}
-			p := bm.Build(program.Train)
-			inline, err := trace.Run(p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			esc := trace.Interpreter{DeltaLimit: 512}
-			escaped, err := esc.Run(p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if inline.Len() != escaped.Len() {
-				t.Fatalf("trace lengths diverge: %d vs %d", inline.Len(), escaped.Len())
-			}
-			escapes := 0
-			for i := 0; i < inline.Len(); i++ {
-				p1, p2 := inline.Prod1(i), inline.Prod2(i)
-				if p1 != escaped.Prod1(i) || p2 != escaped.Prod2(i) {
-					t.Fatalf("entry %d: producers diverge (%d,%d) vs (%d,%d)",
-						i, p1, p2, escaped.Prod1(i), escaped.Prod2(i))
-				}
-				if p1 >= 0 && int64(i)-p1 >= 512 {
-					escapes++
-				}
-				if p2 >= 0 && int64(i)-p2 >= 512 {
-					escapes++
-				}
-			}
-			if escapes == 0 {
-				t.Fatal("spec produced no long-range producer links; the escape path was not exercised")
-			}
-			for _, engine := range []cpu.Engine{cpu.EngineEvent, cpu.EngineScan} {
-				a, err1 := cpu.Run(corpusConfig(engine), inline, nil)
-				b, err2 := cpu.Run(corpusConfig(engine), escaped, nil)
-				if err1 != nil || err2 != nil {
-					t.Fatalf("%s: inline err=%v escaped err=%v", engine, err1, err2)
-				}
-				if !reflect.DeepEqual(a, b) {
-					t.Errorf("%s: escaped trace changed the Result", engine)
-				}
-			}
-		})
-	}
-}
-
 // TestGenCorpusDeterministicResults: a generated workload's Result must be
 // reproducible run to run (the property the artifact store and the golden
 // corpus depend on).

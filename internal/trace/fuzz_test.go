@@ -78,30 +78,11 @@ func fuzzSeeds(pristine []byte) [][]byte {
 	return seeds
 }
 
-// FuzzTraceDecodeBinary hammers the v1 decoder: any input must either decode
-// to a usable trace or return an error — never panic, never over-read, never
-// over-allocate from attacker-controlled counts.
-func FuzzTraceDecodeBinary(f *testing.F) {
-	prog := fuzzProgram()
-	tr := MustRun(prog)
-	var buf bytes.Buffer
-	if err := tr.EncodeBinary(&buf); err != nil {
-		f.Fatal(err)
-	}
-	for _, seed := range fuzzSeeds(buf.Bytes()) {
-		f.Add(seed)
-	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		got, err := DecodeBinary(bytes.NewReader(data), prog)
-		if err != nil {
-			return
-		}
-		walkTrace(t, got)
-	})
-}
-
-// FuzzTraceDecodeV2 hammers the v2 verifier through both the heap decoder
-// and the mapped-alias loader, which share one verification path.
+// FuzzTraceDecodeV2 hammers the spill verifier through both the heap
+// decoder and the mapped-alias loader, which share one verification path:
+// any input must either decode to a usable trace or return an error — never
+// panic, never over-read, never over-allocate from attacker-controlled
+// counts.
 func FuzzTraceDecodeV2(f *testing.F) {
 	prog := fuzzProgram()
 	tr := MustRun(prog)

@@ -1,20 +1,28 @@
 package trace
 
-// Version-2 spill format (PXTRC002): the mmap-ready layout of the chunked
-// structure-of-arrays trace. Where PXTRC001 is a plain stream a loader must
-// copy into freshly allocated chunks, v2 lays every column segment on a
-// 4 KiB page boundary so a loader can map the file read-only and alias the
-// chunk columns (pc/prod1/prod2/addr/val/taken) directly onto the mapping —
-// zero decode, zero copy, page-cache-resident and shared across processes.
+// Spill format (PXTRC003): the mmap-ready layout of the chunked
+// structure-of-arrays trace. Every column segment sits on a 4 KiB page
+// boundary, so a loader can map the file read-only and alias the chunk
+// columns (pc/prod1/prod2/addr/val/taken) directly onto the mapping — zero
+// decode, zero copy, page-cache-resident and shared across processes. The
+// producer columns hold index + 1 exactly as in memory (see the package
+// comment), so the heap decode copies them verbatim too.
+//
+// The program itself is deliberately NOT serialized: the caller supplies it
+// on decode (the disk store rebuilds it from the benchmark registry, which
+// the store key's content fingerprint already covers). The trailer carries
+// the program's shape (name, instruction count, memory size) so a stale or
+// mismatched file is detected as corruption instead of producing a trace
+// whose PCs silently index a different program.
 //
 // Payload layout (offsets relative to the payload start, which the aligned
 // artifact container places on a page boundary of the file):
 //
 //	header page  64-byte fixed header, zero-padded to 4096:
-//	             magic "PXTRC002" | n u64 | deltaLimit u32 | chunkBits u32 |
-//	             trailerOff u64 | trailerLen u64 | trailerCRC u32 |
-//	             numChunks u32 | reserved[12] | headerCRC u32 (CRC32-C of
-//	             the first 60 bytes)
+//	             magic "PXTRC003" | n u64 | reserved u32 (0) |
+//	             chunkBits u32 | trailerOff u64 | trailerLen u64 |
+//	             trailerCRC u32 | numChunks u32 | reserved[12] |
+//	             headerCRC u32 (CRC32-C of the first 60 bytes)
 //	per chunk    six column segments, each zero-padded to a page multiple:
 //	             pc 4·filled | prod1 4·filled | prod2 4·filled |
 //	             addr 8·filled | val 8·filled | taken 8·⌈filled/64⌉
@@ -24,23 +32,25 @@ package trace
 //	             the recorded entry count and PC range are integrity-bound
 //	             to the column data they describe
 //	trailer      nameLen u32 + name | nInsts u32 | nMem u32 |
-//	             64 × finalReg i64 | over1 cnt u32 + sorted (k,v) i64 pairs |
-//	             over2 likewise — covered whole by the header's trailerCRC
+//	             64 × finalReg i64 | reserved u64 (0) — covered whole by
+//	             the header's trailerCRC
 //
-// All integers are little-endian, like v1. Every offset is derivable from n
-// alone, so the verifier recomputes the layout and rejects any header whose
+// All integers are little-endian. Every offset is derivable from n alone,
+// so the verifier recomputes the layout and rejects any header whose
 // claimed geometry disagrees before touching chunk data. Verification is
-// once per chunk (CRC + PC range scan) and chunk-parallel, not per entry
-// and serial as in v1.
+// once per chunk (CRC + PC range) and chunk-parallel. The two reserved
+// fields keep the payload the same length as PXTRC002's and must be zero.
+// Bump the magic's trailing digits on any layout or encoding change so old
+// spill files quarantine instead of misloading.
 
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -48,8 +58,10 @@ import (
 	"repro/internal/isa"
 )
 
-// serialMagicV2 identifies the page-aligned mappable column format.
-const serialMagicV2 = "PXTRC002"
+// serialMagic identifies the spill format.
+const serialMagic = "PXTRC003"
+
+var serialOrder = binary.LittleEndian
 
 const (
 	v2Page       = 4096
@@ -109,13 +121,7 @@ func v2TrailerOff(n int64) int64 {
 	return v2Page + (numChunks-1)*v2ChunkRegion(chunkLen) + v2ChunkRegion(v2Filled(n, int(numChunks-1)))
 }
 
-// IsV2 reports whether data begins with the v2 spill magic.
-func IsV2(data []byte) bool {
-	return len(data) >= len(serialMagicV2) && string(data[:len(serialMagicV2)]) == serialMagicV2
-}
-
-// v2Trailer serializes the program shape, final registers and overflow maps
-// (sorted for deterministic bytes, like v1).
+// v2Trailer serializes the program shape and final registers.
 func (t *Trace) v2Trailer() []byte {
 	var b bytes.Buffer
 	var scratch [8]byte
@@ -134,18 +140,7 @@ func (t *Trace) v2Trailer() []byte {
 	for _, r := range t.FinalRegs {
 		putI64(r)
 	}
-	for _, over := range []map[int64]int64{t.over1, t.over2} {
-		keys := make([]int64, 0, len(over))
-		for k := range over {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-		putU32(uint32(len(keys)))
-		for _, k := range keys {
-			putI64(k)
-			putI64(over[k])
-		}
-	}
+	putI64(0) // reserved
 	return b.Bytes()
 }
 
@@ -160,9 +155,8 @@ func (t *Trace) EncodeBinaryV2(w io.Writer) error {
 	trailerOff := v2TrailerOff(n)
 
 	hdr := make([]byte, v2Page)
-	copy(hdr, serialMagicV2)
+	copy(hdr, serialMagic)
 	serialOrder.PutUint64(hdr[8:], uint64(n))
-	serialOrder.PutUint32(hdr[16:], t.deltaLimit)
 	serialOrder.PutUint32(hdr[20:], chunkBits)
 	serialOrder.PutUint64(hdr[24:], uint64(trailerOff))
 	serialOrder.PutUint64(hdr[32:], uint64(len(trailer)))
@@ -257,7 +251,6 @@ func (t *Trace) EncodeBinaryV2(w io.Writer) error {
 type v2Layout struct {
 	n          int64
 	numChunks  int
-	deltaLimit uint32
 	trailerOff int64
 	trailerLen int64
 	trailerCRC uint32
@@ -271,18 +264,19 @@ func parseV2Header(data []byte) (v2Layout, error) {
 	if len(data) < v2Page {
 		return lay, fmt.Errorf("trace: v2 payload shorter than header page (%d bytes)", len(data))
 	}
-	if !IsV2(data) {
-		return lay, fmt.Errorf("trace: bad magic %q", data[:8])
+	if string(data[:len(serialMagic)]) != serialMagic {
+		return lay, fmt.Errorf("trace: bad magic %q", data[:len(serialMagic)])
 	}
 	if got, want := crc32.Checksum(data[:60], crcCastagnoli), serialOrder.Uint32(data[60:]); got != want {
 		return lay, fmt.Errorf("trace: v2 header crc mismatch (%08x != %08x)", got, want)
 	}
 	lay.n = int64(serialOrder.Uint64(data[8:]))
-	const maxEntries = int64(1) << 40 // far beyond any interpreter bound
 	if lay.n < 0 || lay.n > maxEntries {
 		return lay, fmt.Errorf("trace: implausible entry count %d", lay.n)
 	}
-	lay.deltaLimit = serialOrder.Uint32(data[16:])
+	if r := serialOrder.Uint32(data[16:]); r != 0 {
+		return lay, fmt.Errorf("trace: v2 header reserved field is %#x, want 0", r)
+	}
 	if cb := serialOrder.Uint32(data[20:]); cb != chunkBits {
 		return lay, fmt.Errorf("trace: v2 chunk geometry 2^%d, want 2^%d", cb, chunkBits)
 	}
@@ -304,7 +298,7 @@ func parseV2Header(data []byte) (v2Layout, error) {
 }
 
 // parseV2Trailer verifies the trailer CRC, matches the program shape and
-// restores final registers and overflow maps into t.
+// restores final registers into t.
 func parseV2Trailer(data []byte, lay v2Layout, prog *isa.Program, t *Trace) error {
 	tb := data[lay.trailerOff : lay.trailerOff+lay.trailerLen]
 	if got := crc32.Checksum(tb, crcCastagnoli); got != lay.trailerCRC {
@@ -362,25 +356,10 @@ func parseV2Trailer(data []byte, lay v2Layout, prog *isa.Program, t *Trace) erro
 			return err
 		}
 	}
-	for _, over := range []*map[int64]int64{&t.over1, &t.over2} {
-		cnt, err := readU32()
-		if err != nil {
-			return err
-		}
-		// Each pair is 16 bytes; the count must fit the remaining trailer
-		// before any allocation is sized from it.
-		if int64(cnt)*16 > int64(len(tb)-off) {
-			return fmt.Errorf("trace: overflow count %d exceeds trailer", cnt)
-		}
-		if cnt > 0 {
-			m := make(map[int64]int64, minInt64(int64(cnt), 1<<16))
-			for i := uint32(0); i < cnt; i++ {
-				k, _ := readI64()
-				v, _ := readI64()
-				m[k] = v
-			}
-			*over = m
-		}
+	if r, err := readI64(); err != nil {
+		return err
+	} else if r != 0 {
+		return fmt.Errorf("trace: v2 trailer reserved field is %#x, want 0", r)
 	}
 	if off != len(tb) {
 		return fmt.Errorf("trace: %d trailing bytes after v2 trailer", len(tb)-off)
@@ -388,10 +367,10 @@ func parseV2Trailer(data []byte, lay v2Layout, prog *isa.Program, t *Trace) erro
 	return nil
 }
 
-// DecodeBinaryV2 decodes a v2 payload into heap-owned chunks. Chunk
-// verification and column copies run chunk-parallel, so even without mmap
-// the v2 path beats the serial v1 decode. Errors mean corruption
-// (quarantine and rebuild), never a fatal condition.
+// DecodeBinaryV2 decodes a spill payload into heap-owned chunks. Chunk
+// verification and column copies run chunk-parallel. Errors mean
+// corruption or a stale format (quarantine and rebuild), never a fatal
+// condition.
 func DecodeBinaryV2(data []byte, prog *isa.Program) (*Trace, error) {
 	t, _, err := decodeV2(data, prog, false)
 	return t, err
@@ -416,7 +395,7 @@ func decodeV2(data []byte, prog *isa.Program, wantAlias bool) (*Trace, bool, err
 	if err != nil {
 		return nil, false, err
 	}
-	t := &Trace{Prog: prog, n: int(lay.n), deltaLimit: lay.deltaLimit}
+	t := &Trace{Prog: prog, n: int(lay.n)}
 	if err := parseV2Trailer(data, lay, prog, t); err != nil {
 		return nil, false, err
 	}

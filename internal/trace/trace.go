@@ -21,12 +21,16 @@
 // producers; the LSQ touches addresses), so the hot loops walk dense,
 // cache-friendly memory.
 //
-// Producer links are stored as 32-bit backward deltas (producers always
-// precede consumers): 0 encodes "no producer", and deltas that do not fit
-// (a link spanning ≥ 2^32-1 dynamic instructions) take an escape path
-// through a side map keyed by consumer index. Chunking keeps peak memory at
-// ~1x during construction — appending a chunk never re-copies the columns
-// already built, unlike a doubling []Entry append.
+// Producer links are stored as the producer's dynamic index plus one in a
+// uint32 column, so 0 means "no producer" and a read is one branch-free
+// subtract. The spill format writes these columns verbatim and the mapped
+// load aliases them, so memory, disk and the mmap path share one encoding.
+// Index plus one must fit in 32 bits: a trace holds at most maxEntries
+// entries, and the interpreter rejects a MaxInsts bound above that.
+//
+// Chunking keeps peak memory at ~1x during construction — appending a chunk
+// never re-copies the columns already built, unlike a doubling []Entry
+// append.
 //
 // Consumers read entries through the index-cursor API: random access via
 // the PC/Prod1/Prod2/Addr/Val/Taken accessors, sequential scans via Cursor,
@@ -51,19 +55,15 @@ const (
 	chunkMask = chunkLen - 1
 )
 
-// Producer-delta encoding: 0 = no producer, escDelta = long-range link
-// resolved through the overflow map, anything else is the backward distance
-// from the consumer to its producer.
-const (
-	noProdDelta = uint32(0)
-	escDelta    = ^uint32(0)
-)
+// maxEntries is the longest trace the producer encoding can represent: the
+// last entry's index plus one must fit in a uint32.
+const maxEntries = 1<<32 - 1
 
 // chunk holds chunkLen entries as parallel columns.
 type chunk struct {
 	pc    []int32  // static instruction index
-	prod1 []uint32 // Src1 producer delta (see encoding above)
-	prod2 []uint32 // Src2 producer delta
+	prod1 []uint32 // Src1 producer index + 1, 0 = none (see encoding above)
+	prod2 []uint32 // Src2 producer index + 1, 0 = none
 	addr  []int64  // effective byte address (Load/Store), else 0
 	val   []int64  // value written to Dst (ALU/Load) or stored (Store)
 	taken []uint64 // branch-outcome bitset (conditional branches and jumps)
@@ -89,13 +89,6 @@ type Trace struct {
 
 	n      int
 	chunks []chunk
-	// Overflow maps for producer links whose backward delta exceeds the
-	// 32-bit encoding, keyed by consumer dynamic index. Nil until the first
-	// escape (never on default-bounded traces).
-	over1, over2 map[int64]int64
-	// deltaLimit is the smallest delta that escapes; escDelta normally,
-	// lowered only by Interpreter.DeltaLimit to exercise the escape path.
-	deltaLimit uint32
 }
 
 // Len returns the number of dynamic instructions.
@@ -113,14 +106,7 @@ func (t *Trace) PC(i int) int32 {
 //
 //lab:hotpath
 func (t *Trace) Prod1(i int) int64 {
-	d := t.chunks[i>>chunkBits].prod1[i&chunkMask]
-	if d == noProdDelta {
-		return NoProducer
-	}
-	if d == escDelta {
-		return t.over1[int64(i)]
-	}
-	return int64(i) - int64(d)
+	return int64(t.chunks[i>>chunkBits].prod1[i&chunkMask]) - 1
 }
 
 // Prod2 returns the dynamic index of the producer of entry i's Src2, or
@@ -128,14 +114,7 @@ func (t *Trace) Prod1(i int) int64 {
 //
 //lab:hotpath
 func (t *Trace) Prod2(i int) int64 {
-	d := t.chunks[i>>chunkBits].prod2[i&chunkMask]
-	if d == noProdDelta {
-		return NoProducer
-	}
-	if d == escDelta {
-		return t.over2[int64(i)]
-	}
-	return int64(i) - int64(d)
+	return int64(t.chunks[i>>chunkBits].prod2[i&chunkMask]) - 1
 }
 
 // Addr returns the effective byte address of entry i (loads and stores; 0
@@ -237,30 +216,12 @@ func (cu *Cursor) Inst() isa.Inst { return cu.t.Prog.Insts[cu.c.pc[cu.off]] }
 // Prod1 returns the current entry's Src1 producer index, or NoProducer.
 //
 //lab:hotpath
-func (cu *Cursor) Prod1() int64 {
-	d := cu.c.prod1[cu.off]
-	if d == noProdDelta {
-		return NoProducer
-	}
-	if d == escDelta {
-		return cu.t.over1[int64(cu.i)]
-	}
-	return int64(cu.i) - int64(d)
-}
+func (cu *Cursor) Prod1() int64 { return int64(cu.c.prod1[cu.off]) - 1 }
 
 // Prod2 returns the current entry's Src2 producer index, or NoProducer.
 //
 //lab:hotpath
-func (cu *Cursor) Prod2() int64 {
-	d := cu.c.prod2[cu.off]
-	if d == noProdDelta {
-		return NoProducer
-	}
-	if d == escDelta {
-		return cu.t.over2[int64(cu.i)]
-	}
-	return int64(cu.i) - int64(d)
-}
+func (cu *Cursor) Prod2() int64 { return int64(cu.c.prod2[cu.off]) - 1 }
 
 // Addr returns the current entry's effective address.
 //
@@ -280,8 +241,7 @@ func (cu *Cursor) Taken() bool {
 }
 
 // append records one entry. p1/p2 are producer dynamic indices (or
-// NoProducer); the builder encodes them as 32-bit backward deltas, escaping
-// to the overflow maps past deltaLimit.
+// NoProducer, which encodes as 0).
 func (t *Trace) append(pc int32, p1, p2, addr, val int64, taken bool) {
 	off := t.n & chunkMask
 	if off == 0 {
@@ -289,8 +249,8 @@ func (t *Trace) append(pc int32, p1, p2, addr, val int64, taken bool) {
 	}
 	c := &t.chunks[len(t.chunks)-1]
 	c.pc[off] = pc
-	c.prod1[off] = t.encodeProd(p1, &t.over1)
-	c.prod2[off] = t.encodeProd(p2, &t.over2)
+	c.prod1[off] = uint32(p1 + 1)
+	c.prod2[off] = uint32(p2 + 1)
 	c.addr[off] = addr
 	c.val[off] = val
 	if taken {
@@ -299,32 +259,12 @@ func (t *Trace) append(pc int32, p1, p2, addr, val int64, taken bool) {
 	t.n++
 }
 
-func (t *Trace) encodeProd(p int64, over *map[int64]int64) uint32 {
-	if p == NoProducer {
-		return noProdDelta
-	}
-	d := int64(t.n) - p
-	if uint64(d) >= uint64(t.deltaLimit) {
-		if *over == nil {
-			*over = make(map[int64]int64)
-		}
-		(*over)[int64(t.n)] = p
-		return escDelta
-	}
-	return uint32(d)
-}
-
 // Interpreter runs a Program functionally, producing a Trace.
 type Interpreter struct {
 	// MaxInsts bounds execution; an execution exceeding it is reported as an
-	// error (runaway-loop guard). Zero means the default of 50M.
+	// error (runaway-loop guard). Zero means the default of 50M; a bound
+	// above maxEntries is rejected, since the trace could not encode it.
 	MaxInsts int64
-
-	// DeltaLimit lowers the producer-delta escape threshold so tests can
-	// exercise the long-range-link path on short traces (a delta of
-	// DeltaLimit or more escapes). Zero means the real threshold, 2^32-1 —
-	// unreachable below 4G-instruction traces.
-	DeltaLimit uint32
 }
 
 // defaultMaxInsts guards against non-terminating workloads.
@@ -335,7 +275,10 @@ const defaultMaxInsts = 50_000_000
 // Register semantics: all registers start at zero; R0 reads as zero and
 // ignores writes. Memory semantics: the data segment is a copy of p.InitMem;
 // accesses must be 8-byte aligned and in-bounds.
-func (it *Interpreter) Run(p *isa.Program) (*Trace, error) {
+func (it Interpreter) Run(p *isa.Program) (*Trace, error) {
+	if it.MaxInsts > maxEntries {
+		return nil, fmt.Errorf("trace: MaxInsts %d exceeds the %d-entry trace limit", it.MaxInsts, int64(maxEntries))
+	}
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
@@ -352,10 +295,7 @@ func (it *Interpreter) Run(p *isa.Program) (*Trace, error) {
 		lastWriter[r] = NoProducer
 	}
 
-	tr := &Trace{Prog: p, deltaLimit: escDelta}
-	if it.DeltaLimit != 0 {
-		tr.deltaLimit = it.DeltaLimit
-	}
+	tr := &Trace{Prog: p}
 	pc := p.Entry
 	for n := int64(0); ; n++ {
 		if n >= max {

@@ -401,6 +401,9 @@ func TestSoAMatchesAoSReference(t *testing.T) {
 		sumLoop(8192, mem), // 3 + 8192*6 + 1 entries: spans multiple chunks
 		randomProgram(1, 500),
 		randomProgram(42, 2000),
+		randomProgram(3, 300),
+		randomProgram(99, 300),
+		randomProgram(123456, 300),
 	}
 	for _, p := range progs {
 		want, wantRegs := referenceRun(t, p)
@@ -412,33 +415,16 @@ func TestSoAMatchesAoSReference(t *testing.T) {
 	}
 }
 
-// TestProducerDeltaEscapePath forces the 32-bit producer-delta escape on
-// randomized programs by lowering the escape threshold, and requires the
-// escaped trace to decode identically to the unescaped one and to the AoS
-// reference. DeltaLimit=1 escapes every link; small limits mix inline and
-// escaped links on the same trace.
-func TestProducerDeltaEscapePath(t *testing.T) {
-	for _, limit := range []uint32{1, 2, 7, 64} {
-		for _, seed := range []int64{3, 99, 123456} {
-			p := randomProgram(seed, 300)
-			want, _ := referenceRun(t, p)
-			it := Interpreter{DeltaLimit: limit}
-			tr, err := it.Run(p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			escapes := 0
-			if tr.over1 != nil {
-				escapes += len(tr.over1)
-			}
-			if tr.over2 != nil {
-				escapes += len(tr.over2)
-			}
-			if escapes == 0 {
-				t.Fatalf("seed %d limit %d: escape path not exercised", seed, limit)
-			}
-			diffTrace(t, tr, want)
-		}
+// TestInterpreterRejectsUnencodableBound: a MaxInsts bound past the
+// producer encoding's reach is an error up front, never a wrapped index.
+func TestInterpreterRejectsUnencodableBound(t *testing.T) {
+	p := sumLoop(4, []int64{1, 2, 3, 4})
+	tr, err := Interpreter{MaxInsts: 1 << 32}.Run(p)
+	if err == nil || tr != nil {
+		t.Fatalf("MaxInsts 1<<32: got trace %v, err %v; want an error", tr, err)
+	}
+	if _, err := (Interpreter{MaxInsts: maxEntries}).Run(p); err != nil {
+		t.Fatalf("MaxInsts at the limit: %v", err)
 	}
 }
 

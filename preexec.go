@@ -336,29 +336,6 @@ func WithParallelism(n int) Option { return func(l *Lab) { l.parallelism = n } }
 // serialized (never concurrently) but from worker goroutines.
 func WithObserver(fn func(Event)) Option { return func(l *Lab) { l.observe = fn } }
 
-// WithScheduling toggles cost-modeled critical-path scheduling of sweep and
-// campaign fan-out (default: enabled). Enabled, the engine expands every
-// pending (benchmark × stage) chain into a dependency DAG before fanning
-// out, projects each node's remaining critical-path cost from an EWMA cost
-// model fed by observed build times, and has the worker pool pull ready
-// nodes longest-critical-path-first — speculatively pre-building stages the
-// grid will need ahead of the first point that demands them. Disabled,
-// workers claim points in naive bench-major grid order. Results and report
-// row order are byte-identical either way; only build order and cold-sweep
-// wall-clock change. Scheduling is never part of an artifact fingerprint.
-func WithScheduling(enabled bool) Option { return func(l *Lab) { l.scheduling = &enabled } }
-
-// WithMappedSpill toggles the zero-copy mmap path for warm trace loads
-// from a disk store (default: enabled). Enabled, a spilled trace in the
-// page-aligned v2 format is memory-mapped read-only and its columns alias
-// the mapping directly — per-chunk CRC and PC-range verification at open,
-// no decode, no copy, and N processes sharing one store directory share
-// one page-cache copy. Disabled — or on platforms without mmap — warm
-// trace loads fall back to the chunk-parallel v2 heap decode (still ahead
-// of the serial v1 path). Results are byte-identical either way; like
-// scheduling, the switch never enters an artifact fingerprint.
-func WithMappedSpill(enabled bool) Option { return func(l *Lab) { l.mappedSpill = &enabled } }
-
 // WithDiskStore attaches an on-disk content-addressed spill tier at dir
 // behind the engine's in-memory artifact store, with a byte budget
 // (maxBytes <= 0: unlimited; least-recently-used artifacts are evicted over
@@ -392,8 +369,6 @@ type Lab struct {
 	cfg         Config
 	parallelism int
 	observe     func(Event)
-	scheduling  *bool // nil: default (enabled)
-	mappedSpill *bool // nil: default (enabled)
 	run         *experiments.Runner
 	cfgErr      error
 
@@ -414,12 +389,6 @@ func New(opts ...Option) *Lab {
 	}
 	l.cfgErr = l.cfg.CPU.Validate()
 	l.run = experiments.NewRunner(l.cfg, l.parallelism, l.observe)
-	if l.scheduling != nil {
-		l.run.SetScheduling(*l.scheduling)
-	}
-	if l.mappedSpill != nil {
-		l.run.SetMappedSpill(*l.mappedSpill)
-	}
 	if l.diskSet {
 		l.diskErr = l.run.AttachDiskStore(l.diskDir, l.diskMax)
 	}
