@@ -258,8 +258,8 @@ func BenchmarkSweepGrid(b *testing.B) {
 // back to back on interleaved timers within each iteration, so
 // machine-speed drift cancels out of the reported sweep-sched-gain ratio
 // (naive / scheduled wall-clock; > 1 means the scheduler wins). cmd/benchgate gates that ratio at no worse
-// than naive. Each side uses a fresh Lab (cold store, cost model at
-// priors), so the gain measured is pure ordering: starting the grid's long
+// than naive. Each side uses a fresh Lab (cold store), so the gain
+// measured is pure ordering: starting the grid's long
 // trace → profile → slices chains first and pre-building shared stages on
 // idle workers instead of convoying every worker behind grid-order
 // singleflight waits. The win requires real parallelism — on a single-core

@@ -12,8 +12,7 @@
 //	sweep -axis mem -json                   # machine-readable artifact
 //	                                        # (render with: report -render -)
 //
-// Local sweeps order their work through the cost-modeled critical-path
-// scheduler. To inspect the planned schedule without running it, see
+// Local sweeps order their work through the critical-path scheduler. To inspect the planned schedule without running it, see
 // `report -dag`.
 //
 // Generated workloads join the sweep through the repeatable -gen flag,

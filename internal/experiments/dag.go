@@ -21,10 +21,11 @@ type DAGNode struct {
 	Point string `json:"point,omitempty"`
 	// Status is cold, cached, spill or measure (see the sched* constants).
 	Status string `json:"status"`
-	// CostSec is the node's own projected cost; CriticalSec adds the
-	// costliest chain of dependents below it — the scheduling priority.
-	CostSec     float64 `json:"cost_sec"`
-	CriticalSec float64 `json:"critical_sec"`
+	// Cost is the node's own projected cost (a stageCost proxy, not
+	// seconds); Critical adds the costliest chain of dependents below it —
+	// the scheduling priority.
+	Cost     float64 `json:"cost"`
+	Critical float64 `json:"critical"`
 }
 
 // DAGEdge is one dependency edge, by node index (From must complete before
@@ -40,9 +41,9 @@ type DAGReport struct {
 	Axes  []string  `json:"axes,omitempty"`
 	Nodes []DAGNode `json:"nodes"`
 	Edges []DAGEdge `json:"edges"`
-	// CriticalPathSec is the grid's projected makespan floor: the longest
-	// root-to-sink chain under the cost model.
-	CriticalPathSec float64 `json:"critical_path_sec"`
+	// CriticalPath is the longest projected root-to-sink chain under the
+	// stageCost table: the grid's makespan floor, in the same proxy units.
+	CriticalPath float64 `json:"critical_path"`
 }
 
 // dagFill maps node statuses to DOT fill colors.
@@ -69,8 +70,8 @@ func (d *DAGReport) DOT() string {
 		if n.Point != "" {
 			line2 += " @ " + n.Point
 		}
-		label := fmt.Sprintf("%s\\n%s\\n%.3fs cp %.3fs [%s]",
-			head, line2, n.CostSec, n.CriticalSec, n.Status)
+		label := fmt.Sprintf("%s\\n%s\\n%.3f cp %.3f [%s]",
+			head, line2, n.Cost, n.Critical, n.Status)
 		fill := dagFill[n.Status]
 		if fill == "" {
 			fill = "white"
@@ -90,18 +91,18 @@ func (b *dagBuilder) report(axes []string) *DAGReport {
 	d := &DAGReport{Axes: axes, Nodes: make([]DAGNode, len(b.order))}
 	for i, n := range b.order {
 		d.Nodes[i] = DAGNode{
-			Bench:       n.bench,
-			Stage:       string(n.stage),
-			Point:       n.label,
-			Status:      n.status,
-			CostSec:     n.cost,
-			CriticalSec: n.crit,
+			Bench:    n.bench,
+			Stage:    string(n.stage),
+			Point:    n.label,
+			Status:   n.status,
+			Cost:     n.cost,
+			Critical: n.crit,
 		}
 		if n.stage != stageMeasure {
 			d.Nodes[i].Input = n.input.String()
 		}
-		if n.crit > d.CriticalPathSec {
-			d.CriticalPathSec = n.crit
+		if n.crit > d.CriticalPath {
+			d.CriticalPath = n.crit
 		}
 		for _, c := range n.children {
 			d.Edges = append(d.Edges, DAGEdge{From: n.seq, To: c.seq})
@@ -125,7 +126,7 @@ func (r *Runner) SweepDAG(g Grid) (*DAGReport, error) {
 		if cerr != nil {
 			return nil, fmt.Errorf("%s@%s: %w", j.bench, j.pt.point(), cerr)
 		}
-		b.addMeasure(j.pt.point(), r.measureEstimate(j.bench, j.pt.cfg.MeasureInput, len(targets)), prep, nil)
+		b.addMeasure(j.pt.point(), measureCost(len(targets)), prep, nil)
 	}
 	b.computeCritical()
 	return b.report(axes), nil

@@ -326,10 +326,7 @@ func TestSweepSharesMeasurements(t *testing.T) {
 			runDone, simulated, coldMeasured+warmMeasured)
 	}
 
-	pts, err := grid.points(r.cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pts := grid.points(r.cfg)
 	// The reference: every run built one by one through RunTarget, which
 	// shares nothing (run.Sel is pthsel.Select's own), benchmarks fanned
 	// out on the engine's pool.

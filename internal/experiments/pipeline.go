@@ -285,7 +285,6 @@ func (r *Runner) stage(ctx context.Context, name string, input program.InputClas
 	key := artifactKey{name: name, input: input, stage: st, fp: plan.fps[st]}
 	val, outcome, err := r.store.get(ctx, key, func() (any, error) {
 		if v, ok, mapped := r.spillLoad(key); ok {
-			r.observeArtifact(name, input, v)
 			sc := r.stageCount(st)
 			sc.spill.Add(1)
 			if mapped {
@@ -302,8 +301,7 @@ func (r *Runner) stage(ctx context.Context, name string, input program.InputClas
 		r.emit(ctx, Event{Kind: EventStageDone, Bench: name, Input: input.String(), Stage: string(st),
 			Err: cerr, DurationNS: elapsed.Nanoseconds()})
 		if cerr == nil {
-			r.observeArtifact(name, input, v)
-			r.observeBuild(st, name, input, elapsed)
+			r.stageLatency(st).record(elapsed.Nanoseconds())
 			r.spillSave(key, v)
 		}
 		return v, cerr

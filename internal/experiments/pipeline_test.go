@@ -171,10 +171,10 @@ func TestGridPointsMutationOrder(t *testing.T) {
 		return ax
 	}
 	g := Grid{Axes: []Axis{memAxis("first", 100, 200), memAxis("second", 300, 400)}}
-	pts, err := g.points(DefaultConfig())
-	if err != nil {
+	if err := g.Validate(); err != nil {
 		t.Fatal(err)
 	}
+	pts := g.points(DefaultConfig())
 	if len(pts) != 4 {
 		t.Fatalf("points = %d, want 4", len(pts))
 	}
@@ -187,6 +187,30 @@ func TestGridPointsMutationOrder(t *testing.T) {
 		if pt.cfg.CPU.Hier.MemLatency != want {
 			t.Errorf("point %v realized MemLatency %d, want %d (later axis must win)",
 				pt.labels, pt.cfg.CPU.Hier.MemLatency, want)
+		}
+	}
+}
+
+// TestGridValidate: a grid with an empty axis or a repeated axis name is
+// rejected before anything expands; distinct non-empty axes pass.
+func TestGridValidate(t *testing.T) {
+	idle, mem := GridAxis(SweepIdleFactor), GridAxis(SweepMemLatency)
+	for _, c := range []struct {
+		name string
+		axes []Axis
+		want string // error substring; empty = valid
+	}{
+		{"no axes", nil, ""},
+		{"distinct axes", []Axis{idle, mem}, ""},
+		{"empty axis", []Axis{idle, {Name: "empty"}}, "has no points"},
+		{"repeated axis", []Axis{idle, mem, idle}, "repeated sweep axis"},
+	} {
+		err := Grid{Axes: c.axes}.Validate()
+		switch {
+		case c.want == "" && err != nil:
+			t.Errorf("%s: rejected: %v", c.name, err)
+		case c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)):
+			t.Errorf("%s: error %v, want one containing %q", c.name, err, c.want)
 		}
 	}
 }

@@ -14,7 +14,6 @@ import (
 	"repro/internal/artifactdisk"
 	"repro/internal/program"
 	"repro/internal/pthsel"
-	"repro/internal/trace"
 )
 
 // EventKind classifies an observer notification.
@@ -52,8 +51,8 @@ type Event struct {
 	Err    error
 
 	// DurationNS carries the build's wall-clock nanoseconds on
-	// EventStageDone and EventPrepareDone (0 otherwise) — the observation
-	// stream the scheduler's cost model is built from.
+	// EventStageDone and EventPrepareDone (0 otherwise), for observers
+	// timing builds; the scheduler does not read it.
 	DurationNS int64
 
 	// SimCyclesPerSec carries the run's measured simulator throughput on
@@ -93,10 +92,10 @@ type Runner struct {
 	parallelism int
 	observe     func(Event)
 
-	// sched enables cost-modeled critical-path scheduling of sweeps and
-	// campaigns (the default; see SetScheduling). It is scheduling state,
-	// deliberately outside Config so it never reaches a fingerprint:
-	// toggling it changes build order, not results.
+	// sched enables critical-path scheduling of sweeps and campaigns (the
+	// default; see SetScheduling). It is scheduling state, deliberately
+	// outside Config so it never reaches a fingerprint: toggling it changes
+	// build order, not results.
 	sched bool
 
 	// mappedSpill enables the zero-copy mmap trace-spill path (the
@@ -116,7 +115,6 @@ type Runner struct {
 
 	store *artifactStore
 	disk  *artifactdisk.Store // optional spill tier (see AttachDiskStore)
-	costs *costModel          // EWMA build costs feeding the scheduler
 
 	stageStats []stageCounters    // per-stage request outcomes, indexed by stageIndex
 	stageLat   []latencyReservoir // per-stage cold-build latencies, same indexing
@@ -145,7 +143,6 @@ func NewRunner(cfg Config, parallelism int, observe func(Event)) *Runner {
 		sched:       true,
 		mappedSpill: true,
 		store:       newArtifactStore(),
-		costs:       newCostModel(),
 		stageStats:  make([]stageCounters, len(stageIndex)),
 		stageLat:    make([]latencyReservoir, len(stageIndex)),
 	}
@@ -154,8 +151,8 @@ func NewRunner(cfg Config, parallelism int, observe func(Event)) *Runner {
 // Config returns the engine's base configuration.
 func (r *Runner) Config() Config { return r.cfg }
 
-// SetScheduling toggles cost-modeled critical-path scheduling of sweep and
-// campaign fan-out (enabled by default). Disabled, workers claim work in
+// SetScheduling toggles critical-path scheduling of sweep and campaign
+// fan-out (enabled by default). Disabled, workers claim work in
 // naive bench-major grid order — the baseline the scheduling tests and
 // benchmark compare against; no public option exposes it. It is scheduling state, not configuration: results are
 // byte-identical either way, only build order and wall-clock change. Call
@@ -254,22 +251,6 @@ func (r *Runner) stageLatency(st Stage) *latencyReservoir {
 	return &r.stageLat[i]
 }
 
-// observeBuild feeds one observed cold build into the cost model and the
-// stage's latency reservoir.
-func (r *Runner) observeBuild(st Stage, name string, input program.InputClass, d time.Duration) {
-	r.costs.record(st, name, input, d.Seconds())
-	r.stageLatency(st).record(d.Nanoseconds())
-}
-
-// observeArtifact notes size facts about a freshly materialized artifact —
-// currently the trace's instruction count, which keys the cost model's
-// workload size classes.
-func (r *Runner) observeArtifact(name string, input program.InputClass, v any) {
-	if tr, ok := v.(*trace.Trace); ok {
-		r.costs.observeSize(name, input, int64(tr.Len()))
-	}
-}
-
 func (r *Runner) emit(ctx context.Context, ev Event) {
 	if r.observe == nil {
 		return
@@ -315,7 +296,7 @@ func (r *Runner) Prepare(ctx context.Context, name string, input program.InputCl
 		r.emit(ctx, Event{Kind: EventPrepareDone, Bench: name, Input: input.String(),
 			Err: perr, DurationNS: elapsed.Nanoseconds()})
 		if perr == nil {
-			r.observeBuild(StagePrepared, name, input, elapsed)
+			r.stageLatency(StagePrepared).record(elapsed.Nanoseconds())
 		}
 		return p, perr
 	})
@@ -420,7 +401,6 @@ func (r *Runner) runBench(ctx context.Context, name string, targets []pthsel.Tar
 // exactly. Each target gets its own run-start/run-done pair. Nothing
 // outlives the call, so a repeated sweep simulates again.
 func (r *Runner) measure(ctx context.Context, bench string, sel, meas *Prepared, targets []pthsel.Target, cfg Config) ([]*TargetRun, error) {
-	start := time.Now()
 	runs := make([]*TargetRun, 0, len(targets))
 	for _, tgt := range targets {
 		r.emit(ctx, Event{Kind: EventRunStart, Bench: bench, Target: tgt.String()})
@@ -434,9 +414,6 @@ func (r *Runner) measure(ctx context.Context, bench string, sel, meas *Prepared,
 			return nil, err
 		}
 		runs = append(runs, run)
-	}
-	if len(targets) > 0 {
-		r.costs.record(stageMeasure, bench, meas.Input, time.Since(start).Seconds()/float64(len(targets)))
 	}
 	return runs, nil
 }
@@ -502,11 +479,10 @@ func (r *Runner) Campaign(ctx context.Context, names []string, targets []pthsel.
 		for i, name := range names {
 			prep, _ := b.addChain(name, r.cfg.MeasureInput, r.cfg)
 			i := i
-			b.addMeasure(name, r.measureEstimate(name, r.cfg.MeasureInput, len(targets)), prep,
+			b.addMeasure(name, measureCost(len(targets)), prep,
 				func(ctx context.Context) { runOne(ctx, i) })
 		}
 		r.runDAG(ctx, b)
-		r.costs.flush()
 	} else {
 		r.forEach(ctx, len(names), func(i int) { runOne(ctx, i) })
 	}

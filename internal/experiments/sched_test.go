@@ -1,21 +1,20 @@
 package experiments
 
-// Tests for the critical-path scheduler and its EWMA cost model. The
-// scheduler's contract is that it changes only build order: every test here
-// pins some facet of "identical results, identical store traffic" while the
-// priority inputs are varied — including adversarially.
+// Tests for the critical-path scheduler. Its contract is that it changes
+// only build order: every test here pins some facet of "identical results,
+// identical store traffic" while the priority inputs are varied — including
+// adversarially — and that the plan is a pure function of the grid and the
+// store state.
 
 import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"os"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
-	"repro/internal/program"
 	"repro/internal/pthsel"
 )
 
@@ -86,8 +85,8 @@ func TestSweepSchedMatchesNaive(t *testing.T) {
 	}
 }
 
-// TestSweepSchedAdversarialCosts feeds the scheduler a cost model whose
-// estimates invert reality — cheap assembly stages projected enormous, the
+// TestSweepSchedAdversarialCosts swaps in a stage-cost table whose costs
+// invert reality — cheap assembly stages projected enormous, the
 // dominant trace stage projected near-free, measurement sinks in between —
 // so ready-queue priority ordering is maximally wrong. The report must still
 // be byte-identical to naive order and every short chain must still
@@ -109,7 +108,9 @@ func TestSweepSchedAdversarialCosts(t *testing.T) {
 			points.Add(1)
 		}
 	})
-	adversarial := map[Stage]float64{
+	saved := stageCost
+	t.Cleanup(func() { stageCost = saved })
+	stageCost = map[Stage]float64{
 		StageTrace:    1e-9, // the real dominator, projected free
 		StageProfile:  1e-9,
 		StageSlices:   1e-9,
@@ -120,18 +121,13 @@ func TestSweepSchedAdversarialCosts(t *testing.T) {
 		StagePrepared: 1e6,
 		stageMeasure:  42,
 	}
-	sched.costs.mu.Lock()
-	for st, sec := range adversarial {
-		sched.costs.ewma[costKey{st, 0}] = sec
-	}
-	sched.costs.mu.Unlock()
 
 	repS, err := sched.Sweep(ctx, grid)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a, b := sweepJSON(t, repN), sweepJSON(t, repS); !bytes.Equal(a, b) {
-		t.Errorf("adversarial cost model changed sweep values or row order:\n%s\nvs\n%s", a, b)
+		t.Errorf("adversarial stage costs changed sweep values or row order:\n%s\nvs\n%s", a, b)
 	}
 	if got, want := points.Load(), int64(len(repN.Points)); got != want {
 		t.Errorf("completed %d points under adversarial priorities, want %d (starvation?)", got, want)
@@ -192,8 +188,8 @@ func TestCampaignSchedMatchesNaive(t *testing.T) {
 }
 
 // TestSweepSchedConcurrent hammers one engine with concurrent scheduled
-// sweeps (run under -race in CI): the cost model and scheduler state are
-// shared across simultaneous DAG executions, and the singleflight store must
+// sweeps (run under -race in CI): the store and scheduler state are shared
+// across simultaneous DAG executions, and the singleflight store must
 // still build each heavy stage exactly once.
 func TestSweepSchedConcurrent(t *testing.T) {
 	ctx := context.Background()
@@ -271,9 +267,9 @@ func TestSweepDAGExport(t *testing.T) {
 	if stageNodes := len(dag.Nodes) - sinks; stageNodes >= 3*len(Stages()) {
 		t.Errorf("stage nodes not deduplicated: %d nodes for a 3-point single-bench grid", stageNodes)
 	}
-	if cold == 0 || len(dag.Edges) == 0 || dag.CriticalPathSec <= 0 {
+	if cold == 0 || len(dag.Edges) == 0 || dag.CriticalPath <= 0 {
 		t.Errorf("degenerate plan: %d cold nodes, %d edges, critical path %f",
-			cold, len(dag.Edges), dag.CriticalPathSec)
+			cold, len(dag.Edges), dag.CriticalPath)
 	}
 
 	dot := dag.DOT()
@@ -302,117 +298,40 @@ func TestSweepDAGExport(t *testing.T) {
 	}
 }
 
-// TestCostModelEWMA pins the model's math: first observation is taken
-// verbatim, later ones fold at costAlpha, and estimates fall back size
-// class → global aggregate → prior.
-func TestCostModelEWMA(t *testing.T) {
-	m := newCostModel()
-
-	// Unobserved: priors, in the priors' relative order.
-	if got := m.estimate(StageTrace, "gap", program.Train); got != costPriors[StageTrace] {
-		t.Errorf("prior estimate = %v, want %v", got, costPriors[StageTrace])
-	}
-	if m.estimate(StageTrace, "gap", program.Train) <= m.estimate(StageParams, "gap", program.Train) {
-		t.Error("priors do not order trace above params")
-	}
-	if got := m.estimate(Stage("no-such-stage"), "gap", program.Train); got != 0.01 {
-		t.Errorf("unknown-stage estimate = %v, want the 0.01 floor", got)
-	}
-
-	// Global cell: first record verbatim, second folds at alpha.
-	m.record(StageTrace, "gap", program.Train, 2.0)
-	if got := m.estimate(StageTrace, "gap", program.Train); got != 2.0 {
-		t.Errorf("after first record: estimate = %v, want 2.0", got)
-	}
-	m.record(StageTrace, "gap", program.Train, 1.0)
-	want := costAlpha*1.0 + (1-costAlpha)*2.0
-	if got := m.estimate(StageTrace, "gap", program.Train); got != want {
-		t.Errorf("after second record: estimate = %v, want %v", got, want)
-	}
-
-	// Size classes: a known-size workload records into its class cell;
-	// same-class workloads share it, different-class workloads fall back to
-	// the global aggregate.
-	m.observeSize("gap", program.Train, 1000)  // class 10
-	m.observeSize("mcf", program.Train, 900)   // class 10 too
-	m.observeSize("gcc", program.Train, 1<<20) // far larger class
-	m.record(StageProfile, "gap", program.Train, 5.0)
-	if got := m.estimate(StageProfile, "mcf", program.Train); got != 5.0 {
-		t.Errorf("same-size-class estimate = %v, want 5.0", got)
-	}
-	m.record(StageProfile, "gcc", program.Train, 50.0)
-	if got := m.estimate(StageProfile, "gap", program.Train); got != 5.0 {
-		t.Errorf("small workload's estimate polluted by the large class: %v", got)
-	}
-	if got := m.estimate(StageProfile, "gcc", program.Train); got != 50.0 {
-		t.Errorf("large workload's class estimate = %v, want 50.0", got)
-	}
-
-	// Non-positive observations are ignored.
-	m.record(StageTrace, "gap", program.Train, 0)
-	m.record(StageTrace, "gap", program.Train, -1)
-	if got := m.estimate(StageTrace, "gap", program.Train); got != want {
-		t.Errorf("non-positive record changed the estimate to %v", got)
-	}
-}
-
-// TestCostModelPersistence pins the restart-warm path: flush writes the
-// model, loadFrom restores every cell and size, and a corrupt or absent file
-// degrades to an empty model without error.
-func TestCostModelPersistence(t *testing.T) {
-	dir := t.TempDir()
-	path := dir + "/costmodel.json"
-
-	m1 := newCostModel()
-	m1.loadFrom(path) // absent: stays empty, attaches the path
-	m1.observeSize("gap", program.Train, 12345)
-	m1.record(StageTrace, "gap", program.Train, 3.5)
-	m1.record(stageMeasure, "gap", program.Train, 0.25)
-	m1.flush()
-
-	m2 := newCostModel()
-	m2.loadFrom(path)
-	for _, st := range []Stage{StageTrace, stageMeasure} {
-		if got, want := m2.estimate(st, "gap", program.Train), m1.estimate(st, "gap", program.Train); got != want {
-			t.Errorf("restored estimate(%s) = %v, want %v", st, got, want)
+// TestSweepDAGDeterministic pins the plan as a pure function of the grid
+// and the store state: two fresh engines that ran the same sweep plan a
+// larger grid (whose mem points leave curves, baseline and everything
+// downstream cold) to byte-identical DOT, however long their builds took.
+func TestSweepDAGDeterministic(t *testing.T) {
+	ctx := context.Background()
+	plan := func() string {
+		r := NewRunner(DefaultConfig(), 0, nil)
+		if _, err := r.Sweep(ctx, Grid{
+			Axes:       []Axis{GridAxis(SweepIdleFactor)},
+			Benchmarks: []string{"gap"},
+			Targets:    []pthsel.Target{pthsel.TargetL},
+		}); err != nil {
+			t.Fatal(err)
 		}
-	}
-	m2.mu.Lock()
-	size := m2.sizes[sizeKey("gap", program.Train)]
-	m2.mu.Unlock()
-	if size != 12345 {
-		t.Errorf("restored size = %d, want 12345", size)
-	}
-
-	// flush with nothing new is a no-op; a corrupt file loads as empty.
-	m2.flush()
-	if err := writeFile(path, []byte("{not json")); err != nil {
-		t.Fatal(err)
-	}
-	m3 := newCostModel()
-	m3.loadFrom(path)
-	if got := m3.estimate(StageTrace, "gap", program.Train); got != costPriors[StageTrace] {
-		t.Errorf("corrupt file: estimate = %v, want the prior", got)
-	}
-}
-
-// TestCostModelSizeClasses pins the log2 bucketing.
-func TestCostModelSizeClasses(t *testing.T) {
-	cases := []struct {
-		n    int64
-		want int
-	}{{0, 0}, {-5, 0}, {1, 1}, {2, 2}, {3, 2}, {1023, 10}, {1024, 11}, {1 << 20, 21}}
-	for _, c := range cases {
-		if got := classOf(c.n); got != c.want {
-			t.Errorf("classOf(%d) = %d, want %d", c.n, got, c.want)
+		dag, err := r.SweepDAG(Grid{
+			Axes:       []Axis{GridAxis(SweepIdleFactor), GridAxis(SweepMemLatency)},
+			Benchmarks: []string{"gap"},
+			Targets:    []pthsel.Target{pthsel.TargetL},
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
+		return dag.DOT()
+	}
+	if a, b := plan(), plan(); a != b {
+		t.Errorf("identical engines planned different DAGs:\n%s\nvs\n%s", a, b)
 	}
 }
 
-// TestRunnerFeedsCostModel pins the instrumentation loop: a prepare + run
-// populates sizes and per-stage EWMA cells, so the next sweep's plan
-// projects from observations rather than priors.
-func TestRunnerFeedsCostModel(t *testing.T) {
+// TestRunnerTimesStageBuilds pins the build-timing surface observers read:
+// every stage-done event carries DurationNS, and the build-latency
+// reservoir behind StoreStats saw the same builds.
+func TestRunnerTimesStageBuilds(t *testing.T) {
 	ctx := context.Background()
 	cfg := DefaultConfig()
 	var stageDones, timedDones atomic.Int64
@@ -434,18 +353,6 @@ func TestRunnerFeedsCostModel(t *testing.T) {
 	if _, err := RunTarget(ctx, prep, prep, pthsel.TargetL, cfg); err != nil {
 		t.Fatal(err)
 	}
-	r.costs.mu.Lock()
-	size := r.costs.sizes[sizeKey("gap", cfg.MeasureInput)]
-	traceCell, haveTrace := r.costs.ewma[costKey{StageTrace, 0}]
-	r.costs.mu.Unlock()
-	if size <= 0 {
-		t.Error("prepare did not observe the trace size")
-	}
-	if !haveTrace || traceCell <= 0 {
-		t.Errorf("trace build not recorded in the cost model (cell %v, ok %v)", traceCell, haveTrace)
-	}
-
-	// The build-latency reservoir behind StoreStats saw the same builds.
 	st := r.StoreStats()
 	tr := st.Stages[StageTrace]
 	if tr.P50BuildNS <= 0 || tr.P95BuildNS < tr.P50BuildNS {
@@ -454,8 +361,4 @@ func TestRunnerFeedsCostModel(t *testing.T) {
 	if un := st.Stages[StageCurves]; un.Cold != 1 {
 		t.Errorf("curves cold count = %d, want 1", un.Cold)
 	}
-}
-
-func writeFile(path string, data []byte) error {
-	return os.WriteFile(path, data, 0o644)
 }

@@ -4,8 +4,8 @@ package experiments
 // fans out, every pending (benchmark × stage) chain is expanded into an
 // explicit dependency DAG — stage nodes deduplicated across grid points by
 // artifact key, one measurement sink per grid point — and each node's
-// remaining critical-path cost is projected from the EWMA cost model. The
-// bounded worker pool then pulls ready nodes longest-critical-path-first
+// remaining critical-path cost is projected from the fixed stageCost table.
+// The bounded worker pool then pulls ready nodes longest-critical-path-first
 // instead of grid order, so the chains that bound the sweep's wall clock
 // (a long trace → profile → slices build for a late benchmark) start first
 // instead of last.
@@ -26,6 +26,30 @@ import (
 	"repro/internal/program"
 )
 
+// stageMeasure is the scheduler's pseudo-stage for measurement work (one
+// target's selection + simulation at a grid point). It is not a pipeline
+// stage — it never touches the artifact store or the stage counters — but
+// measurement sinks need a cost like build nodes do.
+const stageMeasure Stage = "measure"
+
+// stageCost is the fixed per-node cost the critical-path projection sums:
+// relative magnitudes of the stages (trace dominates, then baseline
+// simulation and measurement, then the analysis stages; assembly and
+// derivation are near-free). The numbers are unitless proxies, not seconds:
+// the scheduler orders by projected cost, it never budgets wall-clock, so
+// the plan is a pure function of the grid and the store state.
+var stageCost = map[Stage]float64{
+	StageTrace:    1.0,
+	StageProfile:  0.25,
+	StageProblems: 0.01,
+	StageSlices:   0.2,
+	StageCurves:   0.1,
+	StageBaseline: 0.5,
+	StageParams:   0.01,
+	StagePrepared: 0.005,
+	stageMeasure:  0.5,
+}
+
 // Scheduler node statuses, annotated on DAG exports.
 const (
 	schedCold    = "cold"    // projected to execute the stage
@@ -36,7 +60,7 @@ const (
 
 // schedNode is one DAG node: a stage build for one workload, or a
 // measurement sink. waiting/children carry the dependency edges; cost and
-// crit the projected seconds (crit = cost + costliest chain below).
+// crit the projected cost (crit = cost + costliest chain below).
 type schedNode struct {
 	seq    int // insertion order: deterministic heap tie-break
 	bench  string
@@ -96,7 +120,7 @@ func (b *dagBuilder) addChain(name string, input program.InputClass, cfg Config)
 			n.status = schedSpill // a verified load, orders of magnitude under a build
 		} else {
 			n.status = schedCold
-			n.cost = b.r.costs.estimate(st, name, input)
+			n.cost = stageCost[st]
 		}
 		st := st
 		n.run = func(ctx context.Context) { b.r.runStageNode(ctx, name, input, cfg, plan, st) }
@@ -162,9 +186,9 @@ func (r *Runner) runStageNode(ctx context.Context, name string, input program.In
 	r.ensureStage(ctx, name, input, cfg, plan, st)
 }
 
-// measureEstimate projects one grid point's measurement cost.
-func (r *Runner) measureEstimate(name string, input program.InputClass, targets int) float64 {
-	return r.costs.estimate(stageMeasure, name, input) * float64(targets)
+// measureCost projects one grid point's measurement cost.
+func measureCost(targets int) float64 {
+	return stageCost[stageMeasure] * float64(targets)
 }
 
 // nodeHeap is the ready queue: a max-heap on projected critical-path cost,

@@ -15,7 +15,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
-	"path/filepath"
 
 	"repro/internal/artifactdisk"
 	"repro/internal/cpu"
@@ -113,10 +112,6 @@ func (r *Runner) AttachDiskStore(dir string, maxBytes int64) error {
 		return err
 	}
 	r.disk = disk
-	// The scheduler's cost model persists alongside the artifacts, so a
-	// restarted daemon projects its first sweep from observed costs instead
-	// of priors. Best-effort both ways, like every disk-tier operation.
-	r.costs.loadFrom(filepath.Join(dir, "costmodel.json"))
 	return nil
 }
 

@@ -112,20 +112,34 @@ func (g Grid) Points() int {
 	return n
 }
 
+// Validate rejects a grid that cannot be expanded: an axis with no points,
+// or an axis name used twice. A repeated axis would multiply the grid by
+// its own size for no new configuration, and enough repeats overflow
+// Points.
+func (g Grid) Validate() error {
+	seen := make(map[string]bool, len(g.Axes))
+	for _, ax := range g.Axes {
+		if len(ax.Points) == 0 {
+			return fmt.Errorf("experiments: sweep axis %q has no points", ax.Name)
+		}
+		if seen[ax.Name] {
+			return fmt.Errorf("experiments: repeated sweep axis %q", ax.Name)
+		}
+		seen[ax.Name] = true
+	}
+	return nil
+}
+
 // gridPoint is one realized configuration point of a grid.
 type gridPoint struct {
 	labels []string // one label per axis, in axis order
 	cfg    Config
 }
 
-// points expands the cartesian product in row-major order (the first axis
-// varies slowest), mutating a copy of base at each point.
-func (g Grid) points(base Config) ([]gridPoint, error) {
-	for _, ax := range g.Axes {
-		if len(ax.Points) == 0 {
-			return nil, fmt.Errorf("experiments: sweep axis %q has no points", ax.Name)
-		}
-	}
+// points expands the cartesian product of a validated grid in row-major
+// order (the first axis varies slowest), mutating a copy of base at each
+// point.
+func (g Grid) points(base Config) []gridPoint {
 	total := g.Points()
 	pts := make([]gridPoint, 0, total)
 	ix := make([]int, len(g.Axes))
@@ -148,7 +162,7 @@ func (g Grid) points(base Config) ([]gridPoint, error) {
 		}
 		pts = append(pts, gridPoint{labels: labels, cfg: cfg})
 	}
-	return pts, nil
+	return pts
 }
 
 // Sweep evaluates a declarative grid on the bounded worker pool: every
@@ -170,7 +184,6 @@ func (r *Runner) Sweep(ctx context.Context, g Grid) (*SweepReport, error) {
 		Points:  make([]SweepPointReport, len(jobs)),
 	}
 	errs := make([]error, len(jobs))
-	defer r.costs.flush()
 	var done atomic.Int64
 	switch {
 	case r.sched:
@@ -182,10 +195,9 @@ func (r *Runner) Sweep(ctx context.Context, g Grid) (*SweepReport, error) {
 		for i, j := range jobs {
 			prep, _ := b.addChain(j.bench, j.pt.cfg.MeasureInput, j.pt.cfg)
 			i := i
-			b.addMeasure(j.pt.point(), r.measureEstimate(j.bench, j.pt.cfg.MeasureInput, len(targets)),
-				prep, func(ctx context.Context) {
-					r.runSweepJob(ctx, i, jobs, targets, rep, errs, &done)
-				})
+			b.addMeasure(j.pt.point(), measureCost(len(targets)), prep, func(ctx context.Context) {
+				r.runSweepJob(ctx, i, jobs, targets, rep, errs, &done)
+			})
 		}
 		r.runDAG(ctx, b)
 	default:
@@ -202,11 +214,14 @@ func (r *Runner) Sweep(ctx context.Context, g Grid) (*SweepReport, error) {
 	return rep, nil
 }
 
-// expandGrid resolves a grid into its job list: workloads registered,
-// names validated, targets defaulted and the cartesian product expanded
-// benchmark-major, row-major — the report row order every execution
-// strategy must preserve.
+// expandGrid resolves a grid into its job list: grid validated, workloads
+// registered, names validated, targets defaulted and the cartesian product
+// expanded benchmark-major, row-major — the report row order every
+// execution strategy must preserve.
 func (r *Runner) expandGrid(g Grid) (jobs []sweepJob, targets []pthsel.Target, axes []string, err error) {
+	if err := g.Validate(); err != nil {
+		return nil, nil, nil, err
+	}
 	names := append([]string(nil), g.Benchmarks...)
 	// Workload labels per registered name; empty for named benchmarks.
 	labels := make([]string, len(names))
@@ -231,10 +246,7 @@ func (r *Runner) expandGrid(g Grid) (jobs []sweepJob, targets []pthsel.Target, a
 	if len(targets) == 0 {
 		targets = Figure4Targets
 	}
-	pts, err := g.points(r.cfg)
-	if err != nil {
-		return nil, nil, nil, err
-	}
+	pts := g.points(r.cfg)
 	jobs = make([]sweepJob, 0, len(names)*len(pts))
 	for bi, bench := range names {
 		for _, pt := range pts {

@@ -278,8 +278,10 @@ func (j *job) snapshot() labapi.Job {
 
 // ------------------------------------------------------------- handlers --
 
-// buildGrid turns a wire request into an engine grid, resolving axis,
-// workload-spec and target names exactly as cmd/sweep does locally.
+// buildGrid turns a wire request into a validated engine grid, resolving
+// axis, workload-spec and target names exactly as cmd/sweep does locally.
+// Validation comes before handleSweep's synchronous SweepDAG call, which a
+// repeated axis would otherwise size at the product of every repeat.
 func buildGrid(req labapi.SweepRequest) (preexec.Grid, error) {
 	var g preexec.Grid
 	for _, name := range req.Axes {
@@ -304,7 +306,7 @@ func buildGrid(req labapi.SweepRequest) (preexec.Grid, error) {
 		}
 		g.Targets = append(g.Targets, tgt)
 	}
-	return g, nil
+	return g, g.Validate()
 }
 
 // maxSweepBody caps a sweep request body. A grid is a handful of axis,

@@ -306,6 +306,7 @@ func TestBadRequests(t *testing.T) {
 		"unknown target": `{"benchmarks":["gap"],"targets":["Q"]}`,
 		"bad workload":   `{"workloads":["no-such-family:1"]}`,
 		"empty":          `{}`,
+		"repeated axis":  `{"axes":["idle","mem","idle"],"benchmarks":["gap"]}`,
 	} {
 		resp, err := http.Post(ts.URL+"/v1/sweep", "application/json", strings.NewReader(body))
 		if err != nil {

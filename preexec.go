@@ -612,7 +612,8 @@ func (l *Lab) Sweep(ctx context.Context, g Grid) (*SweepReport, error) {
 // SweepDAG plans a grid without running it: the stage dependency DAG the
 // critical-path scheduler would execute, with every node annotated by its
 // projected status against the engine's current stores (cold / cached /
-// spill / measure), its cost estimate and its remaining critical-path cost.
+// spill / measure), its fixed stage cost and its remaining critical-path
+// cost.
 // The report's DOT method renders Graphviz (cmd/report -dag; the daemon's
 // GET /v1/jobs/{id}/dag). Planning registers the grid's workloads but
 // builds nothing and touches no counters.
