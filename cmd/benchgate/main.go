@@ -129,7 +129,7 @@ func main() {
 	// either side can swing ±20% from CPU steal, which would trip (or mask)
 	// a ratio gate; the best observed throughput of each column is the
 	// standard noise-resistant estimator.
-	hot, err := runBench("BenchmarkSimHotLoop", *benchtime, 3)
+	hot, err := goTestBench("BenchmarkSimHotLoop", *benchtime, 3)
 	if err != nil {
 		fatal("hot loop benchmark: %v", err)
 	}
@@ -143,7 +143,7 @@ func main() {
 	rep.EventAllocsPerOp = event.allocsPerOp
 	rep.EventBytesPerOp = event.bytesPerOp
 
-	grid, err := runBench("BenchmarkSweepGrid", "1x", 1)
+	grid, err := goTestBench("BenchmarkSweepGrid", "1x", 1)
 	if err != nil {
 		fatal("sweep grid benchmark: %v", err)
 	}
@@ -165,7 +165,7 @@ func main() {
 	// of the same 3-axis grid interleave within each iteration, so the gain
 	// ratio is robust to drift; best-of over repeats, because a
 	// single sample's ratio carries per-run noise the pairing cannot cancel.
-	sched, err := runBench("BenchmarkSweepSched", "1x", 3)
+	sched, err := goTestBench("BenchmarkSweepSched", "1x", 3)
 	if err != nil {
 		fatal("sweep scheduler benchmark: %v", err)
 	}
@@ -179,7 +179,7 @@ func main() {
 
 	// The spill comparison pairs its two sides per iteration like the
 	// scheduler gate; best-of over repeats for the same reason.
-	spill, err := runBench("BenchmarkTraceSpill", "10x", 3)
+	spill, err := goTestBench("BenchmarkTraceSpill", "10x", 3)
 	if err != nil {
 		fatal("trace spill benchmark: %v", err)
 	}
@@ -285,12 +285,12 @@ type benchLine struct {
 	allocsPerOp     float64 // -benchmem allocs/op
 }
 
-// runBench executes one `go test -bench` selection and parses its result
+// goTestBench executes one `go test -bench` selection and parses its result
 // lines into name -> {ns/op, sim-cycles/s, B/op, allocs/op}. With count >
 // 1, repeated lines per benchmark are folded best-of for the speed columns
 // (max throughput, min ns/op) and worst-of for the gated allocation and
 // stage-build columns.
-func runBench(pattern, benchtime string, count int) (map[string]benchLine, error) {
+func goTestBench(pattern, benchtime string, count int) (map[string]benchLine, error) {
 	cmd := exec.Command("go", "test", "-run", "^$", "-bench", "^"+pattern+"$",
 		"-benchtime", benchtime, "-count", strconv.Itoa(count), "-benchmem", ".")
 	cmd.Stderr = os.Stderr

@@ -112,22 +112,20 @@ func (b *dagBuilder) report(axes []string) *DAGReport {
 }
 
 // SweepDAG plans a grid without executing it: the schedule DAG Sweep would
-// run, annotated with projected costs and store status at planning time.
-// Workload specs in the grid are registered exactly as Sweep registers
-// them; the artifact store is only peeked, never populated.
+// run — the same sinks, chains always expanded — annotated with projected
+// costs and store status at planning time. Workload specs in the grid are
+// registered exactly as Sweep registers them; the artifact store is only
+// peeked, never populated. Its error is the grid's: unknown, duplicated or
+// missing benchmarks, a bad workload spec, or a chain that cannot be planned.
 func (r *Runner) SweepDAG(g Grid) (*DAGReport, error) {
-	jobs, targets, axes, err := r.expandGrid(g)
+	rep, sinks, err := r.sweepSinks(g)
 	if err != nil {
 		return nil, err
 	}
-	b := r.newDAGBuilder()
-	for _, j := range jobs {
-		prep, cerr := b.addChain(j.bench, j.pt.cfg.MeasureInput, j.pt.cfg)
-		if cerr != nil {
-			return nil, fmt.Errorf("%s@%s: %w", j.bench, j.pt.point(), cerr)
-		}
-		b.addMeasure(j.pt.point(), measureCost(len(targets)), prep, nil)
+	b, err := r.plan(sinks, true)
+	if err != nil {
+		return nil, err
 	}
 	b.computeCritical()
-	return b.report(axes), nil
+	return b.report(rep.Axes), nil
 }

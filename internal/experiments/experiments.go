@@ -179,28 +179,25 @@ func (t *TargetRun) SimCyclesPerSec() float64 {
 
 // RunTarget selects p-threads on sel's profile and measures them on meas
 // (sel == meas for ideal profiling; they differ for the realistic-profiling
-// experiment). Cancellation is honored mid-simulation.
+// experiment). Cancellation is honored mid-simulation. It shares nothing
+// between calls: the uncached reference the goldens pin the engines to.
 func RunTarget(ctx context.Context, sel, meas *Prepared, target pthsel.Target, cfg Config) (*TargetRun, error) {
-	return runTarget(ctx, sel, meas, target, cfg, nil)
-}
-
-// runTarget is RunTarget reusing the Result of a run in prior (same sel,
-// meas and cfg) whose p-threads are the same list (cpu.SamePThreads). A
-// shared run did not simulate: SimSeconds stays 0, reporting no throughput.
-func runTarget(ctx context.Context, sel, meas *Prepared, target pthsel.Target, cfg Config, prior []*TargetRun) (*TargetRun, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	selection := pthsel.Select(sel.Trace, sel.Prof, sel.Trees, sel.Params, target)
-	for _, p := range prior {
-		if cpu.SamePThreads(p.Sel.PThreads, selection.PThreads) {
-			return Derive(selection, meas.Baseline, p.Res), nil
-		}
-	}
+	return MeasureSelection(ctx, cfg.CPU, meas, pthsel.Select(sel.Trace, sel.Prof, sel.Trees, sel.Params, target))
+}
+
+// MeasureSelection simulates meas's trace with selection's p-threads
+// installed, through the simulator pool, derives the paper's metrics
+// against meas's baseline and records the simulation's wall-clock time in
+// SimSeconds. It is the one measurement path behind RunTarget, the
+// engine's per-benchmark measurement loop and the public Study.
+func MeasureSelection(ctx context.Context, cfg cpu.Config, meas *Prepared, selection *pthsel.Selection) (*TargetRun, error) {
 	start := time.Now()
-	res, err := Simulate(ctx, cfg.CPU, meas.Trace, selection.PThreads)
+	res, err := Simulate(ctx, cfg, meas.Trace, selection.PThreads)
 	if err != nil {
-		return nil, fmt.Errorf("%s/%s: %w", meas.Name, target, err)
+		return nil, fmt.Errorf("%s/%s: %w", meas.Name, selection.Target, err)
 	}
 	run := Derive(selection, meas.Baseline, res)
 	run.SimSeconds = time.Since(start).Seconds()
@@ -225,25 +222,4 @@ func Derive(selection *pthsel.Selection, base, res *cpu.Result) *TargetRun {
 	t.UsefulPct = 100 * res.Usefulness()
 	t.AvgPThreadLen = selection.AvgPThreadLen()
 	return t
-}
-
-// BenchResult is one benchmark's full evaluation.
-type BenchResult struct {
-	Name     string
-	Prepared *Prepared
-	Runs     map[pthsel.Target]*TargetRun
-}
-
-// RunBenchmark prepares one benchmark on a fresh engine and evaluates the
-// given targets with ideal (same-run) profiling, as in the primary study.
-func RunBenchmark(ctx context.Context, name string, targets []pthsel.Target, cfg Config) (*BenchResult, error) {
-	return NewRunner(cfg, 1, nil).runBench(ctx, name, targets, cfg)
-}
-
-// RunAll evaluates the given benchmarks × targets on a bounded worker pool
-// (each benchmark independently; determinism is per-benchmark). All
-// per-benchmark errors are collected and joined; results for benchmarks
-// that succeeded are returned alongside the joined error.
-func RunAll(ctx context.Context, names []string, targets []pthsel.Target, cfg Config) ([]*BenchResult, error) {
-	return NewRunner(cfg, 0, nil).benchResults(ctx, names, targets, cfg)
 }

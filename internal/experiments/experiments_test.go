@@ -50,28 +50,28 @@ func TestPrepareUnknownBenchmark(t *testing.T) {
 //   - E-p-threads consume the least energy of all targets;
 //   - energy-blind latency targeting costs energy relative to E.
 func TestPaperShape(t *testing.T) {
-	cfg := DefaultConfig()
-	results, err := RunAll(context.Background(), []string{"twolf", "vortex", "vpr.route"}, PrimaryTargets, cfg)
+	rep, err := NewRunner(DefaultConfig(), 0, nil).Figure3(context.Background(), []string{"twolf", "vortex", "vpr.route"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, br := range results {
-		runs := br.Runs
-		for tgt, r := range runs {
+	for _, bench := range rep.Benchmarks {
+		runs := map[string]RunReport{}
+		for _, r := range bench.Runs {
+			runs[r.Target] = r
 			if r.SpeedupPct < -1 {
-				t.Errorf("%s/%s: slowdown %.1f%%", br.Name, tgt, r.SpeedupPct)
+				t.Errorf("%s/%s: slowdown %.1f%%", bench.Name, r.Target, r.SpeedupPct)
 			}
 		}
-		l, e := runs[pthsel.TargetL], runs[pthsel.TargetE]
+		l, e := runs[pthsel.TargetL.String()], runs[pthsel.TargetE.String()]
 		if l.SpeedupPct < e.SpeedupPct-1 {
-			t.Errorf("%s: L speedup %.1f below E %.1f (metric robustness)", br.Name, l.SpeedupPct, e.SpeedupPct)
+			t.Errorf("%s: L speedup %.1f below E %.1f (metric robustness)", bench.Name, l.SpeedupPct, e.SpeedupPct)
 		}
 		if e.EnergySavePct < l.EnergySavePct-1 {
-			t.Errorf("%s: E energy %.1f worse than L %.1f", br.Name, e.EnergySavePct, l.EnergySavePct)
+			t.Errorf("%s: E energy %.1f worse than L %.1f", bench.Name, e.EnergySavePct, l.EnergySavePct)
 		}
 		// E-p-threads are near energy-neutral or better (within noise).
 		if e.EnergySavePct < -3 {
-			t.Errorf("%s: E-p-threads increased energy by %.1f%%", br.Name, -e.EnergySavePct)
+			t.Errorf("%s: E-p-threads increased energy by %.1f%%", bench.Name, -e.EnergySavePct)
 		}
 	}
 }
@@ -119,6 +119,55 @@ func TestTable3RatiosFinite(t *testing.T) {
 	}
 	if !strings.Contains(rendered, "Latency prediction") {
 		t.Error("rendered table incomplete")
+	}
+}
+
+// TestTable3EmitsRunEvents pins Table 3 on the shared measurement path:
+// each benchmark's L simulation gets exactly one run-start/run-done pair,
+// the done event carrying the run's simulator throughput, as every other
+// figure's runs do.
+func TestTable3EmitsRunEvents(t *testing.T) {
+	names := []string{"gap", "vortex"}
+	starts, timed := map[string]int{}, map[string]int{} // observer calls are serialized
+	r := NewRunner(DefaultConfig(), 0, func(ev Event) {
+		switch ev.Kind {
+		case EventRunStart:
+			starts[ev.Bench+"/"+ev.Target]++
+		case EventRunDone:
+			if ev.Err == nil && ev.SimCyclesPerSec > 0 {
+				timed[ev.Bench+"/"+ev.Target]++
+			}
+		}
+	})
+	if _, err := r.Table3(context.Background(), names); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range names {
+		key := name + "/" + pthsel.TargetL.String()
+		if starts[key] != 1 || timed[key] != 1 {
+			t.Errorf("%s: %d run-start and %d timed run-done events, want 1 and 1", key, starts[key], timed[key])
+		}
+	}
+	if len(starts) != len(names) || len(timed) != len(names) {
+		t.Errorf("run events for %v / %v, want only the L run of %v", starts, timed, names)
+	}
+}
+
+// TestTable3JoinsErrors pins the fan-out error policy on Table 3: every
+// failing benchmark's error is reported, in names order, not just the
+// first.
+func TestTable3JoinsErrors(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.CPU.MaxCycles = 10_000 // below every benchmark's baseline
+	names := []string{"vortex", "gap"}
+	_, err := NewRunner(cfg, 0, nil).Table3(context.Background(), names)
+	if err == nil {
+		t.Fatal("Table3 succeeded with MaxCycles below both baselines")
+	}
+	msg := err.Error()
+	first, second := strings.Index(msg, "vortex: "), strings.Index(msg, "gap: ")
+	if first < 0 || second < 0 || first > second {
+		t.Errorf("error %q does not name vortex then gap", msg)
 	}
 }
 
@@ -174,15 +223,15 @@ func TestZeroIdleFactorEndToEnd(t *testing.T) {
 	// execution untouched (the paper's §5.4 observation).
 	cfg := DefaultConfig()
 	cfg.CPU.Energy.IdleFactor = 0
-	br, err := RunBenchmark(context.Background(), "vortex", []pthsel.Target{pthsel.TargetE}, cfg)
+	prep, runs, err := NewRunner(cfg, 1, nil).ideal(context.Background(), "vortex", []pthsel.Target{pthsel.TargetE}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := br.Runs[pthsel.TargetE]
+	run := runs[0]
 	if len(run.Sel.PThreads) != 0 {
 		t.Errorf("E selected %d p-threads at 0%% idle", len(run.Sel.PThreads))
 	}
-	if run.Res.Cycles != br.Prepared.Baseline.Cycles {
+	if run.Res.Cycles != prep.Baseline.Cycles {
 		t.Error("empty selection must reproduce the baseline exactly")
 	}
 }
@@ -191,11 +240,11 @@ func TestMemoryLatencyScalesGains(t *testing.T) {
 	run := func(memlat int) float64 {
 		cfg := DefaultConfig()
 		cfg.CPU.Hier.MemLatency = memlat
-		br, err := RunBenchmark(context.Background(), "gap", []pthsel.Target{pthsel.TargetL}, cfg)
+		_, runs, err := NewRunner(cfg, 1, nil).ideal(context.Background(), "gap", []pthsel.Target{pthsel.TargetL}, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return br.Runs[pthsel.TargetL].SpeedupPct
+		return runs[0].SpeedupPct
 	}
 	lo, hi := run(100), run(300)
 	if hi <= lo {
@@ -205,13 +254,13 @@ func TestMemoryLatencyScalesGains(t *testing.T) {
 
 func TestDeriveMetrics(t *testing.T) {
 	cfg := DefaultConfig()
-	br, err := RunBenchmark(context.Background(), "twolf", []pthsel.Target{pthsel.TargetL}, cfg)
+	prep, runs, err := NewRunner(cfg, 1, nil).ideal(context.Background(), "twolf", []pthsel.Target{pthsel.TargetL}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := br.Runs[pthsel.TargetL]
+	r := runs[0]
 	// Consistency between derived percentages and raw results.
-	base := br.Prepared.Baseline
+	base := prep.Baseline
 	wantSpeedup := 100 * (float64(base.Cycles)/float64(r.Res.Cycles) - 1)
 	if math.Abs(r.SpeedupPct-wantSpeedup) > 1e-9 {
 		t.Errorf("speedup %.3f vs recomputed %.3f", r.SpeedupPct, wantSpeedup)
@@ -330,25 +379,25 @@ func TestSweepSharesMeasurements(t *testing.T) {
 	// The reference: every run built one by one through RunTarget, which
 	// shares nothing (run.Sel is pthsel.Select's own), benchmarks fanned
 	// out on the engine's pool.
-	perPoint, err := perBench(ctx, r, grid.Benchmarks, func(ctx context.Context, bench string) ([][]*TargetRun, error) {
-		var out [][]*TargetRun
+	perPoint := make([][][]*TargetRun, len(grid.Benchmarks))
+	err = r.runDAG(ctx, figureSinks(grid.Benchmarks, len(grid.Targets), func(ctx context.Context, i int) error {
 		for _, pt := range pts {
-			prep, err := r.Prepare(ctx, bench, pt.cfg.MeasureInput, pt.cfg)
+			prep, err := r.Prepare(ctx, grid.Benchmarks[i], pt.cfg.MeasureInput, pt.cfg)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			var runs []*TargetRun
 			for _, tgt := range grid.Targets {
 				run, err := RunTarget(ctx, prep, prep, tgt, pt.cfg)
 				if err != nil {
-					return nil, err
+					return err
 				}
 				runs = append(runs, run)
 			}
-			out = append(out, runs)
+			perPoint[i] = append(perPoint[i], runs)
 		}
-		return out, nil
-	})
+		return nil
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,6 +13,25 @@ import (
 // (Figure 3): original PTHSEL (O), latency (L), energy (E), ED (P).
 var PrimaryTargets = []pthsel.Target{pthsel.TargetO, pthsel.TargetL, pthsel.TargetE, pthsel.TargetP}
 
+// figureSinks declares one sink per benchmark for the paper's
+// per-benchmark figures: fill(ctx, i) measures names[i] into the figure's
+// slot i, its error prefixed with the name. The sinks declare no
+// preparation chain — each runs its own Prepare calls as soon as a worker
+// is free — so the figures keep the store request pattern they have always
+// had (perfbench's figures-cold workload pins it).
+func figureSinks(names []string, targets int, fill func(ctx context.Context, i int) error) []sink {
+	sinks := make([]sink, len(names))
+	for i, name := range names {
+		sinks[i] = sink{bench: name, cost: measureCost(targets), run: func(ctx context.Context) error {
+			if err := fill(ctx, i); err != nil {
+				return fmt.Errorf("%s: %w", name, err)
+			}
+			return nil
+		}}
+	}
+	return sinks
+}
+
 // Figure2 reproduces the paper's Figure 2: execution-time (critical-path
 // category) and energy breakdowns for unoptimized execution (N) and
 // PTHSEL-driven pre-execution (O), normalized to N = 100.
@@ -20,17 +39,20 @@ func (r *Runner) Figure2(ctx context.Context, names []string) (*Figure2Report, e
 	if err := validateNames(names); err != nil {
 		return nil, err
 	}
-	results, err := r.benchResults(ctx, names, []pthsel.Target{pthsel.TargetO}, r.cfg)
+	targets := []pthsel.Target{pthsel.TargetO}
+	rep := &Figure2Report{Rows: make([]Figure2Row, 2*len(names))}
+	err := r.runDAG(ctx, figureSinks(names, len(targets), func(ctx context.Context, i int) error {
+		prep, runs, err := r.ideal(ctx, names[i], targets, r.cfg)
+		if err != nil {
+			return err
+		}
+		base, opt := prep.Baseline, runs[0].Res
+		rep.Rows[2*i] = Figure2Row{Bench: names[i], Run: "N", Time: timePct(base, base), Energy: energyPct(base, base)}
+		rep.Rows[2*i+1] = Figure2Row{Bench: names[i], Run: "O", Time: timePct(base, opt), Energy: energyPct(base, opt)}
+		return nil
+	}))
 	if err != nil {
 		return nil, err
-	}
-	rep := &Figure2Report{}
-	for _, br := range results {
-		base := br.Prepared.Baseline
-		opt := br.Runs[pthsel.TargetO].Res
-		rep.Rows = append(rep.Rows,
-			Figure2Row{Bench: br.Name, Run: "N", Time: timePct(base, base), Energy: energyPct(base, base)},
-			Figure2Row{Bench: br.Name, Run: "O", Time: timePct(base, opt), Energy: energyPct(base, opt)})
 	}
 	return rep, nil
 }
@@ -41,32 +63,28 @@ func (r *Runner) Figure3(ctx context.Context, names []string) (*Figure3Report, e
 	if err := validateNames(names); err != nil {
 		return nil, err
 	}
-	results, err := r.benchResults(ctx, names, PrimaryTargets, r.cfg)
+	rep := &Figure3Report{Targets: targetNames(PrimaryTargets), Benchmarks: make([]BenchRuns, len(names))}
+	err := r.runDAG(ctx, figureSinks(names, len(PrimaryTargets), func(ctx context.Context, i int) error {
+		_, runs, err := r.ideal(ctx, names[i], PrimaryTargets, r.cfg)
+		rep.Benchmarks[i] = BenchRuns{Name: names[i], Runs: runReports(runs)}
+		return err
+	}))
 	if err != nil {
 		return nil, err
 	}
-	rep := &Figure3Report{Targets: targetNames(PrimaryTargets)}
-	acc := map[pthsel.Target][3][]float64{}
-	for _, br := range results {
-		bench := BenchRuns{Name: br.Name}
-		for _, tgt := range PrimaryTargets {
-			run := br.Runs[tgt]
-			bench.Runs = append(bench.Runs, runReport(run))
-			a := acc[tgt]
-			a[0] = append(a[0], run.SpeedupPct)
-			a[1] = append(a[1], run.EnergySavePct)
-			a[2] = append(a[2], run.EDSavePct)
-			acc[tgt] = a
+	for ti, tgt := range PrimaryTargets {
+		var speedup, energy, ed []float64
+		for _, bench := range rep.Benchmarks {
+			run := bench.Runs[ti]
+			speedup = append(speedup, run.SpeedupPct)
+			energy = append(energy, run.EnergySavePct)
+			ed = append(ed, run.EDSavePct)
 		}
-		rep.Benchmarks = append(rep.Benchmarks, bench)
-	}
-	for _, tgt := range PrimaryTargets {
-		a := acc[tgt]
 		rep.GMeans = append(rep.GMeans, GMeanRow{
 			Target:        tgt.String(),
-			SpeedupPct:    metrics.GMeanPct(a[0]),
-			EnergySavePct: metrics.GMeanPct(a[1]),
-			EDSavePct:     metrics.GMeanPct(a[2]),
+			SpeedupPct:    metrics.GMeanPct(speedup),
+			EnergySavePct: metrics.GMeanPct(energy),
+			EDSavePct:     metrics.GMeanPct(ed),
 		})
 	}
 	return rep, nil
@@ -78,46 +96,30 @@ func (r *Runner) Table3(ctx context.Context, names []string) (*Table3Report, err
 	if err := validateNames(names); err != nil {
 		return nil, err
 	}
-	rows, err := perBench(ctx, r, names, func(ctx context.Context, name string) (Table3Row, error) {
-		prep, err := r.Prepare(ctx, name, r.cfg.MeasureInput, r.cfg)
+	targets := []pthsel.Target{pthsel.TargetL}
+	rep := &Table3Report{Rows: make([]Table3Row, len(names))}
+	err := r.runDAG(ctx, figureSinks(names, len(targets), func(ctx context.Context, i int) error {
+		prep, runs, err := r.ideal(ctx, names[i], targets, r.cfg)
 		if err != nil {
-			return Table3Row{}, err
+			return err
 		}
-		run, err := RunTarget(ctx, prep, prep, pthsel.TargetL, r.cfg)
-		if err != nil {
-			return Table3Row{}, err
-		}
-		base, res := prep.Baseline, run.Res
+		base, run := prep.Baseline, runs[0]
+		res := run.Res
 		// Measured composite at W=0.5 (the paper's P metric).
 		pBase := metrics.Composite(0.5, float64(base.Cycles), base.Energy.Total())
 		pPE := metrics.Composite(0.5, float64(res.Cycles), res.Energy.Total())
-		predP := pthselCompositePred(prep, run)
-		return Table3Row{
-			Name:        name,
+		rep.Rows[i] = Table3Row{
+			Name:        names[i],
 			LatencyPred: metrics.Ratio(float64(base.Cycles-res.Cycles), run.Sel.PredLADV),
 			EnergyPred:  metrics.Ratio(base.Energy.Total()-res.Energy.Total(), run.Sel.PredEADV),
-			EDPred:      metrics.Ratio(pBase-pPE, predP),
-		}, nil
-	})
+			EDPred:      metrics.Ratio(pBase-pPE, pthselCompositePred(prep, run)),
+		}
+		return nil
+	}))
 	if err != nil {
 		return nil, err
 	}
-	return &Table3Report{Rows: rows}, nil
-}
-
-// perBench runs fn for every benchmark on r's pool into rows parallel to
-// names. The error is the first failing benchmark's in names order (the one
-// a serial loop stops at), else the context's if the pool stopped early.
-func perBench[T any](ctx context.Context, r *Runner, names []string, fn func(context.Context, string) (T, error)) ([]T, error) {
-	rows := make([]T, len(names))
-	errs := make([]error, len(names))
-	r.forEach(ctx, len(names), func(i int) { rows[i], errs[i] = fn(ctx, names[i]) })
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return rows, ctx.Err()
+	return rep, nil
 }
 
 func pthselCompositePred(prep *Prepared, run *TargetRun) float64 {
@@ -136,26 +138,24 @@ func (r *Runner) Figure4(ctx context.Context, names []string) (*Figure4Report, e
 	if err := validateNames(names); err != nil {
 		return nil, err
 	}
-	benches, err := perBench(ctx, r, names, func(ctx context.Context, name string) (BenchRuns, error) {
-		profPrep, err := r.Prepare(ctx, name, program.Ref, r.cfg)
+	rep := &Figure4Report{Targets: targetNames(Figure4Targets), Benchmarks: make([]BenchRuns, len(names))}
+	err := r.runDAG(ctx, figureSinks(names, len(Figure4Targets), func(ctx context.Context, i int) error {
+		profPrep, err := r.Prepare(ctx, names[i], program.Ref, r.cfg)
 		if err != nil {
-			return BenchRuns{}, err
+			return err
 		}
-		measPrep, err := r.Prepare(ctx, name, r.cfg.MeasureInput, r.cfg)
+		measPrep, err := r.Prepare(ctx, names[i], r.cfg.MeasureInput, r.cfg)
 		if err != nil {
-			return BenchRuns{}, err
+			return err
 		}
-		runs, err := r.measure(ctx, name, profPrep, measPrep, Figure4Targets, r.cfg)
-		bench := BenchRuns{Name: name}
-		for _, run := range runs {
-			bench.Runs = append(bench.Runs, runReport(run))
-		}
-		return bench, err
-	})
+		runs, err := r.measure(ctx, names[i], profPrep, measPrep, Figure4Targets, r.cfg)
+		rep.Benchmarks[i] = BenchRuns{Name: names[i], Runs: runReports(runs)}
+		return err
+	}))
 	if err != nil {
 		return nil, err
 	}
-	return &Figure4Report{Targets: targetNames(Figure4Targets), Benchmarks: benches}, nil
+	return rep, nil
 }
 
 // SweepAxis identifies a Figure 5 sensitivity axis.

@@ -78,6 +78,15 @@ func runReport(r *TargetRun) RunReport {
 	}
 }
 
+// runReports summarizes runs in order (nil for no runs).
+func runReports(runs []*TargetRun) []RunReport {
+	var out []RunReport
+	for _, r := range runs {
+		out = append(out, runReport(r))
+	}
+	return out
+}
+
 // TimePct is an execution-time breakdown by critical-path category,
 // normalized to the unoptimized run's cycles = 100.
 type TimePct struct {

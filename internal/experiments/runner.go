@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -12,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/artifactdisk"
+	"repro/internal/cpu"
 	"repro/internal/program"
 	"repro/internal/pthsel"
 )
@@ -86,14 +88,15 @@ func eventTag(ctx context.Context) string {
 // staged artifact store — every pipeline stage cached under a per-stage
 // content fingerprint, so figures, sweeps, studies and campaign workers
 // sharing one Runner share every upstream artifact their configurations
-// agree on — and a bounded worker pool for multi-benchmark fan-out.
+// agree on — and the bounded fan-out executor (runDAG) that every
+// multi-benchmark entry point runs on.
 type Runner struct {
 	cfg         Config
 	parallelism int
 	observe     func(Event)
 
-	// sched enables critical-path scheduling of sweeps and campaigns (the
-	// default; see SetScheduling). It is scheduling state, deliberately
+	// sched lets the executor expand the preparation chains sinks declare
+	// (the default; see SetScheduling). It is scheduling state, deliberately
 	// outside Config so it never reaches a fingerprint: toggling it changes
 	// build order, not results.
 	sched bool
@@ -129,8 +132,8 @@ type stageCounters struct {
 	mapped atomic.Int64 // of the spill loads, served via the mmap path
 }
 
-// NewRunner creates an engine over cfg. parallelism bounds concurrent
-// benchmark evaluations (<= 0 means GOMAXPROCS); observe, if non-nil,
+// NewRunner creates an engine over cfg. parallelism bounds the executor's
+// workers (<= 0 means GOMAXPROCS); observe, if non-nil,
 // receives progress events (serialized, from worker goroutines).
 func NewRunner(cfg Config, parallelism int, observe func(Event)) *Runner {
 	if parallelism <= 0 {
@@ -151,12 +154,14 @@ func NewRunner(cfg Config, parallelism int, observe func(Event)) *Runner {
 // Config returns the engine's base configuration.
 func (r *Runner) Config() Config { return r.cfg }
 
-// SetScheduling toggles critical-path scheduling of sweep and campaign
-// fan-out (enabled by default). Disabled, workers claim work in
-// naive bench-major grid order — the baseline the scheduling tests and
-// benchmark compare against; no public option exposes it. It is scheduling state, not configuration: results are
-// byte-identical either way, only build order and wall-clock change. Call
-// before issuing work; it is not synchronized with in-flight sweeps.
+// SetScheduling toggles critical-path scheduling (enabled by default), a
+// test hook with no public option. Disabled, the executor drops every
+// declared preparation chain, so sweep and campaign sinks are claimed in
+// naive bench-major job order, each running its own Prepare — the baseline
+// the scheduling tests and benchmark compare against. The figures declare
+// no chains, so it does not affect them. Results are byte-identical either
+// way; only build order and wall-clock change. Call before issuing work; it
+// is not synchronized with in-flight calls.
 func (r *Runner) SetScheduling(enabled bool) { r.sched = enabled }
 
 // SetMappedSpill toggles the zero-copy mmap path for trace spill loads
@@ -355,56 +360,39 @@ func isContextErr(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// forEach runs fn(0..n-1) on the bounded pool and waits for completion. It
-// stops launching new work once ctx is cancelled; already-running work is
-// interrupted by its own ctx checks.
-func (r *Runner) forEach(ctx context.Context, n int, fn func(i int)) {
-	sem := make(chan struct{}, r.parallelism)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		if ctx.Err() != nil {
-			break
-		}
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			fn(i)
-		}(i)
-	}
-	wg.Wait()
-}
-
-// runBench evaluates one benchmark under every target, preparing through
-// the artifact store.
-func (r *Runner) runBench(ctx context.Context, name string, targets []pthsel.Target, cfg Config) (*BenchResult, error) {
-	prep, err := r.Prepare(ctx, name, cfg.MeasureInput, cfg)
+// ideal prepares bench under cfg and measures every target on that one
+// preparation (ideal profiling: selection and measurement share it).
+func (r *Runner) ideal(ctx context.Context, bench string, targets []pthsel.Target, cfg Config) (*Prepared, []*TargetRun, error) {
+	prep, err := r.Prepare(ctx, bench, cfg.MeasureInput, cfg)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	runs, err := r.measure(ctx, name, prep, prep, targets, cfg)
-	if err != nil {
-		return nil, err
-	}
-	br := &BenchResult{Name: name, Prepared: prep, Runs: make(map[pthsel.Target]*TargetRun, len(targets))}
-	for i, tgt := range targets {
-		br.Runs[tgt] = runs[i]
-	}
-	return br, nil
+	runs, err := r.measure(ctx, bench, prep, prep, targets, cfg)
+	return prep, runs, err
 }
 
 // measure selects p-threads on sel for each target in order and measures
 // them on meas, simulating each distinct selection once: a target whose
 // p-threads equal an earlier target's (cpu.SamePThreads) derives its run
 // from that Result, which the deterministic simulator would reproduce
-// exactly. Each target gets its own run-start/run-done pair. Nothing
-// outlives the call, so a repeated sweep simulates again.
+// exactly. A shared run did not simulate, so its SimSeconds stays 0. Each
+// target gets its own run-start/run-done pair. Nothing outlives the call,
+// so a repeated sweep simulates again.
 func (r *Runner) measure(ctx context.Context, bench string, sel, meas *Prepared, targets []pthsel.Target, cfg Config) ([]*TargetRun, error) {
 	runs := make([]*TargetRun, 0, len(targets))
 	for _, tgt := range targets {
 		r.emit(ctx, Event{Kind: EventRunStart, Bench: bench, Target: tgt.String()})
-		run, err := runTarget(ctx, sel, meas, tgt, cfg, runs)
+		var run *TargetRun
+		err := ctx.Err()
+		if err == nil {
+			selection := pthsel.Select(sel.Trace, sel.Prof, sel.Trees, sel.Params, tgt)
+			same := func(p *TargetRun) bool { return cpu.SamePThreads(p.Sel.PThreads, selection.PThreads) }
+			if k := slices.IndexFunc(runs, same); k >= 0 {
+				run = Derive(selection, meas.Baseline, runs[k].Res)
+			} else {
+				run, err = MeasureSelection(ctx, cfg.CPU, meas, selection)
+			}
+		}
 		ev := Event{Kind: EventRunDone, Bench: bench, Target: tgt.String(), Err: err}
 		if err == nil {
 			ev.SimCyclesPerSec = run.SimCyclesPerSec()
@@ -418,75 +406,45 @@ func (r *Runner) measure(ctx context.Context, bench string, sel, meas *Prepared,
 	return runs, nil
 }
 
-// benchResults evaluates names × targets on the pool. The returned slice is
-// parallel to names with nil holes for failed benchmarks; the error is the
-// join of every per-benchmark failure.
-func (r *Runner) benchResults(ctx context.Context, names []string, targets []pthsel.Target, cfg Config) ([]*BenchResult, error) {
-	results := make([]*BenchResult, len(names))
-	errs := make([]error, len(names))
-	r.forEach(ctx, len(names), func(i int) {
-		br, err := r.runBench(ctx, names[i], targets, cfg)
-		results[i] = br
-		if err != nil {
-			errs[i] = fmt.Errorf("%s: %w", names[i], err)
-		}
-	})
-	if err := ctx.Err(); err != nil {
-		return results, err
-	}
-	return results, errors.Join(errs...)
-}
-
-// Campaign evaluates names × targets on the pool and reports per-benchmark
-// outcomes instead of failing the whole batch on the first error: every
-// benchmark that succeeded carries its baseline and runs, every one that
-// failed carries its error string. Unknown or duplicated benchmark names
-// are rejected up front (see validateNames); beyond that, the returned
-// error is non-nil only when the context was cancelled, and per-benchmark
-// runtime failures are reported through the CampaignReport (see its Err
-// method).
+// Campaign evaluates names × targets on the fan-out executor and reports
+// per-benchmark outcomes instead of failing the whole batch on the first
+// error: every benchmark that succeeded carries its baseline and runs,
+// every one that failed carries its error string. Each benchmark is one
+// sink declaring its preparation chain. Unknown or duplicated benchmark
+// names are rejected up front (see validateNames); beyond that, the
+// returned error is non-nil only when the context was cancelled, and
+// per-benchmark runtime failures are reported through the CampaignReport
+// (see its Err method).
 func (r *Runner) Campaign(ctx context.Context, names []string, targets []pthsel.Target) (*CampaignReport, error) {
 	if err := validateNames(names); err != nil {
 		return nil, err
 	}
 	entries := make([]CampaignBench, len(names))
+	errs := make([]error, len(names))
+	sinks := make([]sink, len(names))
+	var done atomic.Int64
 	for i, name := range names {
 		entries[i] = CampaignBench{Name: name}
+		// The sink reports into the campaign's own slots and returns nil:
+		// a benchmark's failure is the report's, not the call's.
+		sinks[i] = sink{bench: name, cost: measureCost(len(targets)), prep: &r.cfg,
+			run: func(ctx context.Context) error {
+				prep, runs, err := r.ideal(ctx, name, targets, r.cfg)
+				if err != nil {
+					entries[i].Error = err.Error()
+					errs[i] = fmt.Errorf("%s: %w", name, err)
+				} else {
+					entries[i].Baseline = baselineReport(prep.Baseline)
+					entries[i].Runs = runReports(runs)
+				}
+				r.emit(ctx, Event{Kind: EventBenchDone, Bench: name, Err: err,
+					Done: int(done.Add(1)), Total: len(names)})
+				return nil
+			}}
 	}
-	errs := make([]error, len(names))
-	var done atomic.Int64
-	runOne := func(ctx context.Context, i int) {
-		name := names[i]
-		br, err := r.runBench(ctx, name, targets, r.cfg)
-		if err != nil {
-			entries[i].Error = err.Error()
-			errs[i] = fmt.Errorf("%s: %w", name, err)
-		} else {
-			entries[i].Baseline = baselineReport(br.Prepared.Baseline)
-			for _, tgt := range targets {
-				entries[i].Runs = append(entries[i].Runs, runReport(br.Runs[tgt]))
-			}
-		}
-		r.emit(ctx, Event{Kind: EventBenchDone, Bench: name, Err: err,
-			Done: int(done.Add(1)), Total: len(names)})
-	}
-	if r.sched {
-		// Critical-path order: expand every benchmark's preparation chain
-		// into the shared DAG and hang its measurement sink off the prepared
-		// node. Entries fill preassigned slots, so report order is names
-		// order regardless of completion order.
-		b := r.newDAGBuilder()
-		for i, name := range names {
-			prep, _ := b.addChain(name, r.cfg.MeasureInput, r.cfg)
-			i := i
-			b.addMeasure(name, measureCost(len(targets)), prep,
-				func(ctx context.Context) { runOne(ctx, i) })
-		}
-		r.runDAG(ctx, b)
-	} else {
-		r.forEach(ctx, len(names), func(i int) { runOne(ctx, i) })
-	}
-	if ctxErr := ctx.Err(); ctxErr != nil {
+	// Only cancellation fails the executor here.
+	ctxErr := r.runDAG(ctx, sinks)
+	if ctxErr != nil {
 		// Benchmarks that never ran (cancelled before launch or mid-flight)
 		// are failures too: without this, partial-report consumers would
 		// see entries with neither results nor an error.
@@ -504,7 +462,7 @@ func (r *Runner) Campaign(ctx context.Context, names []string, targets []pthsel.
 		Benchmarks: entries,
 		errs:       errs,
 	}
-	return rep, ctx.Err()
+	return rep, ctxErr
 }
 
 func targetNames(targets []pthsel.Target) []string {

@@ -1,26 +1,32 @@
 package experiments
 
-// Critical-path scheduling of the stage DAG. Before a sweep or campaign
-// fans out, every pending (benchmark × stage) chain is expanded into an
-// explicit dependency DAG — stage nodes deduplicated across grid points by
-// artifact key, one measurement sink per grid point — and each node's
+// The one fan-out executor and its critical-path scheduling. Every
+// multi-benchmark entry point — figures, sweeps, campaigns — is a list of
+// measurement sinks (one per figure benchmark, campaign benchmark or grid
+// point), each writing its own preassigned result slot. A sink may declare
+// the (benchmark, input, config) preparation chain it consumes; before
+// fan-out every declared chain is expanded into an explicit dependency DAG —
+// stage nodes deduplicated across sinks by artifact key — and each node's
 // remaining critical-path cost is projected from the fixed stageCost table.
 // The bounded worker pool then pulls ready nodes longest-critical-path-first
-// instead of grid order, so the chains that bound the sweep's wall clock
-// (a long trace → profile → slices build for a late benchmark) start first
-// instead of last.
+// instead of job order, so the chains that bound the call's wall clock (a
+// long trace → profile → slices build for a late benchmark) start first
+// instead of last. A sink that declares no chain is ready at once and runs
+// its own Prepare calls.
 //
 // Stage nodes double as speculative pre-builds: they are exactly the
-// artifacts some grid point will demand (the DAG is the union of the
-// demanded chains, never a superset), and an idle worker builds them ahead
-// of the first measurement that needs them. Results are byte-identical to
-// naive order — the store traffic for each artifact is the same work,
-// earlier — and report rows stay bench-major regardless of completion
-// order, because measurement sinks write into their preassigned slots.
+// artifacts some sink will demand (the DAG is the union of the demanded
+// chains, never a superset), and an idle worker builds them ahead of the
+// first measurement that needs them. Results are byte-identical to naive
+// order — the store traffic for each artifact is the same work, earlier —
+// and report rows stay in job order regardless of completion order,
+// because sinks write into their preassigned slots.
 
 import (
 	"container/heap"
 	"context"
+	"errors"
+	"fmt"
 	"sync"
 
 	"repro/internal/program"
@@ -66,7 +72,7 @@ type schedNode struct {
 	bench  string
 	input  program.InputClass
 	stage  Stage  // pipeline stage, or stageMeasure for sinks
-	label  string // measurement sinks: the grid point / campaign label
+	label  string // sweep sinks: the grid point
 	status string
 
 	cost float64
@@ -74,7 +80,20 @@ type schedNode struct {
 
 	waiting  int // unfinished dependencies (scheduler-mutex-guarded)
 	children []*schedNode
-	run      func(ctx context.Context) // nil on plan-only DAGs (SweepDAG)
+	run      func(ctx context.Context) error
+}
+
+// sink is one measurement of a fan-out. run fills the sink's preassigned
+// result slot and returns its error, already prefixed with the job's name.
+// prep, when set, declares the preparation chain the sink consumes —
+// (bench, prep.MeasureInput, *prep) — so the executor can build it ahead;
+// nil declares none.
+type sink struct {
+	bench string
+	label string // sweeps: the grid point, shown on DAG exports
+	cost  float64
+	prep  *Config
+	run   func(ctx context.Context) error
 }
 
 // dagBuilder accumulates a schedule DAG. Nodes are deduplicated by artifact
@@ -123,7 +142,10 @@ func (b *dagBuilder) addChain(name string, input program.InputClass, cfg Config)
 			n.cost = stageCost[st]
 		}
 		st := st
-		n.run = func(ctx context.Context) { b.r.runStageNode(ctx, name, input, cfg, plan, st) }
+		n.run = func(ctx context.Context) error {
+			b.r.runStageNode(ctx, name, input, cfg, plan, st)
+			return nil
+		}
 		for _, u := range stageDeps[st] {
 			if dep := b.nodes[artifactKey{name: name, input: input, stage: u, fp: plan.fps[u]}]; dep != nil {
 				dep.children = append(dep.children, n)
@@ -137,18 +159,34 @@ func (b *dagBuilder) addChain(name string, input program.InputClass, cfg Config)
 	return last, nil
 }
 
-// addMeasure appends a measurement sink depending on dep (nil for chains
-// that failed to plan: the sink runs immediately and reports the error).
-func (b *dagBuilder) addMeasure(label string, cost float64, dep *schedNode, run func(ctx context.Context)) *schedNode {
-	n := &schedNode{seq: len(b.order), stage: stageMeasure, label: label,
-		status: schedMeasure, cost: cost, run: run}
-	if dep != nil {
-		n.bench, n.input = dep.bench, dep.input
-		dep.children = append(dep.children, n)
-		n.waiting = 1
+// plan expands sinks into a schedule DAG: with chains set, every declared
+// preparation chain (stage nodes shared across sinks by artifact key) with
+// its sink hanging off the chain's prepared node; without, the sinks alone,
+// all ready at once. A chain that cannot be planned (unknown workload,
+// unfingerprintable config) leaves its sink dependency-free, so the sink's
+// own Prepare call reports the error; the first such error is returned for
+// SweepDAG, the one caller that reports it.
+func (r *Runner) plan(sinks []sink, chains bool) (*dagBuilder, error) {
+	b := r.newDAGBuilder()
+	var first error
+	for _, s := range sinks {
+		n := &schedNode{bench: s.bench, stage: stageMeasure, label: s.label,
+			status: schedMeasure, cost: s.cost, run: s.run}
+		if chains && s.prep != nil {
+			dep, err := b.addChain(s.bench, s.prep.MeasureInput, *s.prep)
+			if err != nil && first == nil {
+				first = fmt.Errorf("%s@%s: %w", s.bench, s.label, err)
+			}
+			if dep != nil {
+				n.input = dep.input
+				dep.children = append(dep.children, n)
+				n.waiting = 1
+			}
+		}
+		n.seq = len(b.order) // after its chain: order stays topological
+		b.order = append(b.order, n)
 	}
-	b.order = append(b.order, n)
-	return n
+	return b, first
 }
 
 // computeCritical fills every node's projected critical-path cost: its own
@@ -186,7 +224,7 @@ func (r *Runner) runStageNode(ctx context.Context, name string, input program.In
 	r.ensureStage(ctx, name, input, cfg, plan, st)
 }
 
-// measureCost projects one grid point's measurement cost.
+// measureCost projects one sink's measurement cost.
 func measureCost(targets int) float64 {
 	return stageCost[stageMeasure] * float64(targets)
 }
@@ -206,17 +244,20 @@ func (h nodeHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
 func (h *nodeHeap) Push(x any)   { *h = append(*h, x.(*schedNode)) }
 func (h *nodeHeap) Pop() any     { old := *h; n := old[len(old)-1]; *h = old[:len(old)-1]; return n }
 
-// runDAG executes the builder's DAG on a bounded pool of r.parallelism
-// workers, each pulling the ready node with the longest projected critical
-// path. Every node runs exactly once; short chains cannot starve because
-// priority only orders the ready set — nothing is ever deferred
-// indefinitely, workers always take *some* ready node. Cancellation stops
-// workers from claiming further nodes; in-flight nodes abort through their
-// own context checks.
-func (r *Runner) runDAG(ctx context.Context, b *dagBuilder) {
+// runDAG is the one fan-out executor: it plans sinks (their declared
+// chains included unless SetScheduling(false) dropped them) and runs the
+// DAG on a bounded pool of r.parallelism workers, each pulling the ready
+// node with the longest projected critical path. Every node runs exactly
+// once; short chains cannot starve because priority only orders the ready
+// set — nothing is ever deferred indefinitely, workers always take *some*
+// ready node. Cancellation stops workers from claiming further nodes;
+// in-flight nodes abort through their own context checks. It returns
+// ctx.Err(), or else the sinks' errors joined in job order.
+func (r *Runner) runDAG(ctx context.Context, sinks []sink) error {
+	b, _ := r.plan(sinks, r.sched)
 	nodes := b.order
 	if len(nodes) == 0 {
-		return
+		return ctx.Err()
 	}
 	b.computeCritical()
 
@@ -226,6 +267,7 @@ func (r *Runner) runDAG(ctx context.Context, b *dagBuilder) {
 		ready     nodeHeap
 		remaining = len(nodes)
 		stopped   bool
+		errs      = make([]error, len(nodes)) // by seq: sinks in job order
 	)
 	for _, n := range nodes {
 		if n.waiting == 0 {
@@ -269,9 +311,7 @@ func (r *Runner) runDAG(ctx context.Context, b *dagBuilder) {
 				}
 				n := heap.Pop(&ready).(*schedNode)
 				mu.Unlock()
-				if n.run != nil {
-					n.run(ctx)
-				}
+				errs[n.seq] = n.run(ctx)
 				mu.Lock()
 				remaining--
 				for _, c := range n.children {
@@ -286,4 +326,8 @@ func (r *Runner) runDAG(ctx context.Context, b *dagBuilder) {
 		}()
 	}
 	wg.Wait()
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	return errors.Join(errs...)
 }

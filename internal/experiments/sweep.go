@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"strings"
 	"sync/atomic"
@@ -165,138 +164,88 @@ func (g Grid) points(base Config) []gridPoint {
 	return pts
 }
 
-// Sweep evaluates a declarative grid on the bounded worker pool: every
+// Sweep evaluates a declarative grid on the fan-out executor: every
 // (benchmark, grid point) pair is prepared through the staged artifact
 // store — so points that agree on a stage's config fields share its trace,
 // profile, slice trees, curves and baseline instead of rebuilding them —
-// and measured under every target. Per-point progress is streamed as
-// EventPointDone events. The report's points are ordered benchmark-major,
-// then row-major across the axes (first axis slowest), independent of
-// worker scheduling.
+// and measured under every target. Each pair is one sink declaring its
+// preparation chain, so the executor builds the grid's stage DAG
+// critical-path-first. Per-point progress is streamed as EventPointDone
+// events. The report's points are ordered benchmark-major, then row-major
+// across the axes (first axis slowest), independent of worker scheduling.
 func (r *Runner) Sweep(ctx context.Context, g Grid) (*SweepReport, error) {
-	jobs, targets, axes, err := r.expandGrid(g)
+	rep, sinks, err := r.sweepSinks(g)
 	if err != nil {
 		return nil, err
 	}
-	rep := &SweepReport{
-		Axes:    axes,
-		Targets: targetNames(targets),
-		Points:  make([]SweepPointReport, len(jobs)),
-	}
-	errs := make([]error, len(jobs))
-	var done atomic.Int64
-	switch {
-	case r.sched:
-		// Critical-path order: the grid's full stage DAG plus one
-		// measurement sink per job, pulled longest-remaining-path-first.
-		// Identical store traffic, events and report indexing to the naive
-		// path below — only order (and wall-clock) changes.
-		b := r.newDAGBuilder()
-		for i, j := range jobs {
-			prep, _ := b.addChain(j.bench, j.pt.cfg.MeasureInput, j.pt.cfg)
-			i := i
-			b.addMeasure(j.pt.point(), measureCost(len(targets)), prep, func(ctx context.Context) {
-				r.runSweepJob(ctx, i, jobs, targets, rep, errs, &done)
-			})
-		}
-		r.runDAG(ctx, b)
-	default:
-		r.forEach(ctx, len(jobs), func(i int) {
-			r.runSweepJob(ctx, i, jobs, targets, rep, errs, &done)
-		})
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if err := errors.Join(errs...); err != nil {
+	if err := r.runDAG(ctx, sinks); err != nil {
 		return nil, err
 	}
 	return rep, nil
 }
 
-// expandGrid resolves a grid into its job list: grid validated, workloads
-// registered, names validated, targets defaulted and the cartesian product
-// expanded benchmark-major, row-major — the report row order every
-// execution strategy must preserve.
-func (r *Runner) expandGrid(g Grid) (jobs []sweepJob, targets []pthsel.Target, axes []string, err error) {
+// sweepSinks resolves a grid into its report skeleton and one sink per
+// (benchmark, grid point) job: grid validated, workloads registered, names
+// validated, targets defaulted and the cartesian product expanded
+// benchmark-major, row-major — the report row order every execution order
+// must preserve. Sweep runs the sinks; SweepDAG only plans them.
+func (r *Runner) sweepSinks(g Grid) (*SweepReport, []sink, error) {
 	if err := g.Validate(); err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	names := append([]string(nil), g.Benchmarks...)
 	// Workload labels per registered name; empty for named benchmarks.
 	labels := make([]string, len(names))
-	if len(g.Workloads) > 0 {
-		for _, wp := range g.Workloads {
-			wnames, werr := gen.Register(wp.Spec)
-			if werr != nil {
-				return nil, nil, nil, fmt.Errorf("experiments: workload %q: %w", wp.Label, werr)
-			}
-			label := wp.Label
-			if label == "" {
-				label = wnames[0]
-			}
-			names = append(names, wnames[0])
-			labels = append(labels, label)
+	for _, wp := range g.Workloads {
+		wnames, err := gen.Register(wp.Spec)
+		if err != nil {
+			return nil, nil, fmt.Errorf("experiments: workload %q: %w", wp.Label, err)
 		}
+		label := wp.Label
+		if label == "" {
+			label = wnames[0]
+		}
+		names = append(names, wnames[0])
+		labels = append(labels, label)
 	}
 	if err := validateNames(names); err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-	targets = g.Targets
+	targets := g.Targets
 	if len(targets) == 0 {
 		targets = Figure4Targets
 	}
 	pts := g.points(r.cfg)
-	jobs = make([]sweepJob, 0, len(names)*len(pts))
+	rep := &SweepReport{
+		Axes:    make([]string, len(g.Axes)),
+		Targets: targetNames(targets),
+		Points:  make([]SweepPointReport, len(names)*len(pts)),
+	}
+	for i, ax := range g.Axes {
+		rep.Axes[i] = ax.Name
+	}
+	sinks := make([]sink, 0, len(rep.Points))
+	var done atomic.Int64
 	for bi, bench := range names {
 		for _, pt := range pts {
-			jobs = append(jobs, sweepJob{bench: bench, wl: labels[bi], pt: pt})
+			i, point := len(sinks), pt.point()
+			sinks = append(sinks, sink{bench: bench, label: point, cost: measureCost(len(targets)), prep: &pt.cfg,
+				run: func(ctx context.Context) error {
+					_, runs, err := r.ideal(ctx, bench, targets, pt.cfg)
+					if err == nil {
+						rep.Points[i] = SweepPointReport{Bench: bench, Workload: labels[bi], Labels: pt.labels, Runs: runReports(runs)}
+					}
+					r.emit(ctx, Event{Kind: EventPointDone, Bench: bench, Point: point, Err: err,
+						Done: int(done.Add(1)), Total: len(rep.Points)})
+					if err != nil {
+						return fmt.Errorf("%s@%s: %w", bench, point, err)
+					}
+					return nil
+				}})
 		}
 	}
-	axes = make([]string, len(g.Axes))
-	for i, ax := range g.Axes {
-		axes[i] = ax.Name
-	}
-	return jobs, targets, axes, nil
-}
-
-// runSweepJob evaluates one job and publishes its point, error and progress
-// event — the shared body of the naive and scheduled serial paths.
-func (r *Runner) runSweepJob(ctx context.Context, i int, jobs []sweepJob,
-	targets []pthsel.Target, rep *SweepReport, errs []error, done *atomic.Int64) {
-	j := jobs[i]
-	point, perr := r.sweepPoint(ctx, j.bench, j.pt, targets)
-	if perr != nil {
-		errs[i] = fmt.Errorf("%s@%s: %w", j.bench, j.pt.point(), perr)
-	} else {
-		point.Workload = j.wl
-		rep.Points[i] = point
-	}
-	r.emit(ctx, Event{Kind: EventPointDone, Bench: j.bench,
-		Point: j.pt.point(), Err: perr,
-		Done: int(done.Add(1)), Total: len(jobs)})
-}
-
-// sweepJob is one (benchmark, grid point) evaluation of a sweep.
-type sweepJob struct {
-	bench string
-	wl    string // workload label, empty for named benchmarks
-	pt    gridPoint
+	return rep, sinks, nil
 }
 
 // point renders the job's axis labels as the Point field of progress events.
 func (pt gridPoint) point() string { return strings.Join(pt.labels, ",") }
-
-// sweepPoint prepares and measures one (benchmark, grid point) pair.
-func (r *Runner) sweepPoint(ctx context.Context, bench string, pt gridPoint, targets []pthsel.Target) (SweepPointReport, error) {
-	prep, err := r.Prepare(ctx, bench, pt.cfg.MeasureInput, pt.cfg)
-	if err != nil {
-		return SweepPointReport{}, err
-	}
-	runs, err := r.measure(ctx, bench, prep, prep, targets, pt.cfg)
-	point := SweepPointReport{Bench: bench, Labels: pt.labels}
-	for _, run := range runs {
-		point.Runs = append(point.Runs, runReport(run))
-	}
-	return point, err
-}

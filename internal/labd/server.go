@@ -83,8 +83,8 @@ type job struct {
 	id     string
 	cancel context.CancelFunc
 	// dag is the job's planned stage DAG in Graphviz DOT form, captured at
-	// submission against the engine's stores as they stood then (empty when
-	// planning failed; the run itself surfaces the error). Immutable after
+	// submission against the engine's stores as they stood then (a grid
+	// that cannot be planned is rejected, never a job). Immutable after
 	// handleSweep publishes the job.
 	dag string
 
@@ -331,21 +331,19 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	if len(grid.Benchmarks) == 0 && len(grid.Workloads) == 0 {
-		httpError(w, http.StatusBadRequest, errors.New("request names no benchmarks or workloads"))
+	// Plan the job's schedule DAG before it runs, so clients can inspect
+	// what the scheduler saw — which stages were projected cold, cached or
+	// disk-resident — for the store state this job was submitted against.
+	// A grid that cannot be planned (no, unknown or duplicated benchmarks)
+	// would only fail as a job: reject it here with the engine's message.
+	dag, err := s.lab.SweepDAG(grid)
+	if err != nil {
+		httpError(w, http.StatusBadRequest, err)
 		return
 	}
 
 	ctx, cancel := context.WithCancel(s.base)
-	j := &job{state: labapi.JobRunning, cancel: cancel, subs: map[*subscriber]struct{}{}}
-	// Plan the job's schedule DAG before it runs, so clients can inspect
-	// what the scheduler saw — which stages were projected cold, cached or
-	// disk-resident — for the store state this job was submitted against.
-	// Best-effort: a grid that cannot be planned still runs (and fails)
-	// through the normal path.
-	if dag, err := s.lab.SweepDAG(grid); err == nil {
-		j.dag = dag.DOT()
-	}
+	j := &job{state: labapi.JobRunning, cancel: cancel, subs: map[*subscriber]struct{}{}, dag: dag.DOT()}
 	s.mu.Lock()
 	s.nextID++
 	j.id = fmt.Sprintf("j%d", s.nextID)

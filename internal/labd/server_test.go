@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -296,27 +297,73 @@ func TestUnknownJob(t *testing.T) {
 	}
 }
 
+// badSweepBodies are submissions the daemon must reject with 400 before
+// creating a job; FuzzSweepRequest seeds its corpus from them.
+var badSweepBodies = map[string]string{
+	"not json":             "{",
+	"unknown axis":         `{"axes":["sideways"],"benchmarks":["gap"]}`,
+	"unknown target":       `{"benchmarks":["gap"],"targets":["Q"]}`,
+	"bad workload":         `{"workloads":["no-such-family:1"]}`,
+	"empty":                `{}`,
+	"repeated axis":        `{"axes":["idle","mem","idle"],"benchmarks":["gap"]}`,
+	"unknown benchmark":    `{"axes":["idle"],"benchmarks":["gap","nonesuch"]}`,
+	"duplicated benchmark": `{"benchmarks":["gap","gap"]}`,
+}
+
 // TestBadRequests pins submission validation: unparsable bodies, unknown
-// axes/targets and empty benchmark sets are 400s, not jobs.
+// axes/targets, bad workload specs and empty, unknown or duplicated
+// benchmark sets are 400s, not jobs. Benchmark-set errors carry the
+// engine's valid-set message.
 func TestBadRequests(t *testing.T) {
 	_, ts := newTestServer(t, Config{Dir: t.TempDir()})
-	for name, body := range map[string]string{
-		"not json":       "{",
-		"unknown axis":   `{"axes":["sideways"],"benchmarks":["gap"]}`,
-		"unknown target": `{"benchmarks":["gap"],"targets":["Q"]}`,
-		"bad workload":   `{"workloads":["no-such-family:1"]}`,
-		"empty":          `{}`,
-		"repeated axis":  `{"axes":["idle","mem","idle"],"benchmarks":["gap"]}`,
-	} {
+	for name, body := range badSweepBodies {
 		resp, err := http.Post(ts.URL+"/v1/sweep", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
+		msg, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400", name, resp.StatusCode)
 		}
+		if strings.HasSuffix(name, " benchmark") && !strings.Contains(string(msg), "(valid: ") {
+			t.Errorf("%s: body %q lacks the valid benchmark set", name, msg)
+		}
 	}
+	resp, err := http.Get(ts.URL + "/v1/jobs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var jobs []labapi.Job
+	err = json.NewDecoder(resp.Body).Decode(&jobs)
+	resp.Body.Close()
+	if err != nil || len(jobs) != 0 {
+		t.Errorf("rejected submissions created jobs: %+v (%v)", jobs, err)
+	}
+}
+
+// FuzzSweepRequest drives the daemon's request boundary with raw bodies:
+// whatever decodes must either fail buildGrid with an error or yield a
+// grid that passes Validate — never a panic.
+func FuzzSweepRequest(f *testing.F) {
+	for _, body := range badSweepBodies {
+		f.Add([]byte(body))
+	}
+	f.Add([]byte(`{"axes":["idle","mem"],"benchmarks":["gap"],"targets":["L","E"]}`))
+	f.Add([]byte(`{"workloads":["pointer-chase:7","hash-probe:2:loads=2"],"axes":["l2"]}`))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var req labapi.SweepRequest
+		if err := json.Unmarshal(body, &req); err != nil {
+			return
+		}
+		g, err := buildGrid(req)
+		if err != nil {
+			return
+		}
+		if err := g.Validate(); err != nil {
+			t.Fatalf("buildGrid accepted an invalid grid: %v", err)
+		}
+	})
 }
 
 // TestSubscriberDropAndMark exercises the bounded-queue fan-out directly: a

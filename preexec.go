@@ -66,7 +66,6 @@
 //	study.Select(target)              -> study.Select(ctx, target)
 //	study.Measure(sel)                -> study.Measure(ctx, sel)
 //	study.Run(target)                 -> study.Run(ctx, target)
-//	RunBenchmark(name, targets, cfg)  -> lab.RunCampaign(ctx, []string{name}, targets)
 //	Figure2(names, cfg) (string)      -> lab.Figure2(ctx, names) (*Figure2Report)
 //	Figure3(names, cfg) (string, ...) -> lab.Figure3(ctx, names) (*Figure3Report)
 //	Table3(names, cfg)                -> lab.Table3(ctx, names) (*Table3Report)
@@ -108,8 +107,6 @@ type (
 	// TargetRun couples a selection with its measured run and derived
 	// percentages.
 	TargetRun = experiments.TargetRun
-	// BenchResult is a benchmark evaluated under several targets.
-	BenchResult = experiments.BenchResult
 	// PThread is a static pre-execution thread (DDMT model).
 	PThread = cpu.PThread
 	// Selection is the output of the selection framework.
@@ -510,13 +507,10 @@ func (s *Study) Select(ctx context.Context, target Target) (*Selection, error) {
 // Measure simulates the program with the selection's p-threads installed
 // and derives the paper's metrics against the study's baseline. The context
 // is honored mid-simulation; the run goes through the engine's simulator
-// pool, so repeated measurements reuse one fully-grown simulator.
+// pool, so repeated measurements reuse one fully-grown simulator, and it
+// records the simulation's wall-clock time (see TargetRun.SimCyclesPerSec).
 func (s *Study) Measure(ctx context.Context, sel *Selection) (*TargetRun, error) {
-	res, err := experiments.Simulate(ctx, s.cfg.CPU, s.prep.Trace, sel.PThreads)
-	if err != nil {
-		return nil, err
-	}
-	return experiments.Derive(sel, s.prep.Baseline, res), nil
+	return experiments.MeasureSelection(ctx, s.cfg.CPU, s.prep, sel)
 }
 
 // Run is Select followed by Measure.

@@ -34,6 +34,11 @@ func TestFacadeStudyFlow(t *testing.T) {
 	if run2.SpeedupPct != run.SpeedupPct {
 		t.Error("Run must equal Select+Measure")
 	}
+	// Both paths time their simulation, like every engine-driven run.
+	if run.SimCyclesPerSec() <= 0 || run2.SimCyclesPerSec() <= 0 {
+		t.Errorf("study runs report no simulator throughput: Measure %.0f, Run %.0f cycles/s",
+			run.SimCyclesPerSec(), run2.SimCyclesPerSec())
+	}
 }
 
 func TestFacadeCustomProgram(t *testing.T) {
