@@ -348,24 +348,23 @@ func hotLoopWorkloads(b *testing.B) []hotLoopWorkload {
 
 // simHotLoop times the cycle simulator's hot loop alone — no preparation,
 // no selection — across the full benchmark suite with L-p-threads
-// installed, under the given engine, reporting simulated cycles per
-// wall-clock second. One simulator per workload is built and warmed outside
-// the timed region, then reused through Reset every iteration, exactly like
-// the Lab's per-worker reuse: with every pool fully grown, the timed loop
-// performs zero allocations (ReportAllocs must read 0 allocs/op; benchgate
-// gates this).
-func simHotLoop(b *testing.B, engine cpu.Engine) {
+// installed, under one engine — (*cpu.Simulator).RunContext or its
+// RunReference — reporting simulated cycles per wall-clock second. One
+// simulator per workload is built and warmed outside the timed region, then
+// reused through Reset every iteration, exactly like the Lab's per-worker
+// reuse: with every pool fully grown, the timed loop performs zero
+// allocations (ReportAllocs must read 0 allocs/op; benchgate gates this).
+func simHotLoop(b *testing.B, run func(*cpu.Simulator, context.Context) (*cpu.Result, error)) {
 	ctx := context.Background()
 	workloads := hotLoopWorkloads(b)
 	simCfg := hotLoop.cfg.CPU
-	simCfg.Engine = engine
 	sims := make([]*cpu.Simulator, len(workloads))
 	for i, wl := range workloads {
 		s, err := cpu.NewSimulator(simCfg, wl.trace, wl.pthreads)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := s.RunContext(ctx); err != nil {
+		if _, err := run(s, ctx); err != nil {
 			b.Fatal(err) // warm-up run grows every internal pool
 		}
 		sims[i] = s
@@ -379,7 +378,7 @@ func simHotLoop(b *testing.B, engine cpu.Engine) {
 			if err := s.Reset(simCfg, wl.trace, wl.pthreads); err != nil {
 				b.Fatal(err)
 			}
-			res, err := s.RunContext(ctx)
+			res, err := run(s, ctx)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -396,8 +395,8 @@ func simHotLoop(b *testing.B, engine cpu.Engine) {
 // (required: >= 1.5x), and the event engine's steady-state allocation rate
 // is gated at 0 allocs/op.
 func BenchmarkSimHotLoop(b *testing.B) {
-	b.Run("event", func(b *testing.B) { simHotLoop(b, cpu.EngineEvent) })
-	b.Run("scan", func(b *testing.B) { simHotLoop(b, cpu.EngineScan) })
+	b.Run("event", func(b *testing.B) { simHotLoop(b, (*cpu.Simulator).RunContext) })
+	b.Run("scan", func(b *testing.B) { simHotLoop(b, (*cpu.Simulator).RunReference) })
 }
 
 // BenchmarkFigureSuite regenerates the paper's full figure suite (Figures

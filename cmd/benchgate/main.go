@@ -2,7 +2,7 @@
 // numbers to BENCH_sim.json (the CI artifact), and gates the build against a
 // committed baseline:
 //
-//   - the event-engine hot-loop throughput (sim-cycles/s) must not regress
+//   - the event engine's hot-loop throughput (sim-cycles/s) must not regress
 //     more than -tolerance (default 15%) below the baseline file,
 //   - the event/scan engine speedup must stay at or above the baseline's
 //     MinSpeedup (the PR 2 tentpole's machine-independent >= 1.5x

@@ -46,15 +46,13 @@ func main() {
 	dir := flag.String("dir", "", "artifact store directory (required)")
 	maxBytes := flag.Int64("max-store-bytes", 0, "disk store byte budget (0 = unlimited)")
 	parallelism := flag.Int("j", 0, "worker-pool bound (0 = GOMAXPROCS)")
-	engine := flag.String("engine", "", "simulation engine for every job: event or scan")
 	flag.Parse()
 
 	if *dir == "" {
 		fmt.Fprintln(os.Stderr, "labd: -dir is required")
 		os.Exit(2)
 	}
-	srv, err := labd.New(labd.Config{Dir: *dir, MaxStoreBytes: *maxBytes,
-		Parallelism: *parallelism, Engine: *engine})
+	srv, err := labd.New(labd.Config{Dir: *dir, MaxStoreBytes: *maxBytes, Parallelism: *parallelism})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "labd:", err)
 		os.Exit(1)

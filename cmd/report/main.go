@@ -85,55 +85,46 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	names := preexec.PaperBenchmarks()
 	all := *fig == 0 && *table == 0
-
-	if all || *fig == 2 {
-		rep, err := lab.Figure2(ctx, names)
-		emit("figure2", rep, err, *asJSON, func(raw []byte) (preexec.Report, error) {
-			var r preexec.Figure2Report
-			return &r, json.Unmarshal(raw, &r)
-		})
-	}
-	if all || *fig == 3 {
-		rep, err := lab.Figure3(ctx, names)
-		emit("figure3", rep, err, *asJSON, func(raw []byte) (preexec.Report, error) {
-			var r preexec.Figure3Report
-			return &r, json.Unmarshal(raw, &r)
-		})
-	}
-	if all || *table == 3 {
-		rep, err := lab.Table3(ctx, preexec.Table3Benchmarks())
-		emit("table3", rep, err, *asJSON, func(raw []byte) (preexec.Report, error) {
-			var r preexec.Table3Report
-			return &r, json.Unmarshal(raw, &r)
-		})
-	}
-	if all || *fig == 4 {
-		rep, err := lab.Figure4(ctx, names)
-		emit("figure4", rep, err, *asJSON, func(raw []byte) (preexec.Report, error) {
-			var r preexec.Figure4Report
-			return &r, json.Unmarshal(raw, &r)
-		})
-	}
-	if all || *fig == 5 {
-		for _, axis := range []preexec.SweepAxis{
-			preexec.SweepIdleFactor, preexec.SweepMemLatency, preexec.SweepL2Size,
-		} {
-			rep, err := lab.Figure5(ctx, axis, preexec.Figure5Benchmarks(axis))
-			emit("figure5/"+axis.String(), rep, err, *asJSON, func(raw []byte) (preexec.Report, error) {
-				var r preexec.Figure5Report
-				return &r, json.Unmarshal(raw, &r)
-			})
+	for _, a := range artifacts(ctx, lab, nil) {
+		if all || (a.fig != 0 && a.fig == *fig) || (a.table != 0 && a.table == *table) {
+			rep, err := a.run()
+			emit(a.name, rep, err, *asJSON)
 		}
 	}
-	if all {
-		rep, err := lab.ED2Study(ctx, names)
-		emit("ed2", rep, err, *asJSON, func(raw []byte) (preexec.Report, error) {
-			var r preexec.ED2Report
-			return &r, json.Unmarshal(raw, &r)
-		})
+}
+
+// artifact is one report this command emits: its stream name, the -fig or
+// -table value that selects it (both 0: emitted only in a full run) and its
+// computation.
+type artifact struct {
+	name       string
+	fig, table int
+	run        func() (preexec.Report, error)
+}
+
+// artifacts lists every report in emission order, each over its paper
+// benchmark set, or over only when only is non-nil.
+func artifacts(ctx context.Context, lab *preexec.Lab, only []string) []artifact {
+	bench := func(defaults []string) []string {
+		if only != nil {
+			return only
+		}
+		return defaults
 	}
+	names := bench(preexec.PaperBenchmarks())
+	arts := []artifact{
+		{"figure2", 2, 0, func() (preexec.Report, error) { return lab.Figure2(ctx, names) }},
+		{"figure3", 3, 0, func() (preexec.Report, error) { return lab.Figure3(ctx, names) }},
+		{"table3", 0, 3, func() (preexec.Report, error) { return lab.Table3(ctx, bench(preexec.Table3Benchmarks())) }},
+		{"figure4", 4, 0, func() (preexec.Report, error) { return lab.Figure4(ctx, names) }},
+	}
+	for _, axis := range []preexec.SweepAxis{preexec.SweepIdleFactor, preexec.SweepMemLatency, preexec.SweepL2Size} {
+		arts = append(arts, artifact{"figure5/" + axis.String(), 5, 0, func() (preexec.Report, error) {
+			return lab.Figure5(ctx, axis, bench(preexec.Figure5Benchmarks(axis)))
+		}})
+	}
+	return append(arts, artifact{"ed2", 0, 0, func() (preexec.Report, error) { return lab.ED2Study(ctx, names) }})
 }
 
 // printDAG plans a sweep grid over the named sensitivity axes for the paper
@@ -238,8 +229,9 @@ func renderStream(path string) error {
 
 // emit serializes one artifact to JSON. In JSON mode the artifact streams
 // out as {"artifact": name, "report": ...}; in text mode the JSON is
-// decoded back into a fresh report and rendered from the decoded copy.
-func emit(name string, rep preexec.Report, err error, asJSON bool, decode func([]byte) (preexec.Report, error)) {
+// decoded back into a fresh report of name's type (decoderFor) and
+// rendered from the decoded copy.
+func emit(name string, rep preexec.Report, err error, asJSON bool) {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "report:", err)
 		os.Exit(1)
@@ -261,7 +253,7 @@ func emit(name string, rep preexec.Report, err error, asJSON bool, decode func([
 		fmt.Println(string(out))
 		return
 	}
-	decoded, err := decode(raw)
+	decoded, err := decoderFor(name)(raw)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "report: decode:", err)
 		os.Exit(1)

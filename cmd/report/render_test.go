@@ -1,10 +1,14 @@
 package main
 
 import (
+	"context"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	preexec "repro"
 )
 
 func writeStream(t *testing.T, lines ...string) string {
@@ -50,6 +54,34 @@ func TestRenderStreamErrors(t *testing.T) {
 	for name, lines := range cases {
 		if err := renderStream(writeStream(t, lines...)); err == nil {
 			t.Errorf("%s: renderStream succeeded, want error", name)
+		}
+	}
+}
+
+// TestArtifactsRoundTrip pins emit's text path: every artifact main emits
+// resolves in decoderFor, and its report renders identically after the
+// JSON round trip. The reports cover gap alone to keep the test quick.
+func TestArtifactsRoundTrip(t *testing.T) {
+	for _, a := range artifacts(context.Background(), preexec.New(), []string{"gap"}) {
+		decode := decoderFor(a.name)
+		if decode == nil {
+			t.Errorf("%s: no decoder", a.name)
+			continue
+		}
+		rep, err := a.run()
+		if err != nil {
+			t.Fatalf("%s: %v", a.name, err)
+		}
+		raw, err := json.Marshal(rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		decoded, err := decode(raw)
+		if err != nil {
+			t.Fatalf("%s: decode: %v", a.name, err)
+		}
+		if got, want := decoded.Render(), rep.Render(); got != want {
+			t.Errorf("%s: rendering changed across the JSON round trip\ngot:\n%s\nwant:\n%s", a.name, got, want)
 		}
 	}
 }

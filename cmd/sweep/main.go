@@ -8,7 +8,6 @@
 //	sweep -axis idle,mem -bench vortex      # 3×3 cartesian grid
 //	sweep -axis l2 -all                     # all nine benchmarks
 //	sweep -axis mem -targets L,P2           # custom target set
-//	sweep -axis mem -engine scan            # reference scan engine
 //	sweep -axis mem -json                   # machine-readable artifact
 //	                                        # (render with: report -render -)
 //
@@ -31,9 +30,8 @@
 // back live and prints identically to a local run, and the daemon's
 // persistent artifact store makes repeated and concurrent submissions share
 // every preparation stage — across clients and across daemon restarts.
-// Every locally checkable flag (-axis, -targets, -gen, -engine) is
-// validated client-side before anything is submitted; -engine configures
-// local runs only (a daemon's own -engine governs its jobs):
+// Every locally checkable flag (-axis, -targets, -gen) is validated
+// client-side before anything is submitted:
 //
 //	sweep -addr http://localhost:8080 -axis idle -bench gap
 package main
@@ -60,14 +58,13 @@ type cli struct {
 	genSpecs    []string
 	targets     []preexec.Target
 	targetNames []string
-	engine      preexec.Engine
 	parallelism int
 	asJSON      bool
 	addr        string
 }
 
 // parseCLI parses and validates the full flag set. Everything locally
-// checkable — -axis, -targets, every -gen spec and -engine — is validated
+// checkable — -axis, -targets and every -gen spec — is validated
 // here, before main chooses between the local and remote paths, so a bad
 // flag is rejected client-side instead of being submitted to a daemon.
 func parseCLI(args []string) (*cli, error) {
@@ -77,7 +74,6 @@ func parseCLI(args []string) (*cli, error) {
 	bench := fs.String("bench", "", "comma-separated benchmarks (default: the paper's triple for the first axis)")
 	all := fs.Bool("all", false, "sweep every benchmark")
 	targetNames := fs.String("targets", "", "comma-separated selection targets (default: L,E,P)")
-	engineName := fs.String("engine", "", "simulation engine: event or scan (local sweeps; a daemon uses its own -engine)")
 	fs.IntVar(&c.parallelism, "j", 0, "worker-pool bound (0 = GOMAXPROCS)")
 	fs.BoolVar(&c.asJSON, "json", false, "emit the JSON artifact instead of the rendered table")
 	fs.StringVar(&c.addr, "addr", "", "submit to a lab daemon at this base URL instead of sweeping locally")
@@ -128,11 +124,6 @@ func parseCLI(args []string) (*cli, error) {
 			c.targetNames = append(c.targetNames, t)
 		}
 	}
-
-	var err error
-	if c.engine, err = preexec.ParseEngine(*engineName); err != nil {
-		return nil, err
-	}
 	return c, nil
 }
 
@@ -157,10 +148,7 @@ func main() {
 		return
 	}
 
-	cfg := preexec.DefaultConfig()
-	cfg.CPU.Engine = c.engine
 	lab := preexec.New(
-		preexec.WithConfig(cfg),
 		preexec.WithParallelism(c.parallelism),
 		preexec.WithObserver(func(ev preexec.Event) {
 			switch ev.Kind {

@@ -54,45 +54,6 @@ type Config struct {
 	// MaxCycles aborts a run that exceeds it (deadlock guard). Zero means
 	// a generous default.
 	MaxCycles int64
-
-	// Engine selects the simulation engine. The default (EngineEvent) is the
-	// event-driven wakeup scheduler: completing producers wake their waiting
-	// consumers, a ready queue feeds issue directly, and a calendar queue of
-	// future completion events lets quiescent cycles be skipped in bulk.
-	// EngineScan is the reference implementation that rescans the whole
-	// reservation-station window every cycle; it exists to pin the event
-	// engine bit-for-bit (see TestEnginesAgree) and as the benchmark
-	// comparison point for BenchmarkSimHotLoop. Both engines produce
-	// identical Results on every workload.
-	Engine Engine
-}
-
-// Engine names a simulation engine. The zero value is EngineEvent, so the
-// default Config keeps selecting the event-driven scheduler. It is a typed
-// string (not an int enum) so existing JSON fingerprints and configs that
-// spelled the engine as a string keep their byte representation.
-type Engine string
-
-// Simulation engines.
-const (
-	// EngineEvent is the event-driven wakeup scheduler (the default).
-	EngineEvent Engine = ""
-	// EngineScan is the reference per-cycle window rescan.
-	EngineScan Engine = "scan"
-)
-
-// ParseEngine resolves an engine name from user input (flags, wire
-// requests). It accepts the canonical constant values plus the spelled-out
-// alias "event" for the default engine. Unknown names return one error
-// listing every valid engine instead of silently defaulting.
-func ParseEngine(s string) (Engine, error) {
-	switch s {
-	case "", "event":
-		return EngineEvent, nil
-	case "scan":
-		return EngineScan, nil
-	}
-	return "", fmt.Errorf("cpu: unknown engine %q (valid engines: event, scan)", s)
 }
 
 // DefaultConfig returns the paper's processor configuration.
@@ -121,16 +82,13 @@ func DefaultConfig() Config {
 
 const defaultMaxCycles = 2_000_000_000
 
-// Validate rejects a configuration the simulator cannot run: an unknown
-// engine, a non-positive width, window size, port count or fetch-buffer
-// capacity, fewer than one thread context, or a negative latency. Each
+// Validate rejects a configuration the simulator cannot run: a
+// non-positive width, window size, port count or fetch-buffer capacity,
+// fewer than one thread context, or a negative latency. Each
 // problem is one error naming the field; without the check a zero window
 // or width spins until the deadlock guard fires and zero contexts panic
 // while sizing the p-thread contexts.
 func (c Config) Validate() error {
-	if c.Engine != EngineEvent && c.Engine != EngineScan {
-		return fmt.Errorf("cpu: unknown engine %q (valid engines: event, scan)", c.Engine)
-	}
 	type field struct {
 		name string
 		v    int

@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"context"
 	"reflect"
 	"strings"
 	"testing"
@@ -82,18 +83,32 @@ func engineWorkloads(t *testing.T) map[string]struct {
 	return out
 }
 
+// runEngine runs a freshly Reset simulator on the event engine, or on the
+// reference scan when reference is set.
+func runEngine(s *Simulator, reference bool) (*Result, error) {
+	if reference {
+		return s.RunReference(context.Background())
+	}
+	return s.Run()
+}
+
+// runReference is Run on the reference scan engine.
+func runReference(cfg Config, tr *trace.Trace, pts []*PThread) (*Result, error) {
+	s, err := NewSimulator(cfg, tr, pts)
+	if err != nil {
+		return nil, err
+	}
+	return runEngine(s, true)
+}
+
 // TestEnginesAgreeStress cross-checks the two engines over the stress
 // matrix: every (config, workload) pair must produce deeply equal Results.
 func TestEnginesAgreeStress(t *testing.T) {
 	workloads := engineWorkloads(t)
 	for cfgName, cfg := range engineConfigs() {
 		for wlName, wl := range workloads {
-			evCfg := cfg
-			evCfg.Engine = EngineEvent
-			scCfg := cfg
-			scCfg.Engine = EngineScan
-			ev, err1 := Run(evCfg, wl.tr, wl.pts)
-			sc, err2 := Run(scCfg, wl.tr, wl.pts)
+			ev, err1 := Run(cfg, wl.tr, wl.pts)
+			sc, err2 := runReference(cfg, wl.tr, wl.pts)
 			if err1 != nil || err2 != nil {
 				t.Fatalf("%s/%s: event err=%v scan err=%v", cfgName, wlName, err1, err2)
 			}
@@ -101,15 +116,6 @@ func TestEnginesAgreeStress(t *testing.T) {
 				t.Errorf("%s/%s: engines disagree\nevent: %+v\nscan:  %+v", cfgName, wlName, ev, sc)
 			}
 		}
-	}
-}
-
-// TestUnknownEngineRejected pins the Engine knob's validation.
-func TestUnknownEngineRejected(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Engine = "bogus"
-	if _, err := Run(cfg, trace.MustRun(aluChain(4)), nil); err == nil {
-		t.Fatal("unknown engine accepted")
 	}
 }
 
@@ -140,7 +146,6 @@ func TestConfigValidate(t *testing.T) {
 		"Hier.L2.HitLatency":  func(c *Config) { c.Hier.L2.HitLatency = -1 },
 		"Hier.TLBMissPen":     func(c *Config) { c.Hier.TLBMissPen = -1 },
 		"Hier.MemLatency":     func(c *Config) { c.Hier.MemLatency = -1 },
-		"Engine":              func(c *Config) { c.Engine = "bogus" },
 	}
 	tr := trace.MustRun(aluChain(50))
 	for field, mutate := range cases {
@@ -151,7 +156,7 @@ func TestConfigValidate(t *testing.T) {
 			t.Errorf("%s: bad value accepted", field)
 			continue
 		}
-		if field != "Engine" && !strings.Contains(err.Error(), field) {
+		if !strings.Contains(err.Error(), field) {
 			t.Errorf("%s: error %q does not name the field", field, err)
 		}
 		func() {

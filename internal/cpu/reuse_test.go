@@ -11,9 +11,10 @@ import (
 
 // TestResetReuseMatchesFreshSimulator pins the zero-allocation reuse
 // contract: one simulator Reset across a matrix of (config, workload,
-// engine) triples — including shrinking/growing traces, engine switches and
-// config changes that resize every pool — must produce Results deeply equal
-// to freshly constructed simulators, in every order.
+// engine) triples — including shrinking/growing traces, alternating event
+// and reference runs, and config changes that resize every pool — must
+// produce Results deeply equal to freshly constructed simulators, in every
+// order.
 func TestResetReuseMatchesFreshSimulator(t *testing.T) {
 	workloads := engineWorkloads(t)
 	configs := engineConfigs()
@@ -31,13 +32,13 @@ func TestResetReuseMatchesFreshSimulator(t *testing.T) {
 	sort.Strings(wlNames)
 	type job struct {
 		cfgName, wlName string
-		engine          Engine
+		reference       bool
 	}
 	var jobs []job
 	for _, cfgName := range cfgNames {
 		for _, wlName := range wlNames {
-			for _, engine := range []Engine{EngineEvent, EngineScan} {
-				jobs = append(jobs, job{cfgName, wlName, engine})
+			for _, reference := range []bool{false, true} {
+				jobs = append(jobs, job{cfgName, wlName, reference})
 			}
 		}
 	}
@@ -45,23 +46,26 @@ func TestResetReuseMatchesFreshSimulator(t *testing.T) {
 	reused := &Simulator{}
 	for _, j := range jobs {
 		cfg := configs[j.cfgName]
-		cfg.Engine = j.engine
 		wl := workloads[j.wlName]
 
-		fresh, err := Run(cfg, wl.tr, wl.pts)
+		fs, err := NewSimulator(cfg, wl.tr, wl.pts)
 		if err != nil {
-			t.Fatalf("%s/%s/%q fresh: %v", j.cfgName, j.wlName, j.engine, err)
+			t.Fatalf("%s/%s/reference=%v new: %v", j.cfgName, j.wlName, j.reference, err)
+		}
+		fresh, err := runEngine(fs, j.reference)
+		if err != nil {
+			t.Fatalf("%s/%s/reference=%v fresh: %v", j.cfgName, j.wlName, j.reference, err)
 		}
 		if err := reused.Reset(cfg, wl.tr, wl.pts); err != nil {
-			t.Fatalf("%s/%s/%q reset: %v", j.cfgName, j.wlName, j.engine, err)
+			t.Fatalf("%s/%s/reference=%v reset: %v", j.cfgName, j.wlName, j.reference, err)
 		}
-		got, err := reused.Run()
+		got, err := runEngine(reused, j.reference)
 		if err != nil {
-			t.Fatalf("%s/%s/%q reused: %v", j.cfgName, j.wlName, j.engine, err)
+			t.Fatalf("%s/%s/reference=%v reused: %v", j.cfgName, j.wlName, j.reference, err)
 		}
 		if !reflect.DeepEqual(got, fresh) {
-			t.Errorf("%s/%s/%q: reused simulator diverged from fresh construction",
-				j.cfgName, j.wlName, j.engine)
+			t.Errorf("%s/%s/reference=%v: reused simulator diverged from fresh construction",
+				j.cfgName, j.wlName, j.reference)
 		}
 	}
 }

@@ -45,11 +45,11 @@ type fetchEnt struct {
 // only until the next Reset; callers that outlive the reuse cycle must
 // Clone it.
 //
-// Two engines share the pipeline stages: the default event-driven engine
-// (wakeup lists, a ready queue and a calendar queue of completion events,
-// with bulk skipping of quiescent cycles) and the reference scan engine
-// that rescans the window every cycle. They produce bit-identical Results;
-// see Config.Engine.
+// RunContext drives the pipeline stages with the event-driven engine:
+// wakeup lists, a ready queue and a calendar queue of completion events,
+// with bulk skipping of quiescent cycles. RunReference drives the same
+// stages with the per-cycle window rescan the event engine replaced; the
+// two produce bit-identical Results.
 type Simulator struct {
 	cfg  Config
 	tr   *trace.Trace
@@ -106,8 +106,9 @@ type Simulator struct {
 	pcFlags []uint8
 	pcLats  []uint8
 
-	// Event engine state; ev is nil under the reference scan engine, evMem
-	// keeps the allocated structures alive across engine switches.
+	// Event engine state, set up by every Reset. RunReference clears ev so
+	// the scan loop keeps no event bookkeeping; evMem keeps the allocated
+	// structures for the next Reset.
 	ev    *evState
 	evMem *evState
 
@@ -250,15 +251,11 @@ func (s *Simulator) Reset(cfg Config, tr *trace.Trace, pthreads []*PThread) erro
 		s.spawnStatic = make([]int32, 0, 1024)
 	}
 
-	if cfg.Engine == EngineEvent {
-		if s.evMem == nil {
-			s.evMem = &evState{}
-		}
-		s.evMem.reset(n, cfg.ROBSize)
-		s.ev = s.evMem
-	} else {
-		s.ev = nil
+	if s.evMem == nil {
+		s.evMem = &evState{}
 	}
+	s.evMem.reset(n, cfg.ROBSize)
+	s.ev = s.evMem
 
 	s.res = Result{}
 	s.memMainAcc, s.memPthAcc = 0, 0
@@ -328,9 +325,6 @@ const ctxCheckMask = 1<<12 - 1
 //
 //lab:hotpath
 func (s *Simulator) RunContext(ctx context.Context) (*Result, error) {
-	if s.ev == nil {
-		return s.runScan(ctx)
-	}
 	return s.runEvent(ctx)
 }
 

@@ -75,10 +75,11 @@ func (ev *evState) reset(n, robSize int) {
 }
 
 // runEvent is the event-driven engine loop. Cycle-for-cycle it performs the
-// same stage sequence as runScan; additionally, when a cycle turns out to be
-// completely inert it consults the calendar and every time-based wakeup
-// condition for the earliest cycle anything can happen and jumps there,
-// attributing the skipped span to the same CPI-stack category in bulk.
+// same stage sequence as RunReference; additionally, when a cycle turns out
+// to be completely inert it consults the calendar and every time-based
+// wakeup condition for the earliest cycle anything can happen and jumps
+// there, attributing the skipped span to the same CPI-stack category in
+// bulk.
 //
 //lab:hotpath
 func (s *Simulator) runEvent(ctx context.Context) (*Result, error) {

@@ -5,11 +5,15 @@ import (
 	"fmt"
 )
 
-// runScan is the reference engine: the pre-refactor per-cycle loop that
-// rescans the whole reservation-station window every cycle. It is retained
-// as the bit-exact behavioural specification of the event-driven engine
-// (TestEnginesAgree) and as the comparison point for BenchmarkSimHotLoop.
-func (s *Simulator) runScan(ctx context.Context) (*Result, error) {
+// RunReference simulates to completion with the reference engine: the
+// pre-refactor per-cycle loop that rescans the whole reservation-station
+// window every cycle. It returns the Result RunContext would, bit for bit,
+// and is retained as the event engine's behavioural specification (the
+// engine differentials) and as BenchmarkSimHotLoop's comparison point. Like
+// RunContext it runs once per Reset, and its Result borrows simulator-owned
+// memory the same way.
+func (s *Simulator) RunReference(ctx context.Context) (*Result, error) {
+	s.ev = nil
 	maxCycles := s.maxCycles()
 	lastCommit := int64(0)
 	for !s.done() {

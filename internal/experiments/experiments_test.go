@@ -270,32 +270,6 @@ func TestDeriveMetrics(t *testing.T) {
 	}
 }
 
-// TestUnknownEngineFailsFast pins the typed engine enum at the experiments
-// layer: an out-of-enum engine is rejected with one error listing the valid
-// engines, before any stage executes.
-func TestUnknownEngineFailsFast(t *testing.T) {
-	for _, name := range []cpu.Engine{"bogus", "batched"} {
-		cfg := DefaultConfig()
-		cfg.CPU.Engine = name
-		r := NewRunner(cfg, 1, nil)
-		_, err := r.Prepare(context.Background(), "gap", cfg.MeasureInput, cfg)
-		if err == nil {
-			t.Fatalf("Prepare accepted engine %q", name)
-		}
-		for _, wantSub := range []string{string(name), "valid engines: event, scan)"} {
-			if !strings.Contains(err.Error(), wantSub) {
-				t.Errorf("error %q missing %q", err, wantSub)
-			}
-		}
-		if n := r.StagePrepares(StagePrepared); n != 0 {
-			t.Errorf("engine %q still assembled %d preparations", name, n)
-		}
-		if _, err := PrepareTrace(context.Background(), "x", nil, cfg); err == nil {
-			t.Errorf("PrepareTrace accepted engine %q", name)
-		}
-	}
-}
-
 // stripThroughput zeroes the wall-clock throughput column (a substrate
 // health metric that varies run to run) so reports can be compared
 // byte-for-byte.
@@ -304,30 +278,6 @@ func stripThroughput(rep *SweepReport) {
 		for j := range rep.Points[i].Runs {
 			rep.Points[i].Runs[j].SimCyclesPerSec = 0
 		}
-	}
-}
-
-// TestSweepScanMatchesEvent is the engine differential at the sweep layer:
-// a scan-engine base configuration produces the event engine's sweep
-// report, byte for byte apart from throughput.
-func TestSweepScanMatchesEvent(t *testing.T) {
-	grid := Grid{Benchmarks: []string{"gap"}}
-	scanCfg := DefaultConfig()
-	scanCfg.CPU.Engine = cpu.EngineScan
-	rep, err := NewRunner(scanCfg, 2, nil).Sweep(context.Background(), grid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	evRep, err := NewRunner(DefaultConfig(), 2, nil).Sweep(context.Background(), grid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stripThroughput(rep)
-	stripThroughput(evRep)
-	a, _ := json.Marshal(rep.Points)
-	b, _ := json.Marshal(evRep.Points)
-	if !bytes.Equal(a, b) {
-		t.Errorf("scan-engine sweep diverges from event engine:\nscan:  %s\nevent: %s", a, b)
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/cpu"
 	"repro/internal/program"
 	"repro/internal/program/gen"
 	"repro/internal/pthsel"
@@ -116,24 +115,23 @@ func TestGenSelectedPThreadsEnginesAgree(t *testing.T) {
 		if len(sel.PThreads) == 0 {
 			t.Fatalf("%s: selector found no p-threads; spec does not exercise pre-execution", name)
 		}
-		results := map[cpu.Engine]*cpu.Result{}
-		for _, engine := range []cpu.Engine{cpu.EngineEvent, cpu.EngineScan} {
-			cfg := DefaultConfig().CPU
-			cfg.Engine = engine
-			res, err := Simulate(ctx, cfg, prep.Trace, sel.PThreads)
-			if err != nil {
-				t.Fatalf("%s/%s: %v", name, engine, err)
-			}
-			results[engine] = res
+		cfg := DefaultConfig().CPU
+		event, err := Simulate(ctx, cfg, prep.Trace, sel.PThreads)
+		if err != nil {
+			t.Fatalf("%s/event: %v", name, err)
 		}
-		if !reflect.DeepEqual(results[cpu.EngineEvent], results[cpu.EngineScan]) {
+		ref, err := simulateReference(ctx, cfg, prep.Trace, sel.PThreads)
+		if err != nil {
+			t.Fatalf("%s/reference: %v", name, err)
+		}
+		if !reflect.DeepEqual(event, ref) {
 			t.Errorf("%s: engines disagree with p-threads installed", name)
 		}
-		a, err := json.Marshal(results[cpu.EngineEvent])
+		a, err := json.Marshal(event)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := json.Marshal(results[cpu.EngineScan])
+		b, err := json.Marshal(ref)
 		if err != nil {
 			t.Fatal(err)
 		}

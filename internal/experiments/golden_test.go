@@ -15,6 +15,7 @@ import (
 	"repro/internal/cpu"
 	"repro/internal/program"
 	"repro/internal/pthsel"
+	"repro/internal/trace"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden simulation results")
@@ -26,9 +27,8 @@ var updateGolden = flag.Bool("update", false, "rewrite golden simulation results
 // making this the old-AoS-vs-new-SoA differential for the full suite.
 const goldenDir = "testdata"
 
-// goldenRuns caches the event-engine sweep shared by TestGoldenResults and
-// TestEnginesAgree: one prepare + two sims per benchmark, computed once per
-// process.
+// goldenRuns caches the sweep TestGoldenResults pins: one prepare + two
+// sims per benchmark, computed once per process.
 var goldenRuns struct {
 	once sync.Once
 	out  map[string][2]*cpu.Result
@@ -67,31 +67,57 @@ func goldenResults(t *testing.T) map[string][2]*cpu.Result {
 	return goldenRuns.out
 }
 
-// TestEnginesAgree runs every benchmark under both simulation engines —
-// the event-driven wakeup scheduler and the reference per-cycle scan — and
-// requires bit-identical Results: same cycles, same CPI stack, same cache
-// counts, same energy, same per-p-thread statistics.
+// simulateReference is Simulate on the reference scan engine. It builds a
+// fresh simulator, so the Result is the caller's.
+func simulateReference(ctx context.Context, cfg cpu.Config, tr *trace.Trace, pts []*cpu.PThread) (*cpu.Result, error) {
+	s, err := cpu.NewSimulator(cfg, tr, pts)
+	if err != nil {
+		return nil, err
+	}
+	return s.RunReference(ctx)
+}
+
+// TestEnginesAgree runs every paper benchmark's baseline and selected
+// p-threads through both simulation engines — the event-driven wakeup
+// scheduler and the reference per-cycle scan — on the same (config, trace,
+// p-threads) triple, and requires bit-identical Results: same cycles, same
+// CPI stack, same cache counts, same energy, same per-p-thread statistics.
+// gap runs under every sensitivity target (L, E and P), the other
+// benchmarks under L.
 func TestEnginesAgree(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full benchmark suite")
 	}
 	ctx := context.Background()
-	scanCfg := DefaultConfig()
-	scanCfg.CPU.Engine = cpu.EngineScan
-	event := goldenResults(t)
+	cfg := DefaultConfig()
 	for _, name := range PaperBenchmarks() {
-		prep, err := Prepare(ctx, name, program.Train, scanCfg)
+		prep, err := Prepare(ctx, name, program.Train, cfg)
 		if err != nil {
 			t.Fatalf("prepare %s: %v", name, err)
 		}
-		run, err := RunTarget(ctx, prep, prep, pthsel.TargetL, scanCfg)
+		ref, err := simulateReference(ctx, cfg.CPU, prep.Trace, nil)
 		if err != nil {
-			t.Fatalf("run %s: %v", name, err)
+			t.Fatalf("%s/baseline: %v", name, err)
 		}
-		scan := [2]*cpu.Result{prep.Baseline, run.Res}
-		for i, label := range []string{"baseline", "target-L"} {
-			if !reflect.DeepEqual(event[name][i], scan[i]) {
-				t.Errorf("%s/%s: event engine diverged from reference scan engine", name, label)
+		if !reflect.DeepEqual(prep.Baseline, ref) {
+			t.Errorf("%s/baseline: event engine diverged from reference scan engine", name)
+		}
+		targets := []pthsel.Target{pthsel.TargetL}
+		if name == "gap" {
+			targets = Figure4Targets
+		}
+		for _, tgt := range targets {
+			pts := pthsel.Select(prep.Trace, prep.Prof, prep.Trees, prep.Params, tgt).PThreads
+			event, err := Simulate(ctx, cfg.CPU, prep.Trace, pts)
+			if err != nil {
+				t.Fatalf("%s/target-%s: %v", name, tgt, err)
+			}
+			ref, err := simulateReference(ctx, cfg.CPU, prep.Trace, pts)
+			if err != nil {
+				t.Fatalf("%s/target-%s reference: %v", name, tgt, err)
+			}
+			if !reflect.DeepEqual(event, ref) {
+				t.Errorf("%s/target-%s: event engine diverged from reference scan engine", name, tgt)
 			}
 		}
 	}

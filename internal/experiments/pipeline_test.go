@@ -81,12 +81,6 @@ func TestStageFingerprintSensitivity(t *testing.T) {
 			want: map[Stage]bool{StageCurves: true, StageBaseline: true,
 				StageParams: true, StagePrepared: true},
 		},
-		{
-			name:   "engine selection spares everything but the baseline chain",
-			mutate: func(c *Config) { c.CPU.Engine = "scan" },
-			want: map[Stage]bool{StageBaseline: true, StageParams: true,
-				StagePrepared: true},
-		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

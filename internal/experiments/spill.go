@@ -83,7 +83,7 @@ var stageCodecs = map[Stage]stageCodec{
 	StageProfile: {
 		encode: func(v any) ([]byte, error) { return encodeWith(v.(*profile.Profile).EncodeBinary) },
 		decode: func(_ string, _ program.InputClass, data []byte) (any, error) {
-			return profile.DecodeBinary(bytes.NewReader(data))
+			return profile.DecodeBinary(data)
 		},
 	},
 	StageSlices: {
@@ -91,7 +91,7 @@ var stageCodecs = map[Stage]stageCodec{
 			return encodeWith(func(w io.Writer) error { return slicer.EncodeTrees(w, v.([]*slicer.Tree)) })
 		},
 		decode: func(_ string, _ program.InputClass, data []byte) (any, error) {
-			return slicer.DecodeTrees(bytes.NewReader(data))
+			return slicer.DecodeTrees(data)
 		},
 	},
 	StageProblems: jsonCodec[[]*profile.LoadStats](),

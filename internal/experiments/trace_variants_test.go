@@ -92,19 +92,20 @@ func TestTraceVariantEnginesIdentical(t *testing.T) {
 			}
 
 			for _, v := range variants {
-				for _, eng := range []cpu.Engine{cpu.EngineEvent, cpu.EngineScan} {
-					c := cfg.CPU
-					c.Engine = eng
-					res, err := Simulate(ctx, c, v.tr, wl.pts)
+				for _, eng := range []struct {
+					name string
+					run  func(context.Context, cpu.Config, *trace.Trace, []*cpu.PThread) (*cpu.Result, error)
+				}{{"event", Simulate}, {"scan", simulateReference}} {
+					res, err := eng.run(ctx, cfg.CPU, v.tr, wl.pts)
 					if err != nil {
-						t.Fatalf("%s/%s: %v", v.name, eng, err)
+						t.Fatalf("%s/%s: %v", v.name, eng.name, err)
 					}
 					got, err := json.Marshal(res)
 					if err != nil {
 						t.Fatal(err)
 					}
 					if !bytes.Equal(got, want) {
-						t.Errorf("%s via %q engine diverges from fresh/event", v.name, eng)
+						t.Errorf("%s via %q engine diverges from fresh/event", v.name, eng.name)
 					}
 				}
 			}

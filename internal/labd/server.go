@@ -37,7 +37,9 @@ import (
 	"repro/internal/labapi"
 )
 
-// Config parameterizes a daemon server.
+// Config holds a daemon server's deployment settings. Every job runs on the
+// paper's default configuration, so concurrent and repeated submissions
+// share one set of cached artifacts.
 type Config struct {
 	// Dir is the disk store's root directory (required).
 	Dir string
@@ -45,28 +47,23 @@ type Config struct {
 	MaxStoreBytes int64
 	// Parallelism bounds the engine's worker pool (<= 0: GOMAXPROCS).
 	Parallelism int
-	// Engine names the simulation engine for every job ("", "event" or
-	// "scan"); unknown names are rejected by New with one error listing
-	// the valid engines. Engine choice is the daemon operator's, not the
-	// submitting client's, so every job shares the engine's cached
-	// artifacts.
-	Engine string
-	// QueueLen is each event subscriber's bounded queue length
-	// (<= 0: 1024). Tests shrink it to exercise the lagging path.
-	QueueLen int
-	// ReplayLen bounds each job's event replay buffer — the lines a late
-	// subscriber receives before going live (<= 0: 8192). Older lines are
-	// dropped and reported via a lagging line at stream start.
-	ReplayLen int
 }
+
+// Event fan-out bounds. subscriberQueueCap is each event subscriber's
+// queue length; events past it are dropped and reported as a lagging line.
+// replayBufferCap bounds each job's event replay buffer — the lines a late
+// subscriber receives before going live; older lines are dropped and
+// reported via a lagging line at stream start.
+const (
+	subscriberQueueCap = 1024
+	replayBufferCap    = 8192
+)
 
 // Server is the daemon: a shared Lab engine plus the job registry. Create
 // with New, serve with (net/http).Server{Handler: srv}.
 type Server struct {
-	lab      *preexec.Lab
-	mux      *http.ServeMux
-	queueLen int
-	replay   int
+	lab *preexec.Lab
+	mux *http.ServeMux
 
 	// base is the parent of every job context; cancelling it (Close)
 	// cancels all running jobs.
@@ -112,29 +109,14 @@ type subscriber struct {
 // cfg.Dir. The error is the disk store's: a daemon that cannot persist
 // artifacts refuses to start rather than silently running uncached.
 func New(cfg Config) (*Server, error) {
-	if cfg.QueueLen <= 0 {
-		cfg.QueueLen = 1024
-	}
-	if cfg.ReplayLen <= 0 {
-		cfg.ReplayLen = 8192
-	}
-	engine, err := preexec.ParseEngine(cfg.Engine)
-	if err != nil {
-		return nil, err
-	}
 	base, cancel := context.WithCancel(context.Background())
 	s := &Server{
-		mux:      http.NewServeMux(),
-		queueLen: cfg.QueueLen,
-		replay:   cfg.ReplayLen,
-		base:     base,
-		cancel:   cancel,
-		jobs:     map[string]*job{},
+		mux:    http.NewServeMux(),
+		base:   base,
+		cancel: cancel,
+		jobs:   map[string]*job{},
 	}
-	labCfg := preexec.DefaultConfig()
-	labCfg.CPU.Engine = engine
 	s.lab = preexec.New(
-		preexec.WithConfig(labCfg),
 		preexec.WithParallelism(cfg.Parallelism),
 		preexec.WithObserver(s.observe),
 		preexec.WithDiskStore(cfg.Dir, cfg.MaxStoreBytes),
@@ -195,12 +177,12 @@ func (s *Server) observe(ev preexec.Event) {
 		j.done, j.total = ev.Done, ev.Total
 		j.mu.Unlock()
 	}
-	j.publish(s.replay, line)
+	j.publish(replayBufferCap, line)
 }
 
 // publish appends one line to the job's replay buffer and fans it out to
 // every subscriber, never blocking: a full queue counts a drop instead.
-func (j *job) publish(replayLen int, line labapi.StreamLine) {
+func (j *job) publish(replayCap int, line labapi.StreamLine) {
 	raw, err := json.Marshal(line)
 	if err != nil {
 		return
@@ -211,8 +193,8 @@ func (j *job) publish(replayLen int, line labapi.StreamLine) {
 		return
 	}
 	j.lines = append(j.lines, raw)
-	if len(j.lines) > replayLen {
-		drop := len(j.lines) - replayLen
+	if len(j.lines) > replayCap {
+		drop := len(j.lines) - replayCap
 		j.lines = append([]json.RawMessage(nil), j.lines[drop:]...)
 		j.lost += int64(drop)
 	}
@@ -229,9 +211,9 @@ func (j *job) publish(replayLen int, line labapi.StreamLine) {
 // finish publishes the job's terminal lines, marks it finished and closes
 // every subscriber queue (after the final lines are enqueued, so a live
 // client sees artifact then job-done then EOF).
-func (j *job) finish(replayLen int, state labapi.JobState, errMsg string, final ...labapi.StreamLine) {
+func (j *job) finish(replayCap int, state labapi.JobState, errMsg string, final ...labapi.StreamLine) {
 	for _, line := range final {
-		j.publish(replayLen, line)
+		j.publish(replayCap, line)
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -250,14 +232,14 @@ func (j *job) finish(replayLen int, state labapi.JobState, errMsg string, final 
 // covers all lines published before registration, the queue all lines
 // after. For finished jobs the returned subscriber is nil — the replay is
 // the whole stream.
-func (j *job) subscribe(queueLen int) (replay []json.RawMessage, lost int64, sub *subscriber) {
+func (j *job) subscribe(queueCap int) (replay []json.RawMessage, lost int64, sub *subscriber) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	replay, lost = j.lines, j.lost
 	if j.finished {
 		return replay, lost, nil
 	}
-	sub = &subscriber{ch: make(chan json.RawMessage, queueLen)}
+	sub = &subscriber{ch: make(chan json.RawMessage, queueCap)}
 	j.subs[sub] = struct{}{}
 	return replay, lost, sub
 }
@@ -315,6 +297,14 @@ func buildGrid(req labapi.SweepRequest) (preexec.Grid, error) {
 // body.
 const maxSweepBody = 1 << 20
 
+// maxSweepJobs caps a grid's (benchmark or workload, point) jobs. The
+// largest documented grid, every paper benchmark over the three-axis
+// idle×mem×l2 product (`sweep -all -axis idle,mem,l2`), is 9 × 27 = 243
+// jobs; the cap is the next power of two. A larger grid is refused before
+// its workloads are registered: planning registers every spec
+// synchronously in the handler, into a registry that never shrinks.
+const maxSweepJobs = 256
+
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var req labapi.SweepRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSweepBody)).Decode(&req); err != nil {
@@ -329,6 +319,11 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	grid, err := buildGrid(req)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
+		return
+	}
+	if n := grid.Points() * (len(grid.Benchmarks) + len(grid.Workloads)); n > maxSweepJobs {
+		httpError(w, http.StatusRequestEntityTooLarge,
+			fmt.Errorf("sweep grid has %d jobs, more than the %d allowed", n, maxSweepJobs))
 		return
 	}
 	// Plan the job's schedule DAG before it runs, so clients can inspect
@@ -365,15 +360,15 @@ func (s *Server) runSweep(ctx context.Context, j *job, grid preexec.Grid) {
 		if errors.Is(err, context.Canceled) {
 			state = labapi.JobCancelled
 		}
-		j.finish(s.replay, state, err.Error(), labapi.StreamLine{Kind: labapi.KindJobFailed, Err: err.Error()})
+		j.finish(replayBufferCap, state, err.Error(), labapi.StreamLine{Kind: labapi.KindJobFailed, Err: err.Error()})
 		return
 	}
 	raw, err := json.Marshal(rep)
 	if err != nil {
-		j.finish(s.replay, labapi.JobFailed, err.Error(), labapi.StreamLine{Kind: labapi.KindJobFailed, Err: err.Error()})
+		j.finish(replayBufferCap, labapi.JobFailed, err.Error(), labapi.StreamLine{Kind: labapi.KindJobFailed, Err: err.Error()})
 		return
 	}
-	j.finish(s.replay, labapi.JobDone, "",
+	j.finish(replayBufferCap, labapi.JobDone, "",
 		labapi.StreamLine{Artifact: "sweep", Report: raw},
 		labapi.StreamLine{Kind: labapi.KindJobDone})
 }
@@ -464,7 +459,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	if j == nil {
 		return
 	}
-	replay, lost, sub := j.subscribe(s.queueLen)
+	replay, lost, sub := j.subscribe(subscriberQueueCap)
 	if sub != nil {
 		defer j.unsubscribe(sub)
 	}

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -388,15 +389,16 @@ func TestSubscriberDropAndMark(t *testing.T) {
 // job whose history outgrew the buffer gets a leading lagging line with the
 // overflow count, then the surviving tail.
 func TestReplayBufferBound(t *testing.T) {
-	srv, ts := newTestServer(t, Config{Dir: t.TempDir(), ReplayLen: 4})
+	const replayCap = 4
+	srv, ts := newTestServer(t, Config{Dir: t.TempDir()})
 	j := &job{id: "jx", state: labapi.JobRunning, subs: map[*subscriber]struct{}{}}
 	srv.mu.Lock()
 	srv.jobs[j.id] = j
 	srv.mu.Unlock()
 	for i := 0; i < 10; i++ {
-		j.publish(srv.replay, labapi.StreamLine{Kind: "stage-start", Done: i})
+		j.publish(replayCap, labapi.StreamLine{Kind: "stage-start", Done: i})
 	}
-	j.finish(srv.replay, labapi.JobDone, "", labapi.StreamLine{Kind: labapi.KindJobDone})
+	j.finish(replayCap, labapi.JobDone, "", labapi.StreamLine{Kind: labapi.KindJobDone})
 
 	lines := streamEvents(t, ts.URL, j.id)
 	if len(lines) != 5 { // lagging + 4 surviving lines
@@ -407,18 +409,6 @@ func TestReplayBufferBound(t *testing.T) {
 	}
 	if lines[len(lines)-1].Kind != labapi.KindJobDone {
 		t.Errorf("stream ended with %q, want job-done", lines[len(lines)-1].Kind)
-	}
-}
-
-// TestNewRejectsUnknownEngine pins the daemon's -engine wiring: an unknown
-// engine name fails New with one error listing the valid set.
-func TestNewRejectsUnknownEngine(t *testing.T) {
-	for _, name := range []string{"bogus", "batched"} {
-		if _, err := New(Config{Dir: t.TempDir(), Engine: name}); err == nil {
-			t.Errorf("New accepted engine %q", name)
-		} else if !strings.Contains(err.Error(), "valid engines: event, scan)") {
-			t.Errorf("error %q does not list the valid engines", err)
-		}
 	}
 }
 
@@ -437,5 +427,32 @@ func TestOversizedSweepBody(t *testing.T) {
 	}
 	if n := len(getStats(t, ts.URL).Jobs); n != 0 {
 		t.Errorf("%d jobs after an oversized body, want 0", n)
+	}
+}
+
+// TestOversizedSweepGrid pins the grid cap: a grid of more than
+// maxSweepJobs (benchmark or workload, point) jobs is refused with 413
+// before any of its workloads is registered, and starts no job.
+func TestOversizedSweepGrid(t *testing.T) {
+	_, ts := newTestServer(t, Config{Dir: t.TempDir()})
+	req := labapi.SweepRequest{Axes: []string{"idle", "mem", "l2"}} // 27 points
+	for seed := 0; len(req.Workloads)*27 <= maxSweepJobs; seed++ {
+		req.Workloads = append(req.Workloads, fmt.Sprintf("pointer-chase:%d", 900000+seed))
+	}
+	before := preexec.Benchmarks()
+	body, _ := json.Marshal(req)
+	resp, err := http.Post(ts.URL+"/v1/sweep", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("status %d, want 413", resp.StatusCode)
+	}
+	if n := len(getStats(t, ts.URL).Jobs); n != 0 {
+		t.Errorf("%d jobs after an oversized grid, want 0", n)
+	}
+	if after := preexec.Benchmarks(); !slices.Equal(before, after) {
+		t.Errorf("oversized grid registered %d workloads", len(after)-len(before))
 	}
 }

@@ -84,97 +84,99 @@ func (p *Profile) EncodeBinary(w io.Writer) error {
 	return bw.Flush()
 }
 
-// DecodeBinary reads a profile in the spill-tier format. Decode errors mean
-// corruption (or a stale format); callers quarantine and rebuild.
-func DecodeBinary(r io.Reader) (*Profile, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-	var scratch [8]byte
-	if _, err := io.ReadFull(br, scratch[:8]); err != nil {
-		return nil, fmt.Errorf("profile: decode header: %w", err)
+// decoder reads the spill format's little-endian fields from an encoding
+// held in memory. The first read past the end, or the first length prefix
+// the remaining bytes cannot hold, sets err; every later read returns zero.
+type decoder struct {
+	buf []byte
+	err error
+}
+
+func (d *decoder) next(n int) []byte {
+	if d.err == nil && n > len(d.buf) {
+		d.err = io.ErrUnexpectedEOF
 	}
-	if string(scratch[:8]) != serialMagic {
-		return nil, fmt.Errorf("profile: bad magic %q", scratch[:8])
+	if d.err != nil {
+		return nil
 	}
-	readU32 := func() (uint32, error) {
-		if _, err := io.ReadFull(br, scratch[:4]); err != nil {
-			return 0, err
-		}
-		return serialOrder.Uint32(scratch[:4]), nil
+	b := d.buf[:n]
+	d.buf = d.buf[n:]
+	return b
+}
+
+func (d *decoder) u32() uint32 {
+	if b := d.next(4); b != nil {
+		return serialOrder.Uint32(b)
 	}
-	readI64 := func() (int64, error) {
-		if _, err := io.ReadFull(br, scratch[:8]); err != nil {
-			return 0, err
-		}
-		return int64(serialOrder.Uint64(scratch[:8])), nil
+	return 0
+}
+
+func (d *decoder) i64() int64 {
+	if b := d.next(8); b != nil {
+		return int64(serialOrder.Uint64(b))
 	}
-	p := &Profile{Loads: make(map[int32]*LoadStats)}
-	var err error
-	if p.TotalInsts, err = readI64(); err != nil {
-		return nil, fmt.Errorf("profile: decode totals: %w", err)
+	return 0
+}
+
+// count reads a length prefix of elements that each take at least size
+// bytes, and rejects one that the remaining bytes cannot hold, so nothing
+// allocated from it outgrows the input.
+func (d *decoder) count(size int) int {
+	n := d.u32()
+	if d.err == nil && uint64(n)*uint64(size) > uint64(len(d.buf)) {
+		d.err = fmt.Errorf("length %d exceeds the %d bytes that remain", n, len(d.buf))
 	}
-	if p.TotalL2, err = readI64(); err != nil {
-		return nil, fmt.Errorf("profile: decode totals: %w", err)
+	if d.err != nil {
+		return 0
 	}
-	nExec, err := readU32()
-	if err != nil {
-		return nil, fmt.Errorf("profile: decode exec counts: %w", err)
+	return int(n)
+}
+
+// loadMinBytes is the smallest encoded load record: PC, three counters and
+// an empty miss-index list.
+const loadMinBytes = 4 + 3*8 + 4
+
+// DecodeBinary parses a profile in the spill-tier format. Every length
+// prefix is checked against the bytes that remain before anything is
+// allocated, so a corrupt header costs an error, not memory. Decode errors
+// mean corruption (or a stale format); callers quarantine and rebuild.
+func DecodeBinary(data []byte) (*Profile, error) {
+	if len(data) < len(serialMagic) || string(data[:len(serialMagic)]) != serialMagic {
+		return nil, fmt.Errorf("profile: bad magic %q", data[:min(len(data), len(serialMagic))])
 	}
-	if nExec > 1<<28 {
-		return nil, fmt.Errorf("profile: implausible exec-count length %d", nExec)
-	}
-	p.ExecCounts = make([]int64, nExec)
+	d := &decoder{buf: data[len(serialMagic):]}
+	p := &Profile{TotalInsts: d.i64(), TotalL2: d.i64(), Loads: make(map[int32]*LoadStats)}
+	p.ExecCounts = make([]int64, d.count(8))
 	for i := range p.ExecCounts {
-		if p.ExecCounts[i], err = readI64(); err != nil {
-			return nil, fmt.Errorf("profile: decode exec counts: %w", err)
-		}
+		p.ExecCounts[i] = d.i64()
 	}
-	nLevels, err := readU32()
-	if err != nil {
-		return nil, fmt.Errorf("profile: decode levels: %w", err)
-	}
-	if int64(nLevels) != p.TotalInsts {
+	nLevels := d.count(1)
+	if d.err == nil && int64(nLevels) != p.TotalInsts {
 		return nil, fmt.Errorf("profile: levels length %d != total instructions %d", nLevels, p.TotalInsts)
 	}
-	p.Levels = make([]uint8, nLevels)
-	if _, err := io.ReadFull(br, p.Levels); err != nil {
-		return nil, fmt.Errorf("profile: decode levels: %w", err)
+	p.Levels = append(make([]uint8, 0, nLevels), d.next(nLevels)...)
+	nLoads := d.count(loadMinBytes)
+	if nLoads > len(p.ExecCounts) {
+		return nil, fmt.Errorf("profile: %d loads for %d static instructions", nLoads, len(p.ExecCounts))
 	}
-	nLoads, err := readU32()
-	if err != nil {
-		return nil, fmt.Errorf("profile: decode loads: %w", err)
-	}
-	if nLoads > nExec {
-		return nil, fmt.Errorf("profile: %d loads for %d static instructions", nLoads, nExec)
-	}
-	for i := uint32(0); i < nLoads; i++ {
-		pc, err := readU32()
-		if err != nil {
-			return nil, fmt.Errorf("profile: decode loads: %w", err)
-		}
-		ls := &LoadStats{PC: int32(pc)}
-		for _, dst := range []*int64{&ls.Execs, &ls.L1Misses, &ls.L2Misses} {
-			if *dst, err = readI64(); err != nil {
-				return nil, fmt.Errorf("profile: decode load %d: %w", pc, err)
+	for i := 0; i < nLoads && d.err == nil; i++ {
+		// Fields decode in encoding order: operands evaluate left to right.
+		ls := &LoadStats{PC: int32(d.u32()), Execs: d.i64(), L1Misses: d.i64(), L2Misses: d.i64()}
+		if nIx := d.count(8); nIx > 0 {
+			if int64(nIx) > p.TotalInsts {
+				return nil, fmt.Errorf("profile: load %d has %d miss indices for %d instructions", ls.PC, nIx, p.TotalInsts)
 			}
-		}
-		nIx, err := readU32()
-		if err != nil {
-			return nil, fmt.Errorf("profile: decode load %d: %w", pc, err)
-		}
-		if int64(nIx) > p.TotalInsts {
-			return nil, fmt.Errorf("profile: load %d has %d miss indices for %d instructions", pc, nIx, p.TotalInsts)
-		}
-		if nIx > 0 {
 			ls.MissDynIx = make([]int64, nIx)
 			for j := range ls.MissDynIx {
-				if ls.MissDynIx[j], err = readI64(); err != nil {
-					return nil, fmt.Errorf("profile: decode load %d: %w", pc, err)
-				}
+				ls.MissDynIx[j] = d.i64()
 			}
 		}
 		p.Loads[ls.PC] = ls
 	}
-	if _, err := br.ReadByte(); err != io.EOF {
+	if d.err != nil {
+		return nil, fmt.Errorf("profile: decode: %w", d.err)
+	}
+	if len(d.buf) != 0 {
 		return nil, fmt.Errorf("profile: trailing bytes after last load")
 	}
 	return p, nil

@@ -1,6 +1,7 @@
 package gen
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -12,19 +13,13 @@ import (
 // corpusSpecs returns the shared differential corpus (see CorpusSpecs).
 func corpusSpecs() []Spec { return CorpusSpecs() }
 
-// corpusConfig selects an engine on the default configuration. The corpus
-// here runs without p-threads (pure main-thread scheduling); engine
-// agreement with selector-chosen p-threads installed is covered by
-// TestGenSelectedPThreadsEnginesAgree in the experiments package.
-func corpusConfig(engine cpu.Engine) cpu.Config {
-	cfg := cpu.DefaultConfig()
-	cfg.Engine = engine
-	return cfg
-}
-
 // TestGenCorpusEnginesAgree is the differential corpus harness: every seeded
 // spec's Train trace must produce deeply equal (bit-identical once
-// marshaled) Results under the event-driven and reference scan engines.
+// marshaled) Results under the event-driven and reference scan engines on
+// the default configuration. The corpus here runs without p-threads (pure
+// main-thread scheduling); engine agreement with selector-chosen p-threads
+// installed is covered by TestGenSelectedPThreadsEnginesAgree in the
+// experiments package.
 func TestGenCorpusEnginesAgree(t *testing.T) {
 	specs := corpusSpecs()
 	if len(specs) < 20 {
@@ -41,8 +36,13 @@ func TestGenCorpusEnginesAgree(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ev, err1 := cpu.Run(corpusConfig(cpu.EngineEvent), tr, nil)
-			sc, err2 := cpu.Run(corpusConfig(cpu.EngineScan), tr, nil)
+			cfg := cpu.DefaultConfig()
+			ev, err1 := cpu.Run(cfg, tr, nil)
+			s, err2 := cpu.NewSimulator(cfg, tr, nil)
+			var sc *cpu.Result
+			if err2 == nil {
+				sc, err2 = s.RunReference(context.Background())
+			}
 			if err1 != nil || err2 != nil {
 				t.Fatalf("event err=%v scan err=%v", err1, err2)
 			}
@@ -64,11 +64,11 @@ func TestGenCorpusDeterministicResults(t *testing.T) {
 			t.Fatal(err)
 		}
 		tr := trace.MustRun(bm.Build(program.Train))
-		a, err := cpu.Run(corpusConfig(cpu.EngineEvent), tr, nil)
+		a, err := cpu.Run(cpu.DefaultConfig(), tr, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := cpu.Run(corpusConfig(cpu.EngineEvent), tr, nil)
+		b, err := cpu.Run(cpu.DefaultConfig(), tr, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

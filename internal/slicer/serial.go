@@ -109,114 +109,101 @@ func EncodeTrees(w io.Writer, trees []*Tree) error {
 	return bw.Flush()
 }
 
-// DecodeTrees reads slice trees in the spill-tier format. Decode errors
+// decoder reads the spill format's little-endian fields from an encoding
+// held in memory. The first read past the end, or the first length prefix
+// the remaining bytes cannot hold, sets err; every later read returns zero.
+type decoder struct {
+	buf []byte
+	err error
+}
+
+func (d *decoder) next(n int) []byte {
+	if d.err == nil && n > len(d.buf) {
+		d.err = io.ErrUnexpectedEOF
+	}
+	if d.err != nil {
+		return nil
+	}
+	b := d.buf[:n]
+	d.buf = d.buf[n:]
+	return b
+}
+
+func (d *decoder) u32() uint32 {
+	if b := d.next(4); b != nil {
+		return serialOrder.Uint32(b)
+	}
+	return 0
+}
+
+func (d *decoder) i64() int64 {
+	if b := d.next(8); b != nil {
+		return int64(serialOrder.Uint64(b))
+	}
+	return 0
+}
+
+// count reads a length prefix of elements that each take at least size
+// bytes, and rejects one that the remaining bytes cannot hold, so nothing
+// allocated from it outgrows the input.
+func (d *decoder) count(size int) int {
+	n := d.u32()
+	if d.err == nil && uint64(n)*uint64(size) > uint64(len(d.buf)) {
+		d.err = fmt.Errorf("length %d exceeds the %d bytes that remain", n, len(d.buf))
+	}
+	if d.err != nil {
+		return 0
+	}
+	return int(n)
+}
+
+// Smallest encoded records: a node is parent, PC, depth and three
+// counters; a tree is its target PC, a load with no miss indices, the
+// sample count and scale, the node count and one node.
+const (
+	nodeMinBytes = 3*4 + 3*8
+	treeMinBytes = 4 + (4 + 3*8 + 4) + 2*8 + 4 + nodeMinBytes
+)
+
+// DecodeTrees parses slice trees in the spill-tier format. Every length
+// prefix is checked against the bytes that remain before anything is
+// allocated, so a corrupt header costs an error, not memory. Decode errors
 // mean corruption (or a stale format); callers quarantine and rebuild.
-func DecodeTrees(r io.Reader) ([]*Tree, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-	var scratch [8]byte
-	if _, err := io.ReadFull(br, scratch[:8]); err != nil {
-		return nil, fmt.Errorf("slicer: decode header: %w", err)
+func DecodeTrees(data []byte) ([]*Tree, error) {
+	if len(data) < len(serialMagic) || string(data[:len(serialMagic)]) != serialMagic {
+		return nil, fmt.Errorf("slicer: bad magic %q", data[:min(len(data), len(serialMagic))])
 	}
-	if string(scratch[:8]) != serialMagic {
-		return nil, fmt.Errorf("slicer: bad magic %q", scratch[:8])
-	}
-	readU32 := func() (uint32, error) {
-		if _, err := io.ReadFull(br, scratch[:4]); err != nil {
-			return 0, err
-		}
-		return serialOrder.Uint32(scratch[:4]), nil
-	}
-	readI64 := func() (int64, error) {
-		if _, err := io.ReadFull(br, scratch[:8]); err != nil {
-			return 0, err
-		}
-		return int64(serialOrder.Uint64(scratch[:8])), nil
-	}
-	nTrees, err := readU32()
-	if err != nil {
-		return nil, fmt.Errorf("slicer: decode tree count: %w", err)
-	}
-	if nTrees > 1<<20 {
-		return nil, fmt.Errorf("slicer: implausible tree count %d", nTrees)
-	}
-	trees := make([]*Tree, 0, nTrees)
-	for ti := uint32(0); ti < nTrees; ti++ {
-		targetPC, err := readU32()
-		if err != nil {
-			return nil, fmt.Errorf("slicer: decode tree %d: %w", ti, err)
-		}
-		ls := &profile.LoadStats{}
-		pc, err := readU32()
-		if err != nil {
-			return nil, fmt.Errorf("slicer: decode tree %d load: %w", ti, err)
-		}
-		ls.PC = int32(pc)
-		for _, dst := range []*int64{&ls.Execs, &ls.L1Misses, &ls.L2Misses} {
-			if *dst, err = readI64(); err != nil {
-				return nil, fmt.Errorf("slicer: decode tree %d load: %w", ti, err)
+	d := &decoder{buf: data[len(serialMagic):]}
+	trees := make([]*Tree, 0, d.count(treeMinBytes))
+	for ti := 0; ti < cap(trees) && d.err == nil; ti++ {
+		// Fields decode in encoding order: operands evaluate left to right.
+		t := &Tree{TargetPC: int32(d.u32()),
+			Load: &profile.LoadStats{PC: int32(d.u32()), Execs: d.i64(), L1Misses: d.i64(), L2Misses: d.i64()}}
+		if nIx := d.count(8); nIx > 0 {
+			t.Load.MissDynIx = make([]int64, nIx)
+			for j := range t.Load.MissDynIx {
+				t.Load.MissDynIx[j] = d.i64()
 			}
 		}
-		nIx, err := readU32()
-		if err != nil {
-			return nil, fmt.Errorf("slicer: decode tree %d load: %w", ti, err)
-		}
-		if nIx > 1<<28 {
-			return nil, fmt.Errorf("slicer: implausible miss-index count %d", nIx)
-		}
-		if nIx > 0 {
-			ls.MissDynIx = make([]int64, nIx)
-			for j := range ls.MissDynIx {
-				if ls.MissDynIx[j], err = readI64(); err != nil {
-					return nil, fmt.Errorf("slicer: decode tree %d load: %w", ti, err)
-				}
-			}
-		}
-		t := &Tree{TargetPC: int32(targetPC), Load: ls}
-		if t.Sampled, err = readI64(); err != nil {
-			return nil, fmt.Errorf("slicer: decode tree %d: %w", ti, err)
-		}
-		bits, err := readI64()
-		if err != nil {
-			return nil, fmt.Errorf("slicer: decode tree %d: %w", ti, err)
-		}
-		t.Scale = math.Float64frombits(uint64(bits))
-		nNodes, err := readU32()
-		if err != nil {
-			return nil, fmt.Errorf("slicer: decode tree %d nodes: %w", ti, err)
-		}
-		if nNodes == 0 || nNodes > 1<<24 {
-			return nil, fmt.Errorf("slicer: implausible node count %d in tree %d", nNodes, ti)
+		t.Sampled = d.i64()
+		t.Scale = math.Float64frombits(uint64(d.i64()))
+		nNodes := d.count(nodeMinBytes)
+		if d.err == nil && nNodes == 0 {
+			return nil, fmt.Errorf("slicer: tree %d has no nodes", ti)
 		}
 		flat := make([]*Node, nNodes)
-		for ni := uint32(0); ni < nNodes; ni++ {
-			parent, err := readU32()
-			if err != nil {
-				return nil, fmt.Errorf("slicer: decode tree %d node %d: %w", ti, ni, err)
-			}
-			n := &Node{}
-			pc, err := readU32()
-			if err != nil {
-				return nil, fmt.Errorf("slicer: decode tree %d node %d: %w", ti, ni, err)
-			}
-			n.PC = int32(pc)
-			depth, err := readU32()
-			if err != nil {
-				return nil, fmt.Errorf("slicer: decode tree %d node %d: %w", ti, ni, err)
-			}
-			n.Depth = int(depth)
-			for _, dst := range []*int64{&n.DCtrig, &n.DCptcm, &n.DistSum} {
-				if *dst, err = readI64(); err != nil {
-					return nil, fmt.Errorf("slicer: decode tree %d node %d: %w", ti, ni, err)
-				}
-			}
+		for ni := 0; ni < nNodes && d.err == nil; ni++ {
+			parent := d.u32()
+			n := &Node{PC: int32(d.u32()), Depth: int(d.u32()), DCtrig: d.i64(), DCptcm: d.i64(), DistSum: d.i64()}
 			flat[ni] = n
 			switch {
+			case d.err != nil:
 			case parent == ^uint32(0):
 				if ni != 0 {
 					return nil, fmt.Errorf("slicer: tree %d has a second root at node %d", ti, ni)
 				}
 				t.Root = n
-			case parent >= ni:
+			case int64(parent) >= int64(ni):
 				// Preorder guarantees parents precede children; a forward
 				// reference is corruption (and would otherwise nil-deref).
 				return nil, fmt.Errorf("slicer: tree %d node %d references parent %d out of order", ti, ni, parent)
@@ -225,12 +212,15 @@ func DecodeTrees(r io.Reader) ([]*Tree, error) {
 				n.Parent.Children = append(n.Parent.Children, n)
 			}
 		}
-		if t.Root == nil {
+		if d.err == nil && t.Root == nil {
 			return nil, fmt.Errorf("slicer: tree %d has no root", ti)
 		}
 		trees = append(trees, t)
 	}
-	if _, err := br.ReadByte(); err != io.EOF {
+	if d.err != nil {
+		return nil, fmt.Errorf("slicer: decode: %w", d.err)
+	}
+	if len(d.buf) != 0 {
 		return nil, fmt.Errorf("slicer: trailing bytes after last tree")
 	}
 	return trees, nil

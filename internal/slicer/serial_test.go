@@ -3,6 +3,7 @@ package slicer
 import (
 	"bytes"
 	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -28,7 +29,7 @@ func TestTreesSerialRoundTrip(t *testing.T) {
 	if err := EncodeTrees(&buf, trees); err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeTrees(bytes.NewReader(buf.Bytes()))
+	got, err := DecodeTrees(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,8 +80,84 @@ func TestTreesSerialRejectsCorruption(t *testing.T) {
 		"truncated": raw[:len(raw)-5],
 		"trailing":  append(append([]byte(nil), raw...), 7),
 	} {
-		if _, err := DecodeTrees(bytes.NewReader(data)); err == nil {
+		if _, err := DecodeTrees(data); err == nil {
 			t.Errorf("%s: decode succeeded, want error", name)
 		}
 	}
+}
+
+// craft assembles a PXSLC001 encoding from raw fields: uint32 and int64
+// values in the format's byte order.
+func craft(fields ...any) []byte {
+	b := []byte(serialMagic)
+	for _, f := range fields {
+		switch v := f.(type) {
+		case uint32:
+			b = serialOrder.AppendUint32(b, v)
+		case int64:
+			b = serialOrder.AppendUint64(b, uint64(v))
+		}
+	}
+	return b
+}
+
+// TestTreesDecodeBoundsAllocation feeds encodings whose tree, miss-index
+// and node counts claim far more records than the input holds. Each must
+// fail without allocating for the claim.
+func TestTreesDecodeBoundsAllocation(t *testing.T) {
+	load := []any{uint32(0), int64(1), int64(1), int64(1)} // PC and counters
+	for name, data := range map[string][]byte{
+		"tree count":   craft(uint32(1 << 20)),
+		"miss indices": craft(append(append([]any{uint32(1), uint32(0)}, load...), uint32(1<<28))...),
+		"node count": craft(append(append([]any{uint32(1), uint32(0)}, load...),
+			uint32(0), int64(0), int64(0), uint32(1<<24))...),
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := DecodeTrees(data)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s: decode succeeded, want error", name)
+		}
+		if alloc, limit := after.TotalAlloc-before.TotalAlloc, uint64(2*len(data))+16<<10; alloc > limit {
+			t.Errorf("%s: decoding %d bytes allocated %d bytes, want at most %d", name, len(data), alloc, limit)
+		}
+	}
+}
+
+// FuzzSlicerDecode drives the PXSLC001 decoder with arbitrary bytes: it
+// must return an error or trees, never panic, and trees it returns must
+// re-encode to a fixed point: encoding, decoding and encoding again yields
+// the same bytes. The allocation bound is TestTreesDecodeBoundsAllocation's.
+func FuzzSlicerDecode(f *testing.F) {
+	trees, _, _ := buildTestTrees(f, paperLoop(200), DefaultConfig())
+	var buf bytes.Buffer
+	if err := EncodeTrees(&buf, trees); err != nil {
+		f.Fatal(err)
+	}
+	raw := buf.Bytes()
+	for _, n := range []int{0, 7, 8, 12, 16, 48, len(raw) / 2, len(raw) - 1, len(raw)} {
+		f.Add(raw[:n])
+	}
+	f.Add(craft(uint32(1 << 20)))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		got, err := DecodeTrees(data)
+		if err != nil {
+			return
+		}
+		var first, second bytes.Buffer
+		if err := EncodeTrees(&first, got); err != nil {
+			t.Fatal(err)
+		}
+		again, err := DecodeTrees(first.Bytes())
+		if err != nil {
+			t.Fatalf("re-decoding encoded trees: %v", err)
+		}
+		if err := EncodeTrees(&second, again); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatal("trees changed across an encode/decode round trip")
+		}
+	})
 }

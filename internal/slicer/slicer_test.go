@@ -71,7 +71,7 @@ func newTestLCG(seed uint64) func() uint64 {
 	}
 }
 
-func buildTestTrees(t *testing.T, p *isa.Program, cfg Config) ([]*Tree, *trace.Trace, *profile.Profile) {
+func buildTestTrees(t testing.TB, p *isa.Program, cfg Config) ([]*Tree, *trace.Trace, *profile.Profile) {
 	t.Helper()
 	tr, err := trace.Run(p)
 	if err != nil {

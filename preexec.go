@@ -97,9 +97,6 @@ type (
 	// Config parameterizes the processor, hierarchy, energy model and
 	// selection framework.
 	Config = experiments.Config
-	// Engine selects the simulation engine (Config.CPU.Engine); see the
-	// EngineEvent and EngineScan constants and ParseEngine.
-	Engine = cpu.Engine
 	// Target selects the optimization objective (latency, energy, ED, ED²).
 	Target = pthsel.Target
 	// Result is one simulation's outcome.
@@ -206,19 +203,6 @@ const (
 	TargetP  = pthsel.TargetP
 	TargetP2 = pthsel.TargetP2
 )
-
-// Simulation engines. EngineEvent (the zero value) is the event-driven
-// production engine; EngineScan is the bit-identical every-cycle reference
-// engine.
-const (
-	EngineEvent = cpu.EngineEvent
-	EngineScan  = cpu.EngineScan
-)
-
-// ParseEngine parses an engine name as used by cmd/sweep's and cmd/labd's
-// -engine flags: "event" (or the empty string) or "scan".
-// Unknown names produce one error listing the valid engines.
-func ParseEngine(s string) (Engine, error) { return cpu.ParseEngine(s) }
 
 // Figure 5's sensitivity axes.
 const (
@@ -375,10 +359,10 @@ type Lab struct {
 	diskErr error
 }
 
-// New creates a Lab engine. An out-of-enum engine or a processor
-// configuration the simulator cannot run (a zero width or window, no thread
-// context, a negative latency) is caught here: every entry point then fails
-// with that one error (also available up front through ConfigErr).
+// New creates a Lab engine. A processor configuration the simulator cannot
+// run (a zero width or window, no thread context, a negative latency) is
+// caught here: every entry point then fails with that one error (also
+// available up front through ConfigErr).
 func New(opts ...Option) *Lab {
 	l := &Lab{cfg: experiments.DefaultConfig()}
 	for _, opt := range opts {
