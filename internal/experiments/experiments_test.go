@@ -281,6 +281,48 @@ func stripThroughput(rep *SweepReport) {
 	}
 }
 
+// TestSweepScanMatchesEvent is the engine differential at the sweep layer:
+// the base-configuration sweep of gap under L, E and P, which simulates on
+// the event engine, reports exactly the runs rebuilt on the reference scan
+// engine from the same preparation and selections, apart from throughput.
+// TestEnginesAgree compares the same selections' raw Results; this test
+// checks what the sweep derives and reports from them.
+func TestSweepScanMatchesEvent(t *testing.T) {
+	ctx := context.Background()
+	cfg := DefaultConfig()
+	rep, err := NewRunner(cfg, 2, nil).Sweep(ctx, Grid{Benchmarks: []string{"gap"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stripThroughput(rep)
+	if len(rep.Points) != 1 {
+		t.Fatalf("base sweep has %d points, want 1", len(rep.Points))
+	}
+
+	prep, err := Prepare(ctx, "gap", cfg.MeasureInput, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := simulateReference(ctx, cfg.CPU, prep.Trace, nil)
+	if err != nil {
+		t.Fatalf("baseline reference: %v", err)
+	}
+	var want []RunReport
+	for _, tgt := range Figure4Targets {
+		sel := pthsel.Select(prep.Trace, prep.Prof, prep.Trees, prep.Params, tgt)
+		res, err := simulateReference(ctx, cfg.CPU, prep.Trace, sel.PThreads)
+		if err != nil {
+			t.Fatalf("target-%s reference: %v", tgt, err)
+		}
+		want = append(want, runReport(Derive(sel, base, res)))
+	}
+	a, _ := json.Marshal(rep.Points[0].Runs)
+	b, _ := json.Marshal(want)
+	if !bytes.Equal(a, b) {
+		t.Errorf("event-engine sweep diverges from reference scan engine:\nevent: %s\nscan:  %s", a, b)
+	}
+}
+
 // TestSweepSharesMeasurements pins the shared-measurement rule on the
 // memory-latency grid over the paper nine under L, E and P: targets at one
 // point whose selections are the same p-thread list share one simulation.
