@@ -1,12 +1,9 @@
 package cpu
 
-import "math"
-
-// Calendar-queue payload marking a p-thread body completion. Main-thread
-// completions carry the dynamic instruction index (>= 0) so the wakeup walk
-// can find the waiting consumers; p-thread completions only need to exist as
-// points in time (the in-order per-context scan picks up the work).
-const pctxMarker int32 = -1
+import (
+	"math"
+	"slices"
+)
 
 const (
 	calBits  = 10
@@ -19,33 +16,54 @@ type calEvent struct {
 	d  int32
 }
 
-// calendar is a calendar/bucket queue of future completion events. Events
-// within the wheel horizon land in the bucket at&calMask; the simulator
-// visits every cycle that holds an event (cycle skipping never jumps past
-// the earliest pending event), so each bucket holds at most one distinct
-// time when popped. Events beyond the horizon wait in a small time-sorted
-// overflow list and migrate into the wheel as the clock approaches.
+// calNode is one event in a wheel bucket's list. Nodes live in a pool and
+// are chained through index+1 links (0 terminates), like wakeNode, so the
+// wheel is one small array of list heads and pushing or popping an event
+// touches the pool's recently freed nodes instead of a slice per bucket.
+type calNode struct {
+	at   int64
+	d    int32
+	next int32
+}
+
+// calendar is a calendar/bucket queue of future completion events, each
+// carrying a main-thread dynamic index (>= 0) or a p-thread context
+// (ctxEvent). Events within the wheel horizon join the list of bucket
+// at&calMask; the simulator visits every cycle that holds an event (cycle
+// skipping never jumps past the earliest pending event), so each bucket
+// holds at most one distinct time when popped. Events beyond the horizon
+// wait in a small time-sorted overflow list and migrate into the wheel as
+// the clock approaches. Events due at one cycle pop in the order they
+// joined the wheel; the engine's handling of them does not depend on it,
+// but the issue walk pushes in ascending dynamic order, which keeps the
+// done queue's sorted insertions at its tail.
 type calendar struct {
-	wheel   [calSlots][]calEvent
+	head    [calSlots]int32 // per bucket: first node, index+1 (0 = empty)
+	nodes   []calNode
+	free    int32      // free-node list head, index+1 (0 = empty)
 	far     []calEvent // sorted by at, ascending
 	pending int
 }
 
-// reset empties the queue, keeping every bucket's storage for reuse.
+// reset empties the queue, keeping the node pool's storage for reuse.
 func (c *calendar) reset() {
-	for i := range c.wheel {
-		c.wheel[i] = c.wheel[i][:0]
-	}
+	c.head = [calSlots]int32{}
+	c.nodes = c.nodes[:0]
+	c.free = 0
 	c.far = c.far[:0]
 	c.pending = 0
 }
 
-// push schedules an event; at must be in the future.
+// push schedules an event; at must be in the future. An event at now would
+// land in the bucket this cycle already popped and surface only a full
+// wheel turn later: Config.Validate's L1D.HitLatency floor keeps every
+// completion at least one cycle after its issue.
+//
+//lab:hotpath
 func (c *calendar) push(at int64, now int64, d int32) {
 	c.pending++
 	if at-now < calSlots {
-		s := at & calMask
-		c.wheel[s] = append(c.wheel[s], calEvent{at: at, d: d})
+		c.link(at, d)
 		return
 	}
 	i := len(c.far)
@@ -57,35 +75,58 @@ func (c *calendar) push(at int64, now int64, d int32) {
 	c.far[i] = calEvent{at: at, d: d}
 }
 
+// link adds an event to its wheel bucket.
+//
+//lab:hotpath
+func (c *calendar) link(at int64, d int32) {
+	var n int32
+	if c.free != 0 {
+		n = c.free
+		c.free = c.nodes[n-1].next
+	} else {
+		c.nodes = append(c.nodes, calNode{})
+		n = int32(len(c.nodes))
+	}
+	s := at & calMask
+	c.nodes[n-1] = calNode{at: at, d: d, next: c.head[s]}
+	c.head[s] = n
+}
+
 // pop collects every event due at now into dst and returns it. Events due
 // later stay queued.
+//
+//lab:hotpath
 func (c *calendar) pop(now int64, dst []int32) []int32 {
 	for len(c.far) > 0 && c.far[0].at-now < calSlots {
 		ev := c.far[0]
 		c.far = c.far[:copy(c.far, c.far[1:])]
-		s := ev.at & calMask
-		c.wheel[s] = append(c.wheel[s], ev)
+		c.link(ev.at, ev.d)
 	}
-	s := now & calMask
-	bucket := c.wheel[s]
-	if len(bucket) == 0 {
-		return dst
-	}
-	keep := bucket[:0]
-	for _, ev := range bucket {
-		if ev.at <= now {
-			dst = append(dst, ev.d)
+	start := len(dst)
+	prev := &c.head[now&calMask]
+	for n := *prev; n != 0; {
+		node := &c.nodes[n-1]
+		next := node.next
+		if node.at <= now {
+			dst = append(dst, node.d)
 			c.pending--
+			*prev = next
+			node.next = c.free
+			c.free = n
 		} else {
-			keep = append(keep, ev)
+			prev = &node.next
 		}
+		n = next
 	}
-	c.wheel[s] = keep
+	// The list runs newest first.
+	slices.Reverse(dst[start:])
 	return dst
 }
 
 // nextAt returns the earliest pending event time strictly after now, or
 // math.MaxInt64 when the calendar is empty.
+//
+//lab:hotpath
 func (c *calendar) nextAt(now int64) int64 {
 	if c.pending == 0 {
 		return math.MaxInt64
@@ -99,8 +140,8 @@ func (c *calendar) nextAt(now int64) int64 {
 		if t >= best {
 			break
 		}
-		for _, ev := range c.wheel[t&calMask] {
-			if ev.at == t {
+		for n := c.head[t&calMask]; n != 0; n = c.nodes[n-1].next {
+			if c.nodes[n-1].at == t {
 				return t
 			}
 		}

@@ -84,10 +84,17 @@ const defaultMaxCycles = 2_000_000_000
 
 // Validate rejects a configuration the simulator cannot run: a
 // non-positive width, window size, port count or fetch-buffer capacity,
-// fewer than one thread context, or a negative latency. Each
-// problem is one error naming the field; without the check a zero window
-// or width spins until the deadlock guard fires and zero contexts panic
-// while sizing the p-thread contexts.
+// fewer than one thread context, a negative latency, or an L1D hit latency
+// below one cycle. Each problem is one error naming the field; without the
+// check a zero window or width spins until the deadlock guard fires and
+// zero contexts panic while sizing the p-thread contexts.
+//
+// The L1D floor exists because every other load latency adds to it: at 0
+// an L1D hit, a forwarded load, or an L2 hit under a zero L2 latency
+// completes in its issue cycle, after that cycle's completion events were
+// delivered, so the event engine would lose its wakeup (the reference scan,
+// which rereads every operand each cycle, would not). Every other latency
+// may be 0.
 func (c Config) Validate() error {
 	type field struct {
 		name string
@@ -99,6 +106,7 @@ func (c Config) Validate() error {
 		{"ROBSize", c.ROBSize}, {"RSSize", c.RSSize}, {"PhysRegs", c.PhysRegs},
 		{"LoadPorts", c.LoadPorts}, {"StorePorts", c.StorePorts},
 		{"FetchQCap", c.FetchQCap}, {"Contexts", c.Contexts},
+		{"Hier.L1D.HitLatency", c.Hier.L1D.HitLatency},
 	} {
 		if f.v < 1 {
 			return fmt.Errorf("cpu: %s must be at least 1, got %d", f.name, f.v)
@@ -107,7 +115,7 @@ func (c Config) Validate() error {
 	for _, f := range []field{
 		{"FrontEndDepth", c.FrontEndDepth}, {"RedirectPen", c.RedirectPen},
 		{"PthFrontEnd", c.PthFrontEnd}, {"Hier.L1I.HitLatency", c.Hier.L1I.HitLatency},
-		{"Hier.L1D.HitLatency", c.Hier.L1D.HitLatency}, {"Hier.L2.HitLatency", c.Hier.L2.HitLatency},
+		{"Hier.L2.HitLatency", c.Hier.L2.HitLatency},
 		{"Hier.TLBMissPen", c.Hier.TLBMissPen}, {"Hier.MemLatency", c.Hier.MemLatency},
 	} {
 		if f.v < 0 {

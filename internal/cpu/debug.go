@@ -13,14 +13,14 @@ func (s *Simulator) debugState() string {
 	}
 	ctxs := ""
 	for i := range s.ctxs {
-		c := &s.ctxs[i]
-		if !c.active {
+		if !s.live.has(i) {
 			continue
 		}
+		c := &s.ctxs[i]
 		dep := ""
 		if c.issued < c.dispatched && c.issued < c.limit() {
 			j := c.issued
-			d1, d2 := c.dep1[j], c.dep2[j]
+			d1, d2 := c.insts[j].dep1, c.insts[j].dep2
 			dep = fmt.Sprintf(" next=%s dep1{k=%d i=%d rdy=%v} dep2{k=%d i=%d rdy=%v}",
 				c.pt.Body[j].Op, d1.kind, d1.idx, s.pdepReady(c, d1),
 				d2.kind, d2.idx, s.pdepReady(c, d2))

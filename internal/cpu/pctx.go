@@ -1,6 +1,8 @@
 package cpu
 
 import (
+	"math/bits"
+
 	"repro/internal/isa"
 	"repro/internal/trace"
 )
@@ -14,7 +16,29 @@ const (
 
 type depRef struct {
 	kind uint8
-	idx  int64 // main-thread dynamic index or body index
+	idx  int32 // main-thread dynamic index or body index
+}
+
+// bodyInst is the static summary of one body instruction, built once per
+// installed p-thread and shared by all its instances: isa predicate flags
+// plus flagTarget, the functional-unit latency, and each source operand as
+// bodySrc encodes it.
+type bodyInst struct {
+	flags      uint8
+	lat        uint8
+	src1, src2 int32
+}
+
+// flagTarget marks a body load as a prefetch target in bodyInst.flags. It
+// sits above the isa.Flag* predicate bits.
+const flagTarget uint8 = 1 << 7
+
+// pinst is one body instruction of a running instance: its issue-time
+// state, kept together so an issue pass touches one line per instruction.
+type pinst struct {
+	completeAt int64 // 0 until issued
+	addr       int64 // load address
+	dep1, dep2 depRef
 }
 
 // pctx is a hardware p-thread context. At spawn the body is executed
@@ -24,36 +48,33 @@ type depRef struct {
 // against producer completion times.
 //
 // Every slice is preallocated once (see grow) to the largest installed body,
-// so spawning a p-thread instance performs no allocation.
+// so spawning a p-thread instance performs no allocation. Whether a context
+// is in use lives in the simulator's live set, not in the context.
 type pctx struct {
-	active  bool
-	pt      *PThread
-	spawnID int32
-	statIdx int32 // index into the simulator's pthStats
-
-	// Precomputed at spawn.
-	vals       []int64
-	addrs      []int64
-	dep1       []depRef
-	dep2       []depRef
-	targetMask []bool // per body index: is a prefetch target load
-	abortAt    int    // body index of a wild (out-of-range) address; len(Body) if none
-
-	// Progress.
+	// Progress, read by every pass over the context.
 	fetched      int
 	dispatched   int
 	issued       int
 	freed        int
+	abortAt      int // body index of a wild (out-of-range) address; len(Body) if none
 	nextBlockAt  int64
 	blockReadyAt int64
-	completeAt   []int64
+
+	// waitMain is the main-thread producer whose wakeup list the event
+	// engine subscribed this context to (-1 none), so a head re-examined
+	// while still waiting does not subscribe twice.
+	waitMain int32
+	spawnID  int32
+	statIdx  int32 // index into the simulator's pthStats
+	pt       *PThread
+	body     []bodyInst // pt's static summary
+	insts    []pinst
+	vals     []int64 // functional results, used while pre-executing
 }
 
 // limit returns the effective body length: an aborted body squashes at the
 // faulting instruction.
 func (c *pctx) limit() int { return c.abortAt }
-
-func (c *pctx) isTarget(j int) bool { return c.targetMask[j] }
 
 // grow preallocates the context's working arrays for bodies up to n
 // instructions. Called once per context at simulator construction; init then
@@ -63,118 +84,156 @@ func (c *pctx) grow(n int) {
 		return
 	}
 	c.vals = make([]int64, n)
-	c.addrs = make([]int64, n)
-	c.dep1 = make([]depRef, n)
-	c.dep2 = make([]depRef, n)
-	c.completeAt = make([]int64, n)
-	c.targetMask = make([]bool, n)
+	c.insts = make([]pinst, n)
 }
 
-// init prepares the context for a new instance of pt, executing the body
-// functionally to obtain values, addresses and dependence references.
-func (c *pctx) init(pt *PThread, spawnID, statIdx int32, s *Simulator) {
+// init prepares the context for a new instance of installed p-thread ti,
+// executing the body functionally to obtain values, addresses and
+// dependence references.
+func (c *pctx) init(ti, spawnID int32, s *Simulator) {
+	pt := s.pthreads[ti]
 	n := len(pt.Body)
-	c.active = true
+	off := int(s.bodyOff[ti])
 	c.pt = pt
 	c.spawnID = spawnID
-	c.statIdx = statIdx
+	c.statIdx = s.statOf[ti]
+	c.body = s.body[off : off+n]
 	c.fetched = 0
 	c.dispatched = 0
 	c.issued = 0
 	c.freed = 0
 	c.nextBlockAt = s.now
 	c.blockReadyAt = s.now
+	c.waitMain = -1
 	c.grow(n) // no-op in steady state: NewSimulator sized the pools
 	c.vals = c.vals[:n]
-	c.addrs = c.addrs[:n]
-	c.dep1 = c.dep1[:n]
-	c.dep2 = c.dep2[:n]
-	c.completeAt = c.completeAt[:n]
-	for i := range c.completeAt {
-		c.completeAt[i] = 0
-	}
-	c.targetMask = c.targetMask[:n]
-	for i := range c.targetMask {
-		c.targetMask[i] = false
-	}
-	for _, t := range pt.Targets {
-		c.targetMask[t] = true
-	}
-	c.abortAt = execBody(pt.Body, &s.specRegs, s.lastWriter[:], s.mem,
-		c.vals, c.addrs, c.dep1, c.dep2)
+	c.insts = c.insts[:n]
+	c.abortAt = c.exec(&s.specRegs, &s.lastWriter, s.mem)
 	if c.abortAt < n {
-		s.pthStats[statIdx].Aborted++
+		s.pthStats[c.statIdx].Aborted++
 	}
 }
 
-// execBody functionally pre-executes body against a dispatch-time
-// architectural snapshot (register values, per-register last in-flight
-// writer, and the program-order memory image), filling vals, addrs and the
-// dependence references. It returns the abort index: the body position of a
-// wild address or undefined ALU result, or len(body) if the whole body
-// executed. Slots at and beyond the abort index are left unspecified, as
-// the context squashes there. The snapshot is read-only; depends only on
-// the main thread's program-order prefix, never on simulated timing.
-func execBody(body []isa.Inst, specRegs *[isa.NumRegs]int64, lastWriter, mem []int64,
-	vals, addrs []int64, dep1, dep2 []depRef) int {
-	n := len(body)
-	var regs [64]int64
-	copy(regs[:], specRegs[:])
-	var bodyWriter [64]int64 // body index of last writer, -1 = main thread
-	for r := range bodyWriter {
-		bodyWriter[r] = -1
+// ctxSet is a bitset over p-thread context indices. Walks visit members in
+// ascending index order, the order in which contexts share issue and rename
+// bandwidth; any number of contexts fits.
+type ctxSet []uint64
+
+// reset sizes the set for n contexts and empties it, reusing its storage.
+func (cs ctxSet) reset(n int) ctxSet {
+	cs = grow(cs, (n+63)>>6)
+	for i := range cs {
+		cs[i] = 0
 	}
+	return cs
+}
+
+func (cs ctxSet) has(c int) bool { return cs[c>>6]&(1<<uint(c&63)) != 0 }
+func (cs ctxSet) add(c int)      { cs[c>>6] |= 1 << uint(c&63) }
+func (cs ctxSet) del(c int)      { cs[c>>6] &^= 1 << uint(c&63) }
+
+// next returns the smallest member at or above c, or -1 when there is none.
+func (cs ctxSet) next(c int) int {
+	w := c >> 6
+	if w >= len(cs) {
+		return -1
+	}
+	word := cs[w] &^ (1<<uint(c&63) - 1)
+	for word == 0 {
+		if w++; w == len(cs) {
+			return -1
+		}
+		word = cs[w]
+	}
+	return w<<6 | bits.TrailingZeros64(word)
+}
+
+// free returns the smallest non-member below n, or -1 when all n are
+// members. Bits at and above n are never set.
+func (cs ctxSet) free(n int) int {
+	for w, word := range cs {
+		if word != ^uint64(0) {
+			if c := w<<6 | bits.TrailingZeros64(^word); c < n {
+				return c
+			}
+			return -1
+		}
+	}
+	return -1
+}
+
+// bodySrc encodes a body instruction's source operand for pctx.exec, given
+// the body index + 1 of each register's last earlier writer in the body: a
+// body index k >= 0 reads body instruction k's result; -1-r reads live-in
+// register r from the main thread. An operand the instruction does not read
+// is encoded as live-in r0, which holds 0 and never has a main-thread
+// writer (no instruction writes r0), so it neither waits nor feeds Eval.
+func bodySrc(reads bool, r isa.Reg, writer *[isa.NumRegs]int32) int32 {
+	if !reads || r == isa.Zero {
+		return -1
+	}
+	if w := writer[r]; w > 0 {
+		return w - 1
+	}
+	return -1 - int32(r)
+}
+
+// exec functionally pre-executes the body against a dispatch-time
+// architectural snapshot (register values, per-register last in-flight
+// writer, and the program-order memory image), filling vals and each
+// instruction's address and dependence references, and marking it not yet
+// issued. It returns the abort index: the body position of a wild address
+// or undefined ALU result, or len(Body) if the whole body executed. Slots at
+// and beyond the abort index are left unspecified, as the context squashes
+// there. The snapshot is read-only; it depends only on the main thread's
+// program-order prefix, never on simulated timing.
+func (c *pctx) exec(specRegs *[isa.NumRegs]int64, lastWriter *[isa.NumRegs]int64, mem []int64) int {
+	body := c.pt.Body
 	memWords := int64(len(mem))
-	for j := 0; j < n; j++ {
-		in := body[j]
-		dep1[j] = depFor(in.ReadsSrc1(), in.Src1, bodyWriter[:], lastWriter)
-		dep2[j] = depFor(in.ReadsSrc2(), in.Src2, bodyWriter[:], lastWriter)
+	for j := range body {
+		in := &body[j]
+		bi := c.body[j]
+		p := &c.insts[j]
+		var v1, v2 int64
+		v1, p.dep1 = c.operand(bi.src1, specRegs, lastWriter)
+		v2, p.dep2 = c.operand(bi.src2, specRegs, lastWriter)
+		p.completeAt = 0
 		switch {
-		case in.IsALU():
-			v, err := in.Eval(regs[in.Src1], regs[in.Src2])
+		case bi.flags&isa.FlagALU != 0:
+			v, err := in.Eval(v1, v2)
 			if err != nil {
 				// Unreachable after PThread.Validate (bodies are ALU/Load/Nop
 				// only), but a body that somehow defies ALU semantics squashes
 				// like a wild address instead of crashing the simulation.
 				return j
 			}
-			vals[j] = v
-			if in.HasDst() {
-				regs[in.Dst] = v
-				bodyWriter[in.Dst] = int64(j)
-			}
-		case in.IsLoad():
-			addr := regs[in.Src1] + in.Imm
+			c.vals[j] = v
+		case bi.flags&isa.FlagLoad != 0:
+			addr := v1 + in.Imm
 			if addr&7 != 0 || addr < 0 || addr>>3 >= memWords {
 				// Wild address: the context squashes here, as a real
 				// implementation would suppress the fault and kill the
 				// p-thread.
 				return j
 			}
-			addrs[j] = addr
-			v := mem[addr>>3]
-			vals[j] = v
-			if in.HasDst() {
-				regs[in.Dst] = v
-				bodyWriter[in.Dst] = int64(j)
-			}
+			p.addr = addr
+			c.vals[j] = mem[addr>>3]
 		}
 	}
-	return n
+	return len(body)
 }
 
-func depFor(reads bool, r isa.Reg, bodyWriter, lastWriter []int64) depRef {
-	if !reads || r == isa.Zero {
-		return depRef{kind: depNone}
+// operand returns a source operand's value and dependence reference. A
+// live-in register with an in-flight main-thread writer depends on it; a
+// committed or completed writer is folded into depNone lazily by the
+// readiness check (which treats completed producers as ready).
+func (c *pctx) operand(src int32, specRegs *[isa.NumRegs]int64, lastWriter *[isa.NumRegs]int64) (int64, depRef) {
+	if src >= 0 {
+		return c.vals[src], depRef{kind: depBody, idx: src}
 	}
-	if bw := bodyWriter[r]; bw >= 0 {
-		return depRef{kind: depBody, idx: bw}
-	}
+	r := -1 - src
 	if lw := lastWriter[r]; lw != trace.NoProducer {
-		// Only an in-flight, not-yet-complete producer creates a wait; a
-		// committed or completed one is folded into depNone lazily by the
-		// readiness check (which treats completed producers as ready).
-		return depRef{kind: depMain, idx: lw}
+		return specRegs[r], depRef{kind: depMain, idx: int32(lw)}
 	}
-	return depRef{kind: depNone}
+	return specRegs[r], depRef{kind: depNone}
 }

@@ -3,6 +3,8 @@ package cpu
 import (
 	"context"
 	"fmt"
+	"math"
+	"math/bits"
 
 	"repro/internal/bpred"
 	"repro/internal/cache"
@@ -39,17 +41,19 @@ type fetchEnt struct {
 //
 // A Simulator is reusable: Reset reinitializes it for a new (config, trace,
 // p-thread) triple while retaining every internal pool — ROB, per-entry
-// state columns, wakeup-node pool, calendar buckets, cache arrays, p-thread
+// state columns, wakeup-node pool, calendar nodes, cache arrays, p-thread
 // contexts — so steady-state reuse performs no allocation. A Result
 // returned by Run/RunContext borrows simulator-owned memory and is valid
 // only until the next Reset; callers that outlive the reuse cycle must
 // Clone it.
 //
 // RunContext drives the pipeline stages with the event-driven engine:
-// wakeup lists, a ready queue and a calendar queue of completion events,
-// with bulk skipping of quiescent cycles. RunReference drives the same
-// stages with the per-cycle window rescan the event engine replaced; the
-// two produce bit-identical Results.
+// wakeup lists, ready and done queues and a calendar queue of completion
+// events, with bulk skipping of quiescent cycles; a p-thread context joins
+// an issue pass only when a completion, a wakeup or its own dispatch lets
+// it act. RunReference drives the same stages with the per-cycle window
+// rescan and all-context p-thread walk the event engine replaced; the two
+// produce bit-identical Results.
 type Simulator struct {
 	cfg  Config
 	tr   *trace.Trace
@@ -89,14 +93,28 @@ type Simulator struct {
 	// Pre-execution. Triggers are a per-PC intrusive list over the installed
 	// p-threads (trigHead[pc] -> first index, trigNext chains in install
 	// order); statOf deduplicates stats for p-threads sharing an ID.
-	pthreads    []*PThread
-	trigHead    []int32
-	trigNext    []int32
-	statOf      []int32
-	pthStats    []PThreadStats
-	ctxs        []pctx
-	liveCtxs    int // count of active contexts (fast-path gate for the pctx scans)
-	rrCtx       int // round-robin fetch arbitration pointer
+	pthreads []*PThread
+	trigHead []int32
+	trigNext []int32
+	statOf   []int32
+	pthStats []PThreadStats
+	// Static per-body-instruction summaries of every installed p-thread,
+	// back to back (p-thread k's start at bodyOff[k]).
+	bodyOff []int32
+	body    []bodyInst
+	// P-thread contexts and the sets the per-cycle walks visit: live holds
+	// the contexts running an instance; fetching and pending, subsets of
+	// live, those with body instructions left to fetch and fetched ones
+	// left to dispatch.
+	ctxs     []pctx
+	live     ctxSet
+	fetching ctxSet
+	pending  ctxSet
+	rrCtx    int // round-robin fetch arbitration pointer
+	// fetchAt bounds the earliest nextBlockAt in fetching from below;
+	// before it every fetching context is pacing, so pthFetch has nothing
+	// to do.
+	fetchAt     int64
 	spawnUseful []bool
 	spawnStatic []int32 // spawnID -> stat index
 
@@ -113,6 +131,7 @@ type Simulator struct {
 	evMem *evState
 
 	// Statistics.
+	stats        SimStats
 	res          Result
 	perPBuf      []PThreadStats // reused backing for res.PerPThread
 	memMainAcc   int64          // d-cache/LSQ accesses by the main thread
@@ -123,6 +142,23 @@ type Simulator struct {
 	instsPth     int64
 	branchesMain int64
 }
+
+// SimStats counts the simulator's own work in its latest run: the numbers
+// that explain its throughput. They live outside Result, so Results stay
+// byte-identical across engines; only the event engine delivers events and
+// wakes contexts, so those counters read 0 after RunReference.
+type SimStats struct {
+	VisitedCycles int64 // cycles simulated one by one (one issue pass each)
+	SkippedCycles int64 // quiescent cycles jumped over in bulk
+	Events        int64 // completion events delivered from the calendar
+	CtxVisits     int64 // p-thread contexts visited by issue passes
+	CtxWakeups    int64 // idle p-thread contexts made due for the next issue pass
+	Spawns        int64 // p-thread instances started
+}
+
+// Stats returns the work counters of the latest run (zero after Reset).
+// VisitedCycles + SkippedCycles equals the run's Result.Cycles.
+func (s *Simulator) Stats() SimStats { return s.stats }
 
 // NewSimulator prepares a run of tr on the configured processor with the
 // given p-threads installed (nil for an unoptimized baseline run).
@@ -239,11 +275,13 @@ func (s *Simulator) Reset(cfg Config, tr *trace.Trace, pthreads []*PThread) erro
 	// installed body once, so spawn never allocates.
 	maxBody := MaxBodyLen(pthreads)
 	for c := range s.ctxs {
-		s.ctxs[c].active = false
 		s.ctxs[c].grow(maxBody)
 	}
-	s.liveCtxs = 0
+	s.live = s.live.reset(nctx)
+	s.fetching = s.fetching.reset(nctx)
+	s.pending = s.pending.reset(nctx)
 	s.rrCtx = 0
+	s.fetchAt = math.MaxInt64
 	s.spawnUseful = s.spawnUseful[:0]
 	s.spawnStatic = s.spawnStatic[:0]
 	if s.spawnUseful == nil {
@@ -254,9 +292,10 @@ func (s *Simulator) Reset(cfg Config, tr *trace.Trace, pthreads []*PThread) erro
 	if s.evMem == nil {
 		s.evMem = &evState{}
 	}
-	s.evMem.reset(n, cfg.ROBSize)
+	s.evMem.reset(n, cfg.ROBSize, nctx)
 	s.ev = s.evMem
 
+	s.stats = SimStats{}
 	s.res = Result{}
 	s.memMainAcc, s.memPthAcc = 0, 0
 	s.aluMain, s.aluPth = 0, 0
@@ -265,10 +304,11 @@ func (s *Simulator) Reset(cfg Config, tr *trace.Trace, pthreads []*PThread) erro
 	return nil
 }
 
-// installPThreads rebuilds the trigger table and per-p-thread stat slots.
-// Per-PC dispatch order is the argument order (trigNext chains preserve
-// it), and p-threads sharing an ID share one stat slot, both matching the
-// previous map-based behaviour bit for bit.
+// installPThreads rebuilds the trigger table, per-p-thread stat slots and
+// the static body summaries every spawn shares. Per-PC dispatch order is the
+// argument order (trigNext chains preserve it), and p-threads sharing an ID
+// share one stat slot, both matching the previous map-based behaviour bit
+// for bit.
 func (s *Simulator) installPThreads(pthreads []*PThread) {
 	s.pthreads = pthreads
 	nInsts := len(s.prog.Insts)
@@ -278,8 +318,31 @@ func (s *Simulator) installPThreads(pthreads []*PThread) {
 	}
 	s.trigNext = grow(s.trigNext, len(pthreads))
 	s.statOf = grow(s.statOf, len(pthreads))
+	s.bodyOff = grow(s.bodyOff, len(pthreads))
+	total := 0
+	for k, pt := range pthreads {
+		s.bodyOff[k] = int32(total)
+		total += len(pt.Body)
+	}
+	s.body = grow(s.body, total)
 	s.pthStats = s.pthStats[:0]
 	for k, pt := range pthreads {
+		body := s.body[s.bodyOff[k]:][:len(pt.Body)]
+		var writer [isa.NumRegs]int32 // body index + 1 of the last writer, 0 = none
+		for j, in := range pt.Body {
+			body[j] = bodyInst{
+				flags: in.Flags(),
+				lat:   uint8(in.ExecLatency()),
+				src1:  bodySrc(in.ReadsSrc1(), in.Src1, &writer),
+				src2:  bodySrc(in.ReadsSrc2(), in.Src2, &writer),
+			}
+			if in.HasDst() {
+				writer[in.Dst] = int32(j) + 1
+			}
+		}
+		for _, j := range pt.Targets {
+			body[j].flags |= flagTarget
+		}
 		s.trigNext[k] = -1
 		// Append to the trigger PC's chain tail to preserve install order.
 		if head := s.trigHead[pt.TriggerPC]; head < 0 {
@@ -478,70 +541,45 @@ func (s *Simulator) issueMain(d int32, loadBudget, storeBudget *int) (issued, ms
 	return true, false
 }
 
-// issuePctx runs the in-order p-thread issue pass with the bandwidth left
-// over from the main thread, returning whether anything issued or freed and
-// whether an MSHR rejection forces a cycle-by-cycle retry.
+// issuePInst issues the in-order head of ctx, whose operands are ready,
+// charging the load-port budget. Like issueMain it returns false, consuming
+// nothing, when the load ports are exhausted or the MSHR file rejected the
+// access (mshrFull); the head then retries next cycle.
 //
 //lab:hotpath
-func (s *Simulator) issuePctx(issueBudget, loadBudget *int) (active, mshrFull bool) {
-	if s.liveCtxs == 0 {
-		return false, false
+func (s *Simulator) issuePInst(ctx *pctx, loadBudget *int) (issued, mshrFull bool) {
+	j := ctx.issued
+	bi, p := ctx.body[j], &ctx.insts[j]
+	if bi.flags&isa.FlagLoad != 0 {
+		if *loadBudget == 0 {
+			return false, false
+		}
+		if bi.flags&flagTarget != 0 {
+			if _, ok := s.hier.PrefetchL2(p.addr, s.now, ctx.spawnID); !ok {
+				return false, true
+			}
+			// The p-thread is finished with a target load once the
+			// prefetch is launched.
+			p.completeAt = s.now + 1
+		} else {
+			info, ok := s.hier.Load(p.addr, s.now, true, -1)
+			if !ok {
+				return false, true
+			}
+			p.completeAt = info.DoneAt
+		}
+		s.memPthAcc++
+		*loadBudget--
+	} else {
+		p.completeAt = s.now + int64(bi.lat)
+		if bi.flags&isa.FlagALU != 0 {
+			s.aluPth++
+		}
 	}
-	for c := range s.ctxs {
-		ctx := &s.ctxs[c]
-		if !ctx.active {
-			continue
-		}
-		if s.freePctxRS(ctx) {
-			active = true
-		}
-	ctxIssue:
-		for *issueBudget > 0 && ctx.issued < ctx.dispatched && ctx.issued < ctx.limit() {
-			j := ctx.issued
-			if !s.pdepReady(ctx, ctx.dep1[j]) || !s.pdepReady(ctx, ctx.dep2[j]) {
-				break
-			}
-			in := ctx.pt.Body[j]
-			if in.IsLoad() {
-				if *loadBudget == 0 {
-					break ctxIssue
-				}
-				if ctx.isTarget(j) {
-					if _, ok := s.hier.PrefetchL2(ctx.addrs[j], s.now, ctx.spawnID); !ok {
-						mshrFull = true
-						break ctxIssue // MSHR full; retry next cycle
-					}
-					// The p-thread is finished with a target load once the
-					// prefetch is launched.
-					ctx.completeAt[j] = s.now + 1
-				} else {
-					info, ok := s.hier.Load(ctx.addrs[j], s.now, true, -1)
-					if !ok {
-						mshrFull = true
-						break ctxIssue
-					}
-					ctx.completeAt[j] = info.DoneAt
-				}
-				s.memPthAcc++
-				*loadBudget--
-			} else {
-				ctx.completeAt[j] = s.now + int64(in.ExecLatency())
-				if in.IsALU() {
-					s.aluPth++
-				}
-			}
-			if s.ev != nil {
-				s.ev.cal.push(ctx.completeAt[j], s.now, pctxMarker)
-			}
-			ctx.issued++
-			*issueBudget--
-			active = true
-			s.res.PInstsExec++
-			s.pthStats[ctx.statIdx].InstsExecuted++
-		}
-		s.maybeRelease(ctx)
-	}
-	return active, mshrFull
+	ctx.issued++
+	s.res.PInstsExec++
+	s.pthStats[ctx.statIdx].InstsExecuted++
+	return true, false
 }
 
 //lab:hotpath
@@ -552,19 +590,23 @@ func (s *Simulator) pdepReady(ctx *pctx, d depRef) bool {
 	case depMain:
 		return s.state[d.idx]&fIssued != 0 && s.completeAt[d.idx] <= s.now
 	default: // depBody
-		return ctx.completeAt[d.idx] > 0 && ctx.completeAt[d.idx] <= s.now
+		at := ctx.insts[d.idx].completeAt
+		return at > 0 && at <= s.now
 	}
 }
 
+// freePctxRS returns the reservation stations and physical registers of
+// ctx's completed instructions, in order, reporting whether any were freed.
+//
 //lab:hotpath
 func (s *Simulator) freePctxRS(ctx *pctx) bool {
 	freed := false
 	for j := ctx.freed; j < ctx.issued; j++ {
-		if ctx.completeAt[j] > s.now {
+		if ctx.insts[j].completeAt > s.now {
 			break
 		}
 		s.rsUsed--
-		if ctx.pt.Body[j].HasDst() {
+		if ctx.body[j].flags&isa.FlagHasDst != 0 {
 			s.physUsed--
 		}
 		ctx.freed++
@@ -574,14 +616,15 @@ func (s *Simulator) freePctxRS(ctx *pctx) bool {
 }
 
 //lab:hotpath
-func (s *Simulator) maybeRelease(ctx *pctx) {
+func (s *Simulator) maybeRelease(c int, ctx *pctx) {
 	// All issuable body instructions (everything before an abort point) have
 	// issued, completed and returned their resources: the context retires.
 	// Instructions past the abort point never allocated resources (dispatch
 	// skips them), so nothing further needs freeing.
 	if ctx.issued == ctx.limit() && ctx.freed == ctx.issued {
-		ctx.active = false
-		s.liveCtxs--
+		s.live.del(c)
+		s.fetching.del(c)
+		s.pending.del(c)
 	}
 }
 
@@ -662,39 +705,57 @@ func (s *Simulator) dispatchStage() bool {
 		active = true
 	}
 
-	// P-thread dispatch with leftover rename bandwidth.
-	if s.liveCtxs == 0 {
-		return active
+	// P-thread dispatch with leftover rename bandwidth, in context order.
+	for w, word := range s.pending {
+		for ; word != 0 && budget > 0; word &= word - 1 {
+			if s.dispatchCtx(w<<6|bits.TrailingZeros64(word), &budget) {
+				active = true
+			}
+		}
 	}
-	for c := range s.ctxs {
-		ctx := &s.ctxs[c]
-		if !ctx.active || budget == 0 {
+	return active
+}
+
+// dispatchCtx renames pending context c's fetched instructions, in order,
+// while its block has arrived and budget and resources last, returning
+// whether it consumed any.
+//
+//lab:hotpath
+func (s *Simulator) dispatchCtx(c int, budget *int) bool {
+	ctx := &s.ctxs[c]
+	if ctx.blockReadyAt > s.now {
+		return false
+	}
+	active := false
+	for *budget > 0 && ctx.dispatched < ctx.fetched {
+		j := ctx.dispatched
+		if j >= ctx.limit() {
+			// Aborted tail: consume without occupying resources.
+			ctx.dispatched++
+			active = true
 			continue
 		}
-		for budget > 0 && ctx.dispatched < ctx.fetched && ctx.blockReadyAt <= s.now {
-			j := ctx.dispatched
-			if j >= ctx.limit() {
-				// Aborted tail: consume without occupying resources.
-				ctx.dispatched++
-				active = true
-				continue
-			}
-			if s.rsUsed >= s.cfg.RSSize {
-				break
-			}
-			in := ctx.pt.Body[j]
-			if in.HasDst() && s.physUsed >= s.cfg.PhysRegs {
-				break
-			}
-			s.rsUsed++
-			if in.HasDst() {
-				s.physUsed++
-			}
-			ctx.dispatched++
-			s.instsPth++
-			budget--
-			active = true
+		if s.rsUsed >= s.cfg.RSSize {
+			break
 		}
+		hasDst := ctx.body[j].flags&isa.FlagHasDst != 0
+		if hasDst && s.physUsed >= s.cfg.PhysRegs {
+			break
+		}
+		s.rsUsed++
+		if hasDst {
+			s.physUsed++
+		}
+		ctx.dispatched++
+		if j == ctx.issued && s.ev != nil {
+			s.wakeCtx(c) // the in-order head arrived: it can issue next cycle
+		}
+		s.instsPth++
+		*budget--
+		active = true
+	}
+	if ctx.dispatched == ctx.fetched {
+		s.pending.del(c)
 	}
 	return active
 }
@@ -704,17 +765,10 @@ func (s *Simulator) dispatchStage() bool {
 //
 //lab:hotpath
 func (s *Simulator) spawn(ti int32) {
-	pt := s.pthreads[ti]
 	si := s.statOf[ti]
 	stat := &s.pthStats[si]
-	var ctx *pctx
-	for c := range s.ctxs {
-		if !s.ctxs[c].active {
-			ctx = &s.ctxs[c]
-			break
-		}
-	}
-	if ctx == nil {
+	c := s.live.free(len(s.ctxs))
+	if c < 0 { // every context is busy
 		s.res.DroppedSpawns++
 		stat.Dropped++
 		return
@@ -722,8 +776,14 @@ func (s *Simulator) spawn(ti int32) {
 	spawnID := int32(len(s.spawnUseful))
 	s.spawnUseful = append(s.spawnUseful, false)
 	s.spawnStatic = append(s.spawnStatic, si)
-	ctx.init(pt, spawnID, si, s)
-	s.liveCtxs++
+	s.ctxs[c].init(ti, spawnID, s)
+	s.live.add(c)
+	s.fetching.add(c)
+	s.fetchAt = s.now // its first block is due at once
+	if s.ev != nil && s.ctxs[c].limit() == 0 {
+		s.wakeCtx(c) // aborted at its first instruction: releases next cycle
+	}
+	s.stats.Spawns++
 	s.res.Spawns++
 	stat.Spawns++
 }
@@ -804,31 +864,48 @@ func (s *Simulator) fetchStage() bool {
 //
 //lab:hotpath
 func (s *Simulator) pthFetch() bool {
-	nctx := len(s.ctxs)
-	if nctx == 0 || s.liveCtxs == 0 {
+	if s.now < s.fetchAt {
 		return false
 	}
-	for off := 0; off < nctx; off++ {
-		c := (s.rrCtx + off) % nctx
-		ctx := &s.ctxs[c]
-		if !ctx.active || ctx.fetched >= len(ctx.pt.Body) || ctx.nextBlockAt > s.now {
-			continue
+	// Round robin over the contexts still fetching: [rrCtx, end), then
+	// [0, rrCtx). When none is due, the earliest pacing deadline becomes
+	// fetchAt.
+	next := int64(math.MaxInt64)
+	for pass, from, to := 0, s.rrCtx, len(s.ctxs); pass < 2; pass, from, to = pass+1, 0, s.rrCtx {
+		for c := s.fetching.next(from); c >= 0 && c < to; c = s.fetching.next(c + 1) {
+			if t := s.ctxs[c].nextBlockAt; t > s.now {
+				next = min(next, t)
+				continue
+			}
+			s.pthFetchCtx(c)
+			return true
 		}
-		k := len(ctx.pt.Body) - ctx.fetched
-		if k > s.cfg.FetchWidth {
-			k = s.cfg.FetchWidth
-		}
-		iaddr := int64(ctx.pt.TriggerPC)*8 + int64(ctx.fetched)*8
-		done := s.hier.FetchBlock(iaddr, s.now, true)
-		ctx.fetched += k
-		ctx.blockReadyAt = done + int64(s.cfg.PthFrontEnd)
-		// Pacing: one instruction per cycle overall.
-		ctx.nextBlockAt = s.now + int64(k)
-		s.res.PInstsFetched += int64(k)
-		s.rrCtx = (c + 1) % nctx
-		return true
 	}
+	s.fetchAt = next
 	return false
+}
+
+// pthFetchCtx fetches context c's next body block, which is due.
+//
+//lab:hotpath
+func (s *Simulator) pthFetchCtx(c int) {
+	ctx := &s.ctxs[c]
+	k := len(ctx.pt.Body) - ctx.fetched
+	if k > s.cfg.FetchWidth {
+		k = s.cfg.FetchWidth
+	}
+	iaddr := int64(ctx.pt.TriggerPC)*8 + int64(ctx.fetched)*8
+	done := s.hier.FetchBlock(iaddr, s.now, true)
+	ctx.fetched += k
+	if ctx.fetched == len(ctx.pt.Body) {
+		s.fetching.del(c)
+	}
+	s.pending.add(c)
+	ctx.blockReadyAt = done + int64(s.cfg.PthFrontEnd)
+	// Pacing: one instruction per cycle overall.
+	ctx.nextBlockAt = s.now + int64(k)
+	s.res.PInstsFetched += int64(k)
+	s.rrCtx = (c + 1) % len(s.ctxs)
 }
 
 // -------------------------------------------------------------- finalize --

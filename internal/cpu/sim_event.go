@@ -3,12 +3,14 @@ package cpu
 import (
 	"context"
 	"fmt"
+	"math/bits"
 
 	"repro/internal/trace"
 )
 
 // wakeNode is one entry in a producer's wakeup list: a consumer waiting for
-// the producer's completion. Nodes live in a preallocated pool and are
+// the producer's completion, a main-thread dynamic index or a p-thread
+// context encoded by ctxEvent. Nodes live in a preallocated pool and are
 // chained through index+1 links (0 terminates), so registering and waking
 // consumers never allocates in steady state.
 type wakeNode struct {
@@ -16,17 +18,25 @@ type wakeNode struct {
 	next     int32 // index+1 into the pool, 0 = end of list
 }
 
+// ctxEvent encodes p-thread context c as a negative calendar payload or
+// wakeup-list consumer; main-thread dynamic indices are >= 0.
+func ctxEvent(c int) int32 { return -int32(c) - 1 }
+
 // evState is the event-driven engine's working state. The scheduler replaces
 // the per-cycle window rescan with three structures:
 //
 //   - wakeup lists: every in-flight producer keeps the consumers waiting on
 //     it; its completion event walks the list and drops each consumer's
-//     pending-operand count,
-//   - a ready queue: consumers with no pending operands, kept in ROB
-//     (dynamic-index) order so issue priority matches the reference scan,
+//     pending-operand count, or wakes a waiting p-thread context,
+//   - ready and done queues: consumers with no pending operands, and
+//     completed instructions whose reservation station the issue walk
+//     returns, both kept in ROB (dynamic-index) order so issue priority and
+//     the stations freed before the issue budget runs out match the
+//     reference scan,
 //   - a calendar queue: every issued instruction schedules its completion,
 //     so the engine knows the next cycle anything can happen and skips
-//     quiescent spans in one step.
+//     quiescent spans in one step. A p-thread completion names its context
+//     (ctxEvent), which it wakes.
 type evState struct {
 	cal    calendar
 	popBuf []int32
@@ -36,10 +46,13 @@ type evState struct {
 	nodes    []wakeNode
 	freeNode int32 // free-list head (index+1, 0 = empty)
 
-	readyQ    []int32 // dispatched, operands complete, not yet issued; ascending dyn
-	unfreedQ  []int32 // issued, reservation station not yet freed; ascending dyn
-	unfreedNx []int32 // scratch for the next cycle's unfreedQ
-	freeable  int     // unfreedQ entries whose completion event has fired
+	readyQ []int32 // dispatched, operands complete, not yet issued; ascending dyn
+	doneQ  []int32 // completed, reservation station maybe not yet freed; ascending dyn
+
+	// due holds the p-thread contexts the next issue pass visits: those
+	// with a completion to free or an in-order head that may issue. The
+	// rest wait on an event that will wake them (see wakeCtx).
+	due ctxSet
 
 	nextPoll int64 // next context-cancellation poll cycle
 }
@@ -47,13 +60,12 @@ type evState struct {
 // reset prepares the engine state for a run over n dynamic instructions,
 // reusing (and zeroing) the per-entry columns and keeping every queue's and
 // the node pool's storage, so steady-state simulator reuse never allocates.
-func (ev *evState) reset(n, robSize int) {
+func (ev *evState) reset(n, robSize, nctx int) {
 	if ev.popBuf == nil {
 		ev.popBuf = make([]int32, 0, 64)
 		ev.nodes = make([]wakeNode, 0, 2*robSize)
 		ev.readyQ = make([]int32, 0, robSize)
-		ev.unfreedQ = make([]int32, 0, robSize)
-		ev.unfreedNx = make([]int32, 0, robSize)
+		ev.doneQ = make([]int32, 0, robSize)
 	}
 	ev.cal.reset()
 	ev.popBuf = ev.popBuf[:0]
@@ -68,9 +80,8 @@ func (ev *evState) reset(n, robSize int) {
 	ev.nodes = ev.nodes[:0]
 	ev.freeNode = 0
 	ev.readyQ = ev.readyQ[:0]
-	ev.unfreedQ = ev.unfreedQ[:0]
-	ev.unfreedNx = ev.unfreedNx[:0]
-	ev.freeable = 0
+	ev.doneQ = ev.doneQ[:0]
+	ev.due = ev.due.reset(nctx)
 	ev.nextPoll = 0
 }
 
@@ -101,6 +112,7 @@ func (s *Simulator) runEvent(ctx context.Context) (*Result, error) {
 		if s.now-lastCommit > noCommitLimit {
 			return nil, fmt.Errorf("cpu: no commit in 1M cycles at cycle %d (deadlock): %s", s.now, s.debugState())
 		}
+		s.stats.VisitedCycles++
 		s.processEvents()
 		committed := s.commitStage()
 		if committed > 0 {
@@ -124,6 +136,7 @@ func (s *Simulator) runEvent(ctx context.Context) (*Result, error) {
 			}
 			if next > s.now+1 {
 				s.res.TimeBreakdown[cat] += next - s.now - 1
+				s.stats.SkippedCycles += next - s.now - 1
 				s.now = next
 				continue
 			}
@@ -135,9 +148,10 @@ func (s *Simulator) runEvent(ctx context.Context) (*Result, error) {
 }
 
 // processEvents delivers every completion due this cycle: main-thread
-// completions mark their reservation station freeable and walk their wakeup
-// lists, moving now-ready consumers into the ready queue; p-thread markers
-// only assert that the per-context scan has work. A cycle where the events
+// completions enter the done queue and walk their wakeup lists, moving
+// now-ready consumers into the ready queue and waking waiting p-thread
+// contexts; a p-thread completion wakes its own context, whose issue pass
+// frees the instruction and re-examines its head. A cycle where the events
 // produce no pipeline activity is still skippable: every consequence of a
 // completion (station free, commit, wakeup issue) registers as activity in
 // the stage that performs it.
@@ -149,11 +163,13 @@ func (s *Simulator) processEvents() {
 	if len(ev.popBuf) == 0 {
 		return
 	}
+	s.stats.Events += int64(len(ev.popBuf))
 	for _, d := range ev.popBuf {
 		if d < 0 {
-			continue // p-thread body completion: issuePctx picks it up
+			s.wakeCtx(int(-d - 1))
+			continue
 		}
-		ev.freeable++
+		ev.doneQ = insertSorted(ev.doneQ, d)
 		n := ev.wakeHead[d]
 		ev.wakeHead[d] = 0
 		for n != 0 {
@@ -161,11 +177,23 @@ func (s *Simulator) processEvents() {
 			c, nx := node.consumer, node.next
 			node.next = ev.freeNode
 			ev.freeNode = n
-			if ev.waitCnt[c]--; ev.waitCnt[c] == 0 {
+			if c < 0 {
+				s.wakeCtx(int(-c - 1))
+			} else if ev.waitCnt[c]--; ev.waitCnt[c] == 0 {
 				s.insertReady(c)
 			}
 			n = nx
 		}
+	}
+}
+
+// wakeCtx makes p-thread context c due for the next issue pass.
+//
+//lab:hotpath
+func (s *Simulator) wakeCtx(c int) {
+	if due := s.ev.due; !due.has(c) {
+		due.add(c)
+		s.stats.CtxWakeups++
 	}
 }
 
@@ -181,6 +209,16 @@ func (s *Simulator) watch(prod int64, d int32) bool {
 	if s.state[prod]&fIssued != 0 && s.completeAt[prod] <= s.now {
 		return false
 	}
+	s.subscribe(int32(prod), d)
+	s.ev.waitCnt[d]++
+	return true
+}
+
+// subscribe adds consumer to in-flight main-thread producer prod's wakeup
+// list.
+//
+//lab:hotpath
+func (s *Simulator) subscribe(prod, consumer int32) {
 	ev := s.ev
 	var idx int32
 	if ev.freeNode != 0 {
@@ -190,10 +228,8 @@ func (s *Simulator) watch(prod int64, d int32) bool {
 		ev.nodes = append(ev.nodes, wakeNode{})
 		idx = int32(len(ev.nodes))
 	}
-	ev.nodes[idx-1] = wakeNode{consumer: d, next: ev.wakeHead[prod]}
+	ev.nodes[idx-1] = wakeNode{consumer: consumer, next: ev.wakeHead[prod]}
 	ev.wakeHead[prod] = idx
-	ev.waitCnt[d]++
-	return true
 }
 
 // insertSorted places d into a queue kept in ascending dynamic order (issue
@@ -201,6 +237,9 @@ func (s *Simulator) watch(prod int64, d int32) bool {
 //
 //lab:hotpath
 func insertSorted(q []int32, d int32) []int32 {
+	if len(q) == 0 || q[len(q)-1] < d {
+		return append(q, d)
+	}
 	lo, hi := 0, len(q)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
@@ -219,15 +258,13 @@ func insertSorted(q []int32, d int32) []int32 {
 //lab:hotpath
 func (s *Simulator) insertReady(d int32) { s.ev.readyQ = insertSorted(s.ev.readyQ, d) }
 
-//lab:hotpath
-func (s *Simulator) insertUnfreed(d int32) { s.ev.unfreedQ = insertSorted(s.ev.unfreedQ, d) }
-
 // issueStageEvent performs one cycle of issue under the event engine: a
-// merged in-order walk of the unfreed (issued, station not yet returned) and
-// ready queues, equivalent to the reference scan's oldest-first ROB walk but
-// touching only instructions that can actually make progress. Returns
-// whether anything issued, freed, or hit an MSHR rejection (a rejection
-// forces cycle-by-cycle retry, because every retry re-probes the stateful
+// merged in-order walk of the done (completed, station not yet returned)
+// and ready queues, equivalent to the reference scan's oldest-first ROB
+// walk but touching only instructions that can actually make progress: an
+// instruction still executing is in neither queue. Returns whether
+// anything issued, freed, or hit an MSHR rejection (a rejection forces
+// cycle-by-cycle retry, because every retry re-probes the stateful
 // hierarchy exactly as the reference engine does).
 //
 //lab:hotpath
@@ -239,87 +276,116 @@ func (s *Simulator) issueStageEvent() bool {
 	storeBudget := s.cfg.StorePorts
 
 	mshrFull := false
-	switch {
-	case ev.freeable == 0 && len(ev.readyQ) == 0:
-		// Nothing to free, nothing to issue: the whole main-thread walk is
-		// a no-op (the reference scan would visit only incomplete or
-		// waiting entries, touching none of them).
-	case ev.freeable == 0:
-		// No station can free this cycle, so the unfreed queue keeps its
-		// order untouched; walk only the ready queue, oldest first.
-		rq := ev.readyQ
-		ri, rw := 0, 0
-		for issueBudget > 0 && ri < len(rq) {
-			d := rq[ri]
-			issued, full := s.issueMain(d, &loadBudget, &storeBudget)
-			if !issued {
-				// Port-starved or MSHR-rejected: retried next cycle.
-				mshrFull = mshrFull || full
-				rq[rw] = d
-				rw++
-				ri++
-				continue
+	dq, rq := ev.doneQ, ev.readyQ
+	di, ri, rw := 0, 0, 0
+	for issueBudget > 0 && (di < len(dq) || ri < len(rq)) {
+		if di < len(dq) && (ri >= len(rq) || dq[di] < rq[ri]) {
+			d := dq[di]
+			di++
+			if s.state[d]&fRSFreed == 0 { // else already returned at commit
+				s.rsUsed--
+				s.state[d] |= fRSFreed
+				active = true
 			}
-			issueBudget--
-			active = true
-			ev.cal.push(s.completeAt[d], s.now, d)
-			s.insertUnfreed(d)
-			ri++
+			continue
 		}
-		rw += copy(rq[rw:], rq[ri:])
-		ev.readyQ = rq[:rw]
-	default:
-		// Stations can free: merge the unfreed and ready walks in ROB
-		// (dynamic-index) order, exactly like the reference scan's single
-		// oldest-first pass over the window.
-		uq, rq := ev.unfreedQ, ev.readyQ
-		nx := ev.unfreedNx[:0]
-		ui, ri, rw := 0, 0, 0
-		for issueBudget > 0 && (ui < len(uq) || ri < len(rq)) {
-			if ui < len(uq) && (ri >= len(rq) || uq[ui] < rq[ri]) {
-				d := uq[ui]
-				ui++
-				st := s.state[d]
-				if st&fRSFreed != 0 {
-					ev.freeable-- // station already freed at commit; drop
-					continue
-				}
-				if s.completeAt[d] <= s.now {
-					s.rsUsed--
-					s.state[d] |= fRSFreed
-					ev.freeable--
-					active = true
-					continue
-				}
-				nx = append(nx, d) // still executing; keep
-				continue
-			}
-			d := rq[ri]
-			issued, full := s.issueMain(d, &loadBudget, &storeBudget)
-			if !issued {
-				// Port-starved or MSHR-rejected: retried next cycle.
-				mshrFull = mshrFull || full
-				rq[rw] = d
-				rw++
-				ri++
-				continue
-			}
-			issueBudget--
-			active = true
-			ev.cal.push(s.completeAt[d], s.now, d)
-			nx = append(nx, d)
-			ri++
+		d := rq[ri]
+		ri++
+		issued, full := s.issueMain(d, &loadBudget, &storeBudget)
+		if !issued {
+			// Port-starved or MSHR-rejected: retried next cycle.
+			mshrFull = mshrFull || full
+			rq[rw] = d
+			rw++
+			continue
 		}
-		// Issue bandwidth exhausted: everything older keeps its place.
-		nx = append(nx, uq[ui:]...)
-		rw += copy(rq[rw:], rq[ri:])
-		ev.readyQ = rq[:rw]
-		ev.unfreedQ, ev.unfreedNx = nx, uq[:0]
+		issueBudget--
+		active = true
+		ev.cal.push(s.completeAt[d], s.now, d)
 	}
+	// Issue bandwidth exhausted: everything younger keeps its place.
+	ev.doneQ = dq[:copy(dq, dq[di:])]
+	rw += copy(rq[rw:], rq[ri:])
+	ev.readyQ = rq[:rw]
 
-	pctxActive, pctxFull := s.issuePctx(&issueBudget, &loadBudget)
-	_ = storeBudget
+	pctxActive, pctxFull := s.issuePctxEvent(&issueBudget, &loadBudget)
 	return active || pctxActive || mshrFull || pctxFull
+}
+
+// issuePctxEvent is the event engine's p-thread issue pass: issuePctx's
+// in-order issue from each context's head with the leftover bandwidth, but
+// visiting only the due contexts, in index order, so bandwidth is shared
+// exactly as in the all-context walk. A visited context leaves the due set
+// unless its head stalled on the issue budget, a load port or the MSHR file
+// (it retries next cycle, like the ready queue); a head stalled on an
+// operand waits for the producer's completion to wake it — a body
+// producer's own completion event, or a main-thread producer's wakeup list
+// — and a head not yet dispatched waits for dispatch to wake it. Returns
+// whether anything issued or freed and whether an MSHR rejection forces a
+// cycle-by-cycle retry.
+//
+//lab:hotpath
+func (s *Simulator) issuePctxEvent(issueBudget, loadBudget *int) (active, mshrFull bool) {
+	for w, word := range s.ev.due {
+		for ; word != 0; word &= word - 1 {
+			a, full := s.issueDueCtx(w<<6|bits.TrailingZeros64(word), issueBudget, loadBudget)
+			active = active || a
+			mshrFull = mshrFull || full
+		}
+	}
+	return active, mshrFull
+}
+
+// issueDueCtx is issuePctxEvent's visit of due context c.
+//
+//lab:hotpath
+func (s *Simulator) issueDueCtx(c int, issueBudget, loadBudget *int) (active, mshrFull bool) {
+	ev := s.ev
+	ctx := &s.ctxs[c]
+	s.stats.CtxVisits++
+	active = s.freePctxRS(ctx)
+	retry := false
+	for ctx.issued < ctx.dispatched && ctx.issued < ctx.limit() {
+		if *issueBudget == 0 {
+			retry = true
+			break
+		}
+		p := &ctx.insts[ctx.issued]
+		if !s.pdepWait(c, ctx, p.dep1) || !s.pdepWait(c, ctx, p.dep2) {
+			break
+		}
+		issued, full := s.issuePInst(ctx, loadBudget)
+		if !issued {
+			retry = true
+			mshrFull = full
+			break
+		}
+		ev.cal.push(p.completeAt, s.now, ctxEvent(c))
+		*issueBudget--
+		active = true
+	}
+	if !retry {
+		ev.due.del(c)
+	}
+	s.maybeRelease(c, ctx)
+	return active, mshrFull
+}
+
+// pdepWait reports whether operand d of context c's head is ready. When it
+// waits on an in-flight main-thread producer, c joins that producer's
+// wakeup list (once per producer); a body producer's completion event wakes
+// c on its own.
+//
+//lab:hotpath
+func (s *Simulator) pdepWait(c int, ctx *pctx, d depRef) bool {
+	if s.pdepReady(ctx, d) {
+		return true
+	}
+	if d.kind == depMain && ctx.waitMain != d.idx {
+		s.subscribe(d.idx, ctxEvent(c))
+		ctx.waitMain = d.idx
+	}
+	return false
 }
 
 // nextWakeAt returns the earliest future cycle at which any pipeline agent
@@ -327,7 +393,10 @@ func (s *Simulator) issueStageEvent() bool {
 // dispatchable, fetch resuming after a redirect or i-cache miss, or a
 // p-thread block becoming fetchable/dispatchable. Resource-blocked agents
 // (ROB/RS/registers full, MSHR-rejected loads) are unblocked only by one of
-// these events, so the minimum is exact.
+// these events, so the minimum is exact. No p-thread context is due after
+// an inert cycle: a context stays due only when its head stalled on issue
+// bandwidth, a port or the MSHR file, and dispatch wakes one only while
+// renaming, all of which make the cycle active.
 //
 //lab:hotpath
 func (s *Simulator) nextWakeAt() int64 {
@@ -340,19 +409,16 @@ func (s *Simulator) nextWakeAt() int64 {
 	if s.fetchIdx < s.n && s.stalledOnBranch < 0 && s.fetchResumeAt > s.now && s.fetchResumeAt < next {
 		next = s.fetchResumeAt
 	}
-	if s.liveCtxs == 0 {
-		return next
+	// An inert cycle's pthFetch found no block due, leaving fetchAt at the
+	// earliest pacing deadline.
+	if s.fetchAt < next {
+		next = s.fetchAt
 	}
-	for c := range s.ctxs {
-		ctx := &s.ctxs[c]
-		if !ctx.active {
-			continue
-		}
-		if ctx.fetched < len(ctx.pt.Body) && ctx.nextBlockAt > s.now && ctx.nextBlockAt < next {
-			next = ctx.nextBlockAt
-		}
-		if ctx.dispatched < ctx.fetched && ctx.blockReadyAt > s.now && ctx.blockReadyAt < next {
-			next = ctx.blockReadyAt
+	for w, word := range s.pending {
+		for ; word != 0; word &= word - 1 {
+			if t := s.ctxs[w<<6|bits.TrailingZeros64(word)].blockReadyAt; t > s.now && t < next {
+				next = t
+			}
 		}
 	}
 	return next

@@ -30,6 +30,7 @@ func (s *Simulator) RunReference(ctx context.Context) (*Result, error) {
 		if s.now-lastCommit > noCommitLimit {
 			return nil, fmt.Errorf("cpu: no commit in 1M cycles at cycle %d (deadlock): %s", s.now, s.debugState())
 		}
+		s.stats.VisitedCycles++
 		committed := s.commitStage()
 		if committed > 0 {
 			lastCommit = s.now
@@ -46,7 +47,7 @@ func (s *Simulator) RunReference(ctx context.Context) (*Result, error) {
 
 // issueStageScan walks the ROB oldest-first every cycle, freeing completed
 // reservation stations and issuing whatever is ready, then gives p-threads
-// the leftover bandwidth.
+// the leftover bandwidth (issuePctx).
 func (s *Simulator) issueStageScan() {
 	issueBudget := s.cfg.IssueWidth
 	loadBudget := s.cfg.LoadPorts
@@ -70,4 +71,31 @@ func (s *Simulator) issueStageScan() {
 		}
 	}
 	s.issuePctx(&issueBudget, &loadBudget)
+}
+
+// issuePctx runs the reference in-order p-thread issue pass with the
+// bandwidth left over from the main thread: every cycle it walks every live
+// context in index order, frees its completed instructions and issues from
+// its head until an operand, a port or the MSHR file stalls it. The event
+// engine's issuePctxEvent visits only the contexts that can act.
+func (s *Simulator) issuePctx(issueBudget, loadBudget *int) {
+	for c := range s.ctxs {
+		if !s.live.has(c) {
+			continue
+		}
+		ctx := &s.ctxs[c]
+		s.stats.CtxVisits++
+		s.freePctxRS(ctx)
+		for *issueBudget > 0 && ctx.issued < ctx.dispatched && ctx.issued < ctx.limit() {
+			p := &ctx.insts[ctx.issued]
+			if !s.pdepReady(ctx, p.dep1) || !s.pdepReady(ctx, p.dep2) {
+				break
+			}
+			if issued, _ := s.issuePInst(ctx, loadBudget); !issued {
+				break
+			}
+			*issueBudget--
+		}
+		s.maybeRelease(c, ctx)
+	}
 }
