@@ -252,19 +252,18 @@ func BenchmarkSweepGrid(b *testing.B) {
 }
 
 // BenchmarkSweepSched compares a cold multi-axis sweep under naive
-// bench-major scheduling against the critical-path scheduler on the same
-// grid: five benchmarks × all three sensitivity axes (27 points each),
-// measured under the L target with a fixed 8-worker pool. The two sides run
-// back to back on interleaved timers within each iteration, so
-// machine-speed drift cancels out of the reported sweep-sched-gain ratio
-// (naive / scheduled wall-clock; > 1 means the scheduler wins). cmd/benchgate gates that ratio at no worse
-// than naive. Each side uses a fresh Lab (cold store), so the gain
-// measured is pure ordering: starting the grid's long
-// trace → profile → slices chains first and pre-building shared stages on
-// idle workers instead of convoying every worker behind grid-order
-// singleflight waits. The win requires real parallelism — on a single-core
-// machine every order costs total-work time and the ratio sits at ~1.0 —
-// which is why the committed benchgate floor carries a small noise margin.
+// bench-major order (no chains declared) against the expanded stage DAG,
+// walked depth-first in grid order, on the same grid: five benchmarks × all
+// three sensitivity axes (27 points each), measured under the L target with
+// a fixed 8-worker pool. The two sides run back to back on interleaved
+// timers within each iteration, so machine-speed drift cancels out of the
+// reported sweep-sched-gain ratio (naive / DAG wall-clock; > 1 means the
+// DAG walk wins). cmd/benchgate gates that ratio at no worse than naive.
+// Each side uses a fresh Lab (cold store), so the ratio measures ordering
+// alone: stage nodes let idle workers pre-build shared stages instead of
+// waiting behind grid-order singleflight builds. On 2 cores the two orders
+// are within noise of each other, which is why the committed benchgate
+// floor carries a small noise margin.
 func BenchmarkSweepSched(b *testing.B) {
 	ctx := context.Background()
 	grid := Grid{

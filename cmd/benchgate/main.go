@@ -15,10 +15,10 @@
 //     (trace/profile/slice-tree executions) than the baseline's
 //     MaxWarmGridStageBuilds (0 since the staged-pipeline tentpole: warm
 //     sweep points reuse every cached upstream artifact), and
-//   - the critical-path scheduler's paired cold-sweep gain on the 3-axis
-//     grid (BenchmarkSweepSched, naive and scheduled sides interleaved per
+//   - the stage DAG's paired cold-sweep gain on the 3-axis grid
+//     (BenchmarkSweepSched, naive and chain-expanded sides interleaved per
 //     iteration) must stay at or above the baseline's MinSweepSchedGain
-//     (machine-independent; 1.0 = scheduling must never lose to naive
+//     (machine-independent; 1.0 = the DAG walk must never lose to naive
 //     grid order), and
 //   - the mapped trace-spill load (BenchmarkTraceSpill, heap decode and
 //     mapped open+verify of the same spill file interleaved per iteration
@@ -77,10 +77,10 @@ type Report struct {
 
 	// Scheduler columns (BenchmarkSweepSched): seconds per cold 3-axis
 	// 27-point sweep over three benchmarks under naive bench-major order
-	// vs the critical-path scheduler, paired on interleaved timers within
-	// each iteration so machine drift cancels out of SweepSchedGain
-	// (naive / scheduled; > 1 means the scheduler wins). The gain ratio is
-	// the gated column: the scheduler must never be slower than naive.
+	// vs the depth-first stage DAG walk, paired on interleaved timers
+	// within each iteration so machine drift cancels out of SweepSchedGain
+	// (naive / scheduled; > 1 means the DAG walk wins). The gain ratio is
+	// the gated column: the DAG walk must never be slower than naive.
 	SweepColdNaiveSec float64
 	SweepColdSchedSec float64
 	SweepSchedGain    float64
@@ -104,8 +104,8 @@ type Baseline struct {
 	// upstream artifact — the staged-pipeline contract).
 	MaxWarmGridStageBuilds float64
 	// MinSweepSchedGain is the required paired naive/scheduled cold-sweep
-	// wall-clock ratio (machine-independent; 1.0 = the critical-path
-	// scheduler must be no worse than naive grid order on the 3-axis grid).
+	// wall-clock ratio (machine-independent; 1.0 = the stage DAG walk must
+	// be no worse than naive grid order on the 3-axis grid).
 	MinSweepSchedGain float64
 	// MinSpillMapGain is the required paired heap-decode/mapped-open ratio
 	// for warm trace spill loads (machine-independent; the zero-copy mapped
@@ -260,7 +260,7 @@ func main() {
 			rep.WarmGridStageBuilds, base.MaxWarmGridStageBuilds)
 	}
 	if base.MinSweepSchedGain > 0 && rep.SweepSchedGain < base.MinSweepSchedGain {
-		fatal("scheduler regression: paired cold-sweep gain %.2fx < required %.2fx (critical-path scheduling must be no worse than naive grid order)",
+		fatal("scheduler regression: paired cold-sweep gain %.2fx < required %.2fx (the stage DAG walk must be no worse than naive grid order)",
 			rep.SweepSchedGain, base.MinSweepSchedGain)
 	}
 	if base.MinSpillMapGain > 0 && rep.SpillMapGain < base.MinSpillMapGain {

@@ -18,9 +18,9 @@
 //	report -v              # engine progress on stderr
 //
 // The -dag mode plans instead of runs: it expands the named sensitivity
-// axes over the paper benchmarks into the stage dependency DAG the
-// critical-path scheduler would execute, annotated with projected costs and
-// cold/cached/spill status, and prints it as Graphviz DOT
+// axes over the paper benchmarks into the stage dependency DAG the fan-out
+// executor would walk, annotated with cold/cached/spill status, and prints
+// it as Graphviz DOT
 // (pipe to `dot -Tsvg` to visualize).
 //
 // The -render mode closes the round trip: any artifact stream this command
@@ -128,7 +128,7 @@ func artifacts(ctx context.Context, lab *preexec.Lab, only []string) []artifact 
 }
 
 // printDAG plans a sweep grid over the named sensitivity axes for the paper
-// benchmarks and prints the critical-path scheduler's stage DAG as DOT.
+// benchmarks and prints the executor's stage DAG as DOT.
 func printDAG(axes string) error {
 	g := preexec.Grid{Benchmarks: preexec.PaperBenchmarks()}
 	for _, name := range strings.Split(axes, ",") {

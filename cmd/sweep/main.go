@@ -11,8 +11,8 @@
 //	sweep -axis mem -json                   # machine-readable artifact
 //	                                        # (render with: report -render -)
 //
-// Local sweeps order their work through the critical-path scheduler. To inspect the planned schedule without running it, see
-// `report -dag`.
+// Local sweeps walk their stage DAG depth-first in grid order. To inspect
+// the planned DAG without running it, see `report -dag`.
 //
 // Generated workloads join the sweep through the repeatable -gen flag,
 // taking the generator spec grammar family:seed[:knob=value,...]. With -gen

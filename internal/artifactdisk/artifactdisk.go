@@ -292,15 +292,7 @@ func (s *Store) LoadMapped(k Key) (*Mapping, bool) {
 	if !hdr.aligned {
 		return nil, false // v1 container: valid but unmappable
 	}
-	fi, err := f.Stat()
-	if err != nil {
-		return nil, false
-	}
-	if fi.Size() != hdr.payloadOff+hdr.payloadLen {
-		s.quarantinePath(path)
-		return nil, false
-	}
-	data, err := mmapFile(f, int(fi.Size()))
+	data, err := mmapFile(f, int(hdr.payloadOff+hdr.payloadLen))
 	if err != nil {
 		return nil, false // capability miss, not corruption
 	}
@@ -365,9 +357,9 @@ func (m *Mapping) Close() error {
 func MapSupported() bool { return mmapSupported }
 
 // Has reports whether an artifact is resident under k, without touching its
-// recency or counting a load or miss. It is a scheduling probe — the
-// critical-path planner uses it to cost a stage as a disk load rather than
-// a rebuild — so it must not perturb the LRU order the way Load does.
+// recency or counting a load or miss. It is a planning probe — the stage
+// DAG export uses it to mark a stage as a disk load rather than a rebuild —
+// so it must not perturb the LRU order the way Load does.
 func (s *Store) Has(k Key) bool {
 	path := s.pathFor(k)
 	s.mu.Lock()
@@ -627,9 +619,17 @@ type artifactHeader struct {
 }
 
 // readHeader parses and verifies the container header of either format,
-// leaving f positioned at the payload.
+// leaving f positioned at the payload. Every length field is checked
+// against the file's size before anything is allocated, so a corrupt
+// header costs at most the file's own size, and the payload must end
+// exactly at the end of the file.
 func readHeader(f *os.File, want Key) (artifactHeader, error) {
 	var h artifactHeader
+	fi, err := f.Stat()
+	if err != nil {
+		return h, fmt.Errorf("artifactdisk: %w", err)
+	}
+	size := fi.Size()
 	var magic [8]byte
 	if _, err := io.ReadFull(f, magic[:]); err != nil {
 		return h, fmt.Errorf("artifactdisk: short header: %w", err)
@@ -646,8 +646,8 @@ func readHeader(f *os.File, want Key) (artifactHeader, error) {
 		return h, fmt.Errorf("artifactdisk: short header: %w", err)
 	}
 	keyLen := binary.LittleEndian.Uint32(u32[:])
-	if keyLen > 1<<20 {
-		return h, fmt.Errorf("artifactdisk: implausible key length %d", keyLen)
+	if int64(keyLen) > size {
+		return h, fmt.Errorf("artifactdisk: key length %d exceeds file size %d", keyLen, size)
 	}
 	kj := make([]byte, keyLen)
 	if _, err := io.ReadFull(f, kj); err != nil {
@@ -665,15 +665,15 @@ func readHeader(f *os.File, want Key) (artifactHeader, error) {
 		return h, fmt.Errorf("artifactdisk: short header: %w", err)
 	}
 	payloadLen := binary.LittleEndian.Uint64(u64[:])
-	if payloadLen > 1<<40 {
-		return h, fmt.Errorf("artifactdisk: implausible payload length %d", payloadLen)
-	}
-	h.payloadLen = int64(payloadLen)
 	if _, err := io.ReadFull(f, u32[:]); err != nil {
 		return h, fmt.Errorf("artifactdisk: short header: %w", err)
 	}
 	h.crc = binary.LittleEndian.Uint32(u32[:])
 	h.payloadOff = headerSize(kj, h.aligned)
+	if h.payloadOff > size || payloadLen != uint64(size-h.payloadOff) {
+		return h, fmt.Errorf("artifactdisk: payload length %d does not fit file size %d", payloadLen, size)
+	}
+	h.payloadLen = int64(payloadLen)
 	if h.aligned {
 		if _, err := f.Seek(h.payloadOff, io.SeekStart); err != nil {
 			return h, fmt.Errorf("artifactdisk: seek payload: %w", err)
@@ -696,10 +696,6 @@ func readArtifact(path string, want Key) ([]byte, error) {
 	payload := make([]byte, h.payloadLen)
 	if _, err := io.ReadFull(f, payload); err != nil {
 		return nil, fmt.Errorf("artifactdisk: short payload: %w", err)
-	}
-	var one [1]byte
-	if extra, err := f.Read(one[:]); err != io.EOF || extra != 0 {
-		return nil, errors.New("artifactdisk: trailing bytes after payload")
 	}
 	// Aligned payloads are self-verifying (per-chunk CRCs inside the
 	// payload format); re-hashing the whole file here would double the cost

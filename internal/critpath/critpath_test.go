@@ -521,29 +521,34 @@ func TestCostCurveMatchesReference(t *testing.T) {
 		{"l2-128KB", func(c *cpu.Config) { c.Hier.L2.SizeBytes, c.Hier.L2.HitLatency = 128<<10, 10 }},
 		{"l2-512KB", func(c *cpu.Config) { c.Hier.L2.SizeBytes, c.Hier.L2.HitLatency = 512<<10, 15 }},
 	}
+	// One parallel subtest per (benchmark, input): each builds its own
+	// trace and checks every point against it.
 	for _, name := range program.PaperNames() {
 		bm, err := program.ByName(name)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, input := range []program.InputClass{program.Train, program.Ref} {
-			tr := trace.MustRun(bm.Build(input))
-			for _, pt := range points {
-				at := fmt.Sprintf("%s/%v/%s", name, input, pt.name)
-				c := cpu.DefaultConfig()
-				pt.mutate(&c)
-				prof := profile.Collect(tr, profile.ConfigFromHier(c.Hier))
-				pcs := problemPCs(prof)
-				if len(pcs) == 0 {
-					t.Fatalf("%s: no problem loads", at)
+			t.Run(fmt.Sprintf("%s/%v", name, input), func(t *testing.T) {
+				t.Parallel()
+				tr := trace.MustRun(bm.Build(input))
+				for _, pt := range points {
+					at := fmt.Sprintf("%s/%v/%s", name, input, pt.name)
+					c := cpu.DefaultConfig()
+					pt.mutate(&c)
+					prof := profile.Collect(tr, profile.ConfigFromHier(c.Hier))
+					pcs := problemPCs(prof)
+					if len(pcs) == 0 {
+						t.Fatalf("%s: no problem loads", at)
+					}
+					cc := pipelineConfig(c)
+					assertMatchesReference(t, at, New(tr, prof, cc), pcs)
+					if pt.name == "default" {
+						cc.BusOcc = 0
+						assertMatchesReference(t, at+"/nobus", New(tr, prof, cc), pcs)
+					}
 				}
-				cc := pipelineConfig(c)
-				assertMatchesReference(t, at, New(tr, prof, cc), pcs)
-				if pt.name == "default" {
-					cc.BusOcc = 0
-					assertMatchesReference(t, at+"/nobus", New(tr, prof, cc), pcs)
-				}
-			}
+			})
 		}
 	}
 }

@@ -3,8 +3,8 @@ package experiments
 // DAG export: the scheduled stage DAG as a structured report plus a
 // Graphviz DOT rendering, served by `report -dag` and the daemon's
 // GET /v1/jobs/{id}/dag. The export is a plan — it annotates each node with
-// its projected cost, remaining critical-path cost and cold/cached/spill
-// status at planning time — and never executes anything.
+// its cold/cached/spill/measure status at planning time — and never
+// executes anything.
 
 import (
 	"fmt"
@@ -21,11 +21,6 @@ type DAGNode struct {
 	Point string `json:"point,omitempty"`
 	// Status is cold, cached, spill or measure (see the sched* constants).
 	Status string `json:"status"`
-	// Cost is the node's own projected cost (a stageCost proxy, not
-	// seconds); Critical adds the costliest chain of dependents below it —
-	// the scheduling priority.
-	Cost     float64 `json:"cost"`
-	Critical float64 `json:"critical"`
 }
 
 // DAGEdge is one dependency edge, by node index (From must complete before
@@ -41,9 +36,6 @@ type DAGReport struct {
 	Axes  []string  `json:"axes,omitempty"`
 	Nodes []DAGNode `json:"nodes"`
 	Edges []DAGEdge `json:"edges"`
-	// CriticalPath is the longest projected root-to-sink chain under the
-	// stageCost table: the grid's makespan floor, in the same proxy units.
-	CriticalPath float64 `json:"critical_path"`
 }
 
 // dagFill maps node statuses to DOT fill colors.
@@ -55,7 +47,7 @@ var dagFill = map[string]string{
 }
 
 // DOT renders the DAG in Graphviz dot syntax, one box per node annotated
-// with projected cost, critical-path cost and status.
+// with its status.
 func (d *DAGReport) DOT() string {
 	var sb strings.Builder
 	sb.WriteString("digraph stages {\n")
@@ -70,8 +62,7 @@ func (d *DAGReport) DOT() string {
 		if n.Point != "" {
 			line2 += " @ " + n.Point
 		}
-		label := fmt.Sprintf("%s\\n%s\\n%.3f cp %.3f [%s]",
-			head, line2, n.Cost, n.Critical, n.Status)
+		label := fmt.Sprintf("%s\\n%s\\n[%s]", head, line2, n.Status)
 		fill := dagFill[n.Status]
 		if fill == "" {
 			fill = "white"
@@ -85,24 +76,16 @@ func (d *DAGReport) DOT() string {
 	return sb.String()
 }
 
-// report converts the builder's DAG (critical costs already computed) into
-// the exported form. Node indices equal seq: order is insertion order.
+// report converts the builder's DAG into the exported form. Node indices
+// equal seq: order is insertion order.
 func (b *dagBuilder) report(axes []string) *DAGReport {
 	d := &DAGReport{Axes: axes, Nodes: make([]DAGNode, len(b.order))}
 	for i, n := range b.order {
-		d.Nodes[i] = DAGNode{
-			Bench:    n.bench,
-			Stage:    string(n.stage),
-			Point:    n.label,
-			Status:   n.status,
-			Cost:     n.cost,
-			Critical: n.crit,
-		}
-		if n.stage != stageMeasure {
+		d.Nodes[i] = DAGNode{Bench: n.bench, Stage: string(n.stage), Point: n.label, Status: n.status}
+		if n.status == schedMeasure {
+			d.Nodes[i].Stage = schedMeasure
+		} else {
 			d.Nodes[i].Input = n.input.String()
-		}
-		if n.crit > d.CriticalPath {
-			d.CriticalPath = n.crit
 		}
 		for _, c := range n.children {
 			d.Edges = append(d.Edges, DAGEdge{From: n.seq, To: c.seq})
@@ -112,10 +95,10 @@ func (b *dagBuilder) report(axes []string) *DAGReport {
 }
 
 // SweepDAG plans a grid without executing it: the schedule DAG Sweep would
-// run — the same sinks, chains always expanded — annotated with projected
-// costs and store status at planning time. Workload specs in the grid are
-// registered exactly as Sweep registers them; the artifact store is only
-// peeked, never populated. Its error is the grid's: unknown, duplicated or
+// run — the same sinks, chains always expanded — annotated with store
+// status at planning time. Workload specs in the grid are registered
+// exactly as Sweep registers them; the artifact store is only peeked,
+// never populated. Its error is the grid's: unknown, duplicated or
 // missing benchmarks, a bad workload spec, or a chain that cannot be planned.
 func (r *Runner) SweepDAG(g Grid) (*DAGReport, error) {
 	rep, sinks, err := r.sweepSinks(g)
@@ -126,6 +109,5 @@ func (r *Runner) SweepDAG(g Grid) (*DAGReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	b.computeCritical()
 	return b.report(rep.Axes), nil
 }

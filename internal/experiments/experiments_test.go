@@ -372,7 +372,7 @@ func TestSweepSharesMeasurements(t *testing.T) {
 	// shares nothing (run.Sel is pthsel.Select's own), benchmarks fanned
 	// out on the engine's pool.
 	perPoint := make([][][]*TargetRun, len(grid.Benchmarks))
-	err = r.runDAG(ctx, figureSinks(grid.Benchmarks, len(grid.Targets), func(ctx context.Context, i int) error {
+	err = r.runDAG(ctx, figureSinks(grid.Benchmarks, func(ctx context.Context, i int) error {
 		for _, pt := range pts {
 			prep, err := r.Prepare(ctx, grid.Benchmarks[i], pt.cfg.MeasureInput, pt.cfg)
 			if err != nil {

@@ -19,10 +19,10 @@ var PrimaryTargets = []pthsel.Target{pthsel.TargetO, pthsel.TargetL, pthsel.Targ
 // preparation chain — each runs its own Prepare calls as soon as a worker
 // is free — so the figures keep the store request pattern they have always
 // had (perfbench's figures-cold workload pins it).
-func figureSinks(names []string, targets int, fill func(ctx context.Context, i int) error) []sink {
+func figureSinks(names []string, fill func(ctx context.Context, i int) error) []sink {
 	sinks := make([]sink, len(names))
 	for i, name := range names {
-		sinks[i] = sink{bench: name, cost: measureCost(targets), run: func(ctx context.Context) error {
+		sinks[i] = sink{bench: name, run: func(ctx context.Context) error {
 			if err := fill(ctx, i); err != nil {
 				return fmt.Errorf("%s: %w", name, err)
 			}
@@ -41,7 +41,7 @@ func (r *Runner) Figure2(ctx context.Context, names []string) (*Figure2Report, e
 	}
 	targets := []pthsel.Target{pthsel.TargetO}
 	rep := &Figure2Report{Rows: make([]Figure2Row, 2*len(names))}
-	err := r.runDAG(ctx, figureSinks(names, len(targets), func(ctx context.Context, i int) error {
+	err := r.runDAG(ctx, figureSinks(names, func(ctx context.Context, i int) error {
 		prep, runs, err := r.ideal(ctx, names[i], targets, r.cfg)
 		if err != nil {
 			return err
@@ -64,7 +64,7 @@ func (r *Runner) Figure3(ctx context.Context, names []string) (*Figure3Report, e
 		return nil, err
 	}
 	rep := &Figure3Report{Targets: targetNames(PrimaryTargets), Benchmarks: make([]BenchRuns, len(names))}
-	err := r.runDAG(ctx, figureSinks(names, len(PrimaryTargets), func(ctx context.Context, i int) error {
+	err := r.runDAG(ctx, figureSinks(names, func(ctx context.Context, i int) error {
 		_, runs, err := r.ideal(ctx, names[i], PrimaryTargets, r.cfg)
 		rep.Benchmarks[i] = BenchRuns{Name: names[i], Runs: runReports(runs)}
 		return err
@@ -98,7 +98,7 @@ func (r *Runner) Table3(ctx context.Context, names []string) (*Table3Report, err
 	}
 	targets := []pthsel.Target{pthsel.TargetL}
 	rep := &Table3Report{Rows: make([]Table3Row, len(names))}
-	err := r.runDAG(ctx, figureSinks(names, len(targets), func(ctx context.Context, i int) error {
+	err := r.runDAG(ctx, figureSinks(names, func(ctx context.Context, i int) error {
 		prep, runs, err := r.ideal(ctx, names[i], targets, r.cfg)
 		if err != nil {
 			return err
@@ -139,7 +139,7 @@ func (r *Runner) Figure4(ctx context.Context, names []string) (*Figure4Report, e
 		return nil, err
 	}
 	rep := &Figure4Report{Targets: targetNames(Figure4Targets), Benchmarks: make([]BenchRuns, len(names))}
-	err := r.runDAG(ctx, figureSinks(names, len(Figure4Targets), func(ctx context.Context, i int) error {
+	err := r.runDAG(ctx, figureSinks(names, func(ctx context.Context, i int) error {
 		profPrep, err := r.Prepare(ctx, names[i], program.Ref, r.cfg)
 		if err != nil {
 			return err

@@ -154,8 +154,7 @@ func NewRunner(cfg Config, parallelism int, observe func(Event)) *Runner {
 // Config returns the engine's base configuration.
 func (r *Runner) Config() Config { return r.cfg }
 
-// SetScheduling toggles critical-path scheduling (enabled by default), a
-// test hook with no public option. Disabled, the executor drops every
+// SetScheduling toggles chain expansion (enabled by default), a test hook with no public option. Disabled, the executor drops every
 // declared preparation chain, so sweep and campaign sinks are claimed in
 // naive bench-major job order, each running its own Prepare — the baseline
 // the scheduling tests and benchmark compare against. The figures declare
@@ -427,7 +426,7 @@ func (r *Runner) Campaign(ctx context.Context, names []string, targets []pthsel.
 		entries[i] = CampaignBench{Name: name}
 		// The sink reports into the campaign's own slots and returns nil:
 		// a benchmark's failure is the report's, not the call's.
-		sinks[i] = sink{bench: name, cost: measureCost(len(targets)), prep: &r.cfg,
+		sinks[i] = sink{bench: name, prep: &r.cfg,
 			run: func(ctx context.Context) error {
 				prep, runs, err := r.ideal(ctx, name, targets, r.cfg)
 				if err != nil {

@@ -1,18 +1,16 @@
 package experiments
 
-// The one fan-out executor and its critical-path scheduling. Every
-// multi-benchmark entry point — figures, sweeps, campaigns — is a list of
-// measurement sinks (one per figure benchmark, campaign benchmark or grid
-// point), each writing its own preassigned result slot. A sink may declare
-// the (benchmark, input, config) preparation chain it consumes; before
-// fan-out every declared chain is expanded into an explicit dependency DAG —
-// stage nodes deduplicated across sinks by artifact key — and each node's
-// remaining critical-path cost is projected from the fixed stageCost table.
-// The bounded worker pool then pulls ready nodes longest-critical-path-first
-// instead of job order, so the chains that bound the call's wall clock (a
-// long trace → profile → slices build for a late benchmark) start first
-// instead of last. A sink that declares no chain is ready at once and runs
-// its own Prepare calls.
+// The one fan-out executor. Every multi-benchmark entry point — figures,
+// sweeps, campaigns — is a list of measurement sinks (one per figure
+// benchmark, campaign benchmark or grid point), each writing its own
+// preassigned result slot. A sink may declare the (benchmark, input,
+// config) preparation chain it consumes; before fan-out every declared
+// chain is expanded into an explicit dependency DAG, stage nodes
+// deduplicated across sinks by artifact key. The bounded worker pool then
+// walks the DAG depth-first in plan order: the ready set is a stack, so a
+// worker that finishes a node takes up the work that node just unblocked
+// before moving on to the next chain. A sink that declares no chain is
+// ready at once and runs its own Prepare calls.
 //
 // Stage nodes double as speculative pre-builds: they are exactly the
 // artifacts some sink will demand (the DAG is the union of the demanded
@@ -23,7 +21,6 @@ package experiments
 // because sinks write into their preassigned slots.
 
 import (
-	"container/heap"
 	"context"
 	"errors"
 	"fmt"
@@ -31,30 +28,6 @@ import (
 
 	"repro/internal/program"
 )
-
-// stageMeasure is the scheduler's pseudo-stage for measurement work (one
-// target's selection + simulation at a grid point). It is not a pipeline
-// stage — it never touches the artifact store or the stage counters — but
-// measurement sinks need a cost like build nodes do.
-const stageMeasure Stage = "measure"
-
-// stageCost is the fixed per-node cost the critical-path projection sums:
-// relative magnitudes of the stages (trace dominates, then baseline
-// simulation and measurement, then the analysis stages; assembly and
-// derivation are near-free). The numbers are unitless proxies, not seconds:
-// the scheduler orders by projected cost, it never budgets wall-clock, so
-// the plan is a pure function of the grid and the store state.
-var stageCost = map[Stage]float64{
-	StageTrace:    1.0,
-	StageProfile:  0.25,
-	StageProblems: 0.01,
-	StageSlices:   0.2,
-	StageCurves:   0.1,
-	StageBaseline: 0.5,
-	StageParams:   0.01,
-	StagePrepared: 0.005,
-	stageMeasure:  0.5,
-}
 
 // Scheduler node statuses, annotated on DAG exports.
 const (
@@ -65,18 +38,14 @@ const (
 )
 
 // schedNode is one DAG node: a stage build for one workload, or a
-// measurement sink. waiting/children carry the dependency edges; cost and
-// crit the projected cost (crit = cost + costliest chain below).
+// measurement sink. waiting/children carry the dependency edges.
 type schedNode struct {
-	seq    int // insertion order: deterministic heap tie-break
+	seq    int // insertion (plan) order
 	bench  string
 	input  program.InputClass
-	stage  Stage  // pipeline stage, or stageMeasure for sinks
+	stage  Stage  // pipeline stage; unset on measurement sinks
 	label  string // sweep sinks: the grid point
 	status string
-
-	cost float64
-	crit float64
 
 	waiting  int // unfinished dependencies (scheduler-mutex-guarded)
 	children []*schedNode
@@ -91,7 +60,6 @@ type schedNode struct {
 type sink struct {
 	bench string
 	label string // sweeps: the grid point, shown on DAG exports
-	cost  float64
 	prep  *Config
 	run   func(ctx context.Context) error
 }
@@ -134,12 +102,11 @@ func (b *dagBuilder) addChain(name string, input program.InputClass, cfg Config)
 		}
 		n := &schedNode{seq: len(b.order), bench: name, input: input, stage: st}
 		if _, _, done := b.r.store.peek(key); done {
-			n.status = schedCached // complete (or a cached failure): zero remaining cost
+			n.status = schedCached // complete (or a cached failure)
 		} else if b.r.diskHas(key) {
-			n.status = schedSpill // a verified load, orders of magnitude under a build
+			n.status = schedSpill // a verified load, not a build
 		} else {
 			n.status = schedCold
-			n.cost = stageCost[st]
 		}
 		st := st
 		n.run = func(ctx context.Context) error {
@@ -170,15 +137,13 @@ func (r *Runner) plan(sinks []sink, chains bool) (*dagBuilder, error) {
 	b := r.newDAGBuilder()
 	var first error
 	for _, s := range sinks {
-		n := &schedNode{bench: s.bench, stage: stageMeasure, label: s.label,
-			status: schedMeasure, cost: s.cost, run: s.run}
+		n := &schedNode{bench: s.bench, label: s.label, status: schedMeasure, run: s.run}
 		if chains && s.prep != nil {
 			dep, err := b.addChain(s.bench, s.prep.MeasureInput, *s.prep)
 			if err != nil && first == nil {
 				first = fmt.Errorf("%s@%s: %w", s.bench, s.label, err)
 			}
 			if dep != nil {
-				n.input = dep.input
 				dep.children = append(dep.children, n)
 				n.waiting = 1
 			}
@@ -187,21 +152,6 @@ func (r *Runner) plan(sinks []sink, chains bool) (*dagBuilder, error) {
 		b.order = append(b.order, n)
 	}
 	return b, first
-}
-
-// computeCritical fills every node's projected critical-path cost: its own
-// cost plus the costliest chain of dependents below it. order is
-// topological, so one reverse pass suffices.
-func (b *dagBuilder) computeCritical() {
-	for i := len(b.order) - 1; i >= 0; i-- {
-		n := b.order[i]
-		n.crit = n.cost
-		for _, c := range n.children {
-			if n.cost+c.crit > n.crit {
-				n.crit = n.cost + c.crit
-			}
-		}
-	}
 }
 
 // runStageNode executes one scheduled stage node. A failed upstream means
@@ -224,57 +174,35 @@ func (r *Runner) runStageNode(ctx context.Context, name string, input program.In
 	r.ensureStage(ctx, name, input, cfg, plan, st)
 }
 
-// measureCost projects one sink's measurement cost.
-func measureCost(targets int) float64 {
-	return stageCost[stageMeasure] * float64(targets)
-}
-
-// nodeHeap is the ready queue: a max-heap on projected critical-path cost,
-// insertion order breaking ties so equal-cost nodes run in grid order.
-type nodeHeap []*schedNode
-
-func (h nodeHeap) Len() int { return len(h) }
-func (h nodeHeap) Less(i, j int) bool {
-	if h[i].crit != h[j].crit {
-		return h[i].crit > h[j].crit
-	}
-	return h[i].seq < h[j].seq
-}
-func (h nodeHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *nodeHeap) Push(x any)   { *h = append(*h, x.(*schedNode)) }
-func (h *nodeHeap) Pop() any     { old := *h; n := old[len(old)-1]; *h = old[:len(old)-1]; return n }
-
 // runDAG is the one fan-out executor: it plans sinks (their declared
 // chains included unless SetScheduling(false) dropped them) and runs the
-// DAG on a bounded pool of r.parallelism workers, each pulling the ready
-// node with the longest projected critical path. Every node runs exactly
-// once; short chains cannot starve because priority only orders the ready
-// set — nothing is ever deferred indefinitely, workers always take *some*
-// ready node. Cancellation stops workers from claiming further nodes;
-// in-flight nodes abort through their own context checks. It returns
-// ctx.Err(), or else the sinks' errors joined in job order.
+// DAG on a bounded pool of r.parallelism workers. The ready set is a
+// stack seeded in reverse plan order, and a finished node pushes the
+// children it unblocked in reverse, so one worker walks the DAG
+// depth-first in plan (grid) order. Every node runs exactly once.
+// Cancellation stops workers from claiming further nodes; in-flight nodes
+// abort through their own context checks. It returns ctx.Err(), or else
+// the sinks' errors joined in job order.
 func (r *Runner) runDAG(ctx context.Context, sinks []sink) error {
 	b, _ := r.plan(sinks, r.sched)
 	nodes := b.order
 	if len(nodes) == 0 {
 		return ctx.Err()
 	}
-	b.computeCritical()
 
 	var (
 		mu        sync.Mutex
 		cond      = sync.NewCond(&mu)
-		ready     nodeHeap
+		ready     []*schedNode // a stack: the next node is the last one
 		remaining = len(nodes)
 		stopped   bool
 		errs      = make([]error, len(nodes)) // by seq: sinks in job order
 	)
-	for _, n := range nodes {
-		if n.waiting == 0 {
-			ready = append(ready, n)
+	for i := len(nodes) - 1; i >= 0; i-- {
+		if nodes[i].waiting == 0 {
+			ready = append(ready, nodes[i])
 		}
 	}
-	heap.Init(&ready)
 
 	// Wake blocked workers promptly on cancellation, even when no node is
 	// completing to signal them.
@@ -309,14 +237,16 @@ func (r *Runner) runDAG(ctx context.Context, sinks []sink) error {
 					mu.Unlock()
 					return
 				}
-				n := heap.Pop(&ready).(*schedNode)
+				n := ready[len(ready)-1]
+				ready = ready[:len(ready)-1]
 				mu.Unlock()
 				errs[n.seq] = n.run(ctx)
 				mu.Lock()
 				remaining--
-				for _, c := range n.children {
+				for i := len(n.children) - 1; i >= 0; i-- {
+					c := n.children[i]
 					if c.waiting--; c.waiting == 0 {
-						heap.Push(&ready, c)
+						ready = append(ready, c)
 					}
 				}
 				if remaining == 0 || len(ready) > 0 {

@@ -14,7 +14,9 @@ package experiments
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
+	"reflect"
 
 	"repro/internal/artifactdisk"
 	"repro/internal/cpu"
@@ -54,9 +56,29 @@ func jsonCodec[T any]() stageCodec {
 			if err := json.Unmarshal(data, &out); err != nil {
 				return nil, err
 			}
+			if hasNil(reflect.ValueOf(&out).Elem()) {
+				return nil, errors.New("experiments: null artifact in JSON spill payload")
+			}
 			return out, nil
 		},
 	}
+}
+
+// hasNil reports whether a decoded artifact is a nil pointer or a slice
+// holding one. JSON decodes `null` to exactly that without error, and the
+// stages that consume these artifacts dereference them.
+func hasNil(v reflect.Value) bool {
+	switch v.Kind() {
+	case reflect.Pointer:
+		return v.IsNil()
+	case reflect.Slice:
+		for i := 0; i < v.Len(); i++ {
+			if hasNil(v.Index(i)) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // stageCodecs maps each spillable stage to its codec. StagePrepared is
@@ -135,7 +157,7 @@ func diskKey(key artifactKey) artifactdisk.Key {
 }
 
 // diskHas reports whether the disk tier could satisfy key without a build —
-// the scheduler's planning probe. It never touches recency or counters.
+// the DAG planner's status probe. It never touches recency or counters.
 func (r *Runner) diskHas(key artifactKey) bool {
 	if r.disk == nil {
 		return false
@@ -252,7 +274,7 @@ type StageStoreStats struct {
 
 	// P50BuildNS / P95BuildNS are cold-build wall-clock percentiles over
 	// the stage's recent builds (a bounded window; 0 before the first cold
-	// build) — the observability surface of the scheduler's cost inputs.
+	// build), for observers: nothing in the engine reads them.
 	P50BuildNS int64 `json:"p50_build_ns,omitempty"`
 	P95BuildNS int64 `json:"p95_build_ns,omitempty"`
 }

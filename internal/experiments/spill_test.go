@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/artifactdisk"
 	"repro/internal/program"
 )
 
@@ -175,5 +176,65 @@ func TestDiskStoreCorruptionRebuild(t *testing.T) {
 	}
 	if string(got) != string(want) {
 		t.Error("baseline rebuilt after corruption diverged from golden")
+	}
+}
+
+// TestDiskStoreNullJSONRebuild pins the JSON codecs against `null`: a
+// checksum-valid spill file whose payload decodes to a nil baseline, or to
+// a problems list holding a nil entry, is quarantined and its stage rebuilt
+// cold, and the preparation matches a cold run's.
+func TestDiskStoreNullJSONRebuild(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	cfg := DefaultConfig()
+
+	wfp, err := workloadFingerprint("gap")
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := planFor(cfg, wfp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	disk, err := artifactdisk.Open(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for st, payload := range map[Stage]string{StageBaseline: "null", StageProblems: "[null]"} {
+		key := artifactKey{name: "gap", input: program.Train, stage: st, fp: plan.fps[st]}
+		if err := disk.Save(diskKey(key), []byte(payload)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	r := NewRunner(cfg, 0, nil)
+	if err := r.AttachDiskStore(dir, 0); err != nil {
+		t.Fatal(err)
+	}
+	got, err := r.Prepare(ctx, "gap", program.Train, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if q := r.StoreStats().Disk.Quarantined; q != 2 {
+		t.Errorf("quarantined %d null payloads, want 2", q)
+	}
+	for _, st := range []Stage{StageBaseline, StageProblems} {
+		if n := r.StagePrepares(st); n != 1 {
+			t.Errorf("stage %s built %d times, want 1 (rebuilt cold)", st, n)
+		}
+	}
+
+	want, err := NewRunner(cfg, 0, nil).Prepare(ctx, "gap", program.Train, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Baseline, want.Baseline) {
+		t.Error("baseline rebuilt over a null payload diverged from a cold run")
+	}
+	if !reflect.DeepEqual(got.Params, want.Params) {
+		t.Error("params rebuilt over a null payload diverged from a cold run")
+	}
+	if !reflect.DeepEqual(got.Curves, want.Curves) {
+		t.Error("curves rebuilt over a null payload diverged from a cold run")
 	}
 }

@@ -169,8 +169,8 @@ func (g Grid) points(base Config) []gridPoint {
 // store — so points that agree on a stage's config fields share its trace,
 // profile, slice trees, curves and baseline instead of rebuilding them —
 // and measured under every target. Each pair is one sink declaring its
-// preparation chain, so the executor builds the grid's stage DAG
-// critical-path-first. Per-point progress is streamed as EventPointDone
+// preparation chain, so the executor walks the grid's stage DAG
+// depth-first in grid order. Per-point progress is streamed as EventPointDone
 // events. The report's points are ordered benchmark-major, then row-major
 // across the axes (first axis slowest), independent of worker scheduling.
 func (r *Runner) Sweep(ctx context.Context, g Grid) (*SweepReport, error) {
@@ -229,7 +229,7 @@ func (r *Runner) sweepSinks(g Grid) (*SweepReport, []sink, error) {
 	for bi, bench := range names {
 		for _, pt := range pts {
 			i, point := len(sinks), pt.point()
-			sinks = append(sinks, sink{bench: bench, label: point, cost: measureCost(len(targets)), prep: &pt.cfg,
+			sinks = append(sinks, sink{bench: bench, label: point, prep: &pt.cfg,
 				run: func(ctx context.Context) error {
 					_, runs, err := r.ideal(ctx, bench, targets, pt.cfg)
 					if err == nil {

@@ -326,9 +326,9 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("sweep grid has %d jobs, more than the %d allowed", n, maxSweepJobs))
 		return
 	}
-	// Plan the job's schedule DAG before it runs, so clients can inspect
-	// what the scheduler saw — which stages were projected cold, cached or
-	// disk-resident — for the store state this job was submitted against.
+	// Plan the job's stage DAG before it runs, so clients can inspect which
+	// stages were cold, cached or disk-resident in the store state this job
+	// was submitted against.
 	// A grid that cannot be planned (no, unknown or duplicated benchmarks)
 	// would only fail as a job: reject it here with the engine's message.
 	dag, err := s.lab.SweepDAG(grid)

@@ -143,9 +143,9 @@ type (
 	StageStoreStats = experiments.StageStoreStats
 	// DiskStoreStats is the on-disk spill tier's counter snapshot.
 	DiskStoreStats = artifactdisk.Stats
-	// DAGReport is a sweep grid's scheduled stage DAG — nodes annotated
-	// with projected cost and cold/cached/spill status — as planned by the
-	// critical-path scheduler (see Lab.SweepDAG; DOT renders Graphviz).
+	// DAGReport is a sweep grid's planned stage DAG — nodes annotated with
+	// cold/cached/spill/measure status — as the fan-out executor would walk
+	// it (see Lab.SweepDAG; DOT renders Graphviz).
 	DAGReport = experiments.DAGReport
 	// DAGNode is one node of a DAGReport.
 	DAGNode = experiments.DAGNode
@@ -588,11 +588,9 @@ func (l *Lab) Sweep(ctx context.Context, g Grid) (*SweepReport, error) {
 }
 
 // SweepDAG plans a grid without running it: the stage dependency DAG the
-// critical-path scheduler would execute, with every node annotated by its
-// projected status against the engine's current stores (cold / cached /
-// spill / measure), its fixed stage cost and its remaining critical-path
-// cost.
-// The report's DOT method renders Graphviz (cmd/report -dag; the daemon's
+// fan-out executor would walk (depth-first, in plan order), with every node
+// annotated by its status against the engine's current stores (cold /
+// cached / spill / measure). The report's DOT method renders Graphviz (cmd/report -dag; the daemon's
 // GET /v1/jobs/{id}/dag). Planning registers the grid's workloads but
 // builds nothing and touches no counters.
 func (l *Lab) SweepDAG(g Grid) (*DAGReport, error) {
