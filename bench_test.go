@@ -1,204 +1,24 @@
-// Benchmarks regenerating every table and figure of the paper's evaluation.
-// Each benchmark runs the corresponding experiment end-to-end (profiling,
-// selection, timing simulation) through a fresh Lab engine per iteration
-// (cold artifact store, matching the paper's from-scratch evaluation) and
-// reports the headline numbers as custom metrics, so
-//
-//	go test -bench=. -benchmem
-//
-// reproduces the paper's artifacts. Absolute magnitudes depend on the
-// synthetic workload substitution; the orderings and signs are the
-// reproduction targets recorded in EXPERIMENTS.md.
+// Benchmarks that cmd/benchgate runs and gates: the simulator hot loop
+// (event engine against the reference scan loop), the warm and cold sweep
+// grid, the paired stage-DAG scheduling ratio and the paired mapped
+// trace-spill ratio. The repository's end-to-end benchmark is perfbench/.
 package preexec
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"sync"
 	"testing"
 	"time"
 
-	"bytes"
-
 	"repro/internal/artifactdisk"
 	"repro/internal/cpu"
 	"repro/internal/experiments"
-	"repro/internal/metrics"
 	"repro/internal/program"
 	"repro/internal/pthsel"
 	"repro/internal/trace"
 )
-
-// fig3Gmeans runs the primary study for one target once per iteration on a
-// cold engine (a single-target campaign, so only that target's simulations
-// are timed) and reports its geometric-mean improvements.
-func fig3Gmeans(b *testing.B, tgt Target) (spd, energy, ed float64) {
-	b.Helper()
-	ctx := context.Background()
-	var rep *CampaignReport
-	for i := 0; i < b.N; i++ {
-		var err error
-		rep, err = New().RunCampaign(ctx, PaperBenchmarks(), []Target{tgt})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := rep.Err(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	var s, e, d []float64
-	for _, br := range rep.Benchmarks {
-		for _, r := range br.Runs {
-			s = append(s, r.SpeedupPct)
-			e = append(e, r.EnergySavePct)
-			d = append(d, r.EDSavePct)
-		}
-	}
-	return metrics.GMeanPct(s), metrics.GMeanPct(e), metrics.GMeanPct(d)
-}
-
-// BenchmarkPrepareCold measures a full from-scratch preparation (trace,
-// profile, slice trees, criticality curves, baseline simulation): every
-// iteration uses a fresh Lab whose artifact store is empty.
-func BenchmarkPrepareCold(b *testing.B) {
-	ctx := context.Background()
-	for i := 0; i < b.N; i++ {
-		if _, err := New().AnalyzeBenchmark(ctx, "gap"); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(b.N), "prepares")
-}
-
-// BenchmarkPrepareCached measures the same entry point against a warm
-// artifact store: one Lab serves every iteration, so the engine performs
-// exactly one preparation regardless of b.N — the O(figures × benchmarks) →
-// O(benchmarks) win of the Lab redesign, visible as ns/op several orders of
-// magnitude below BenchmarkPrepareCold.
-func BenchmarkPrepareCached(b *testing.B) {
-	ctx := context.Background()
-	lab := New()
-	if _, err := lab.AnalyzeBenchmark(ctx, "gap"); err != nil {
-		b.Fatal(err) // warm the store outside the timed loop
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := lab.AnalyzeBenchmark(ctx, "gap"); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(lab.StagePrepares(StagePrepared)), "prepares")
-}
-
-// BenchmarkFigure2Latency regenerates Figure 2's execution-time breakdowns
-// (unoptimized vs original-PTHSEL pre-execution).
-func BenchmarkFigure2Latency(b *testing.B) {
-	ctx := context.Background()
-	for i := 0; i < b.N; i++ {
-		if _, err := New().Figure2(ctx, PaperBenchmarks()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFigure2Energy regenerates Figure 2's energy breakdowns; the
-// reported metrics are the O-p-thread gmean speedup and energy cost (the
-// paper: +13.8% performance at +11.9% energy).
-func BenchmarkFigure2Energy(b *testing.B) {
-	spd, energy, _ := fig3Gmeans(b, TargetO)
-	b.ReportMetric(spd, "gmean-%ipc-O")
-	b.ReportMetric(-energy, "gmean-%energy-cost-O")
-}
-
-// BenchmarkFigure3Improvements regenerates Figure 3's top graph for all four
-// primary targets and reports the L-target gmeans (paper: +16.4% IPC,
-// −8.7% energy, +6.6% ED).
-func BenchmarkFigure3Improvements(b *testing.B) {
-	ctx := context.Background()
-	var rep *Figure3Report
-	for i := 0; i < b.N; i++ {
-		var err error
-		rep, err = New().Figure3(ctx, PaperBenchmarks())
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	if len(rep.Render()) == 0 {
-		b.Fatal("empty figure")
-	}
-	spd, energy, ed := fig3Gmeans(b, TargetL)
-	b.ReportMetric(spd, "gmean-%ipc-L")
-	b.ReportMetric(energy, "gmean-%energy-save-L")
-	b.ReportMetric(ed, "gmean-%ED-save-L")
-}
-
-// BenchmarkFigure3Diagnostics reports the diagnostics row (coverage,
-// usefulness, p-instruction increase) for E-p-threads — the paper's
-// "energy-free pre-execution" flavour.
-func BenchmarkFigure3Diagnostics(b *testing.B) {
-	spd, energy, _ := fig3Gmeans(b, TargetE)
-	b.ReportMetric(spd, "gmean-%ipc-E")
-	b.ReportMetric(energy, "gmean-%energy-save-E")
-}
-
-// BenchmarkFigure3Breakdowns regenerates the bottom two graphs (time and
-// energy stacks) and reports the P-target ED gmean (paper: −8.8% ED, the
-// best balance).
-func BenchmarkFigure3Breakdowns(b *testing.B) {
-	spd, energy, ed := fig3Gmeans(b, TargetP)
-	b.ReportMetric(spd, "gmean-%ipc-P")
-	b.ReportMetric(energy, "gmean-%energy-save-P")
-	b.ReportMetric(ed, "gmean-%ED-save-P")
-}
-
-// BenchmarkTable3Validation regenerates the model-validation ratios for
-// L-p-threads on gcc/parser/vortex/vpr.place (paper: 0.64–1.21).
-func BenchmarkTable3Validation(b *testing.B) {
-	ctx := context.Background()
-	var rep *Table3Report
-	for i := 0; i < b.N; i++ {
-		var err error
-		rep, err = New().Table3(ctx, Table3Benchmarks())
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	var sum float64
-	for _, r := range rep.Rows {
-		sum += r.LatencyPred
-	}
-	b.ReportMetric(sum/float64(len(rep.Rows)), "mean-latency-pred-ratio")
-}
-
-// BenchmarkFigure4RealisticProfiling selects p-threads from ref-input
-// profiles and measures on train (paper §5.3: gains degrade ≤20% relative
-// for most benchmarks).
-func BenchmarkFigure4RealisticProfiling(b *testing.B) {
-	ctx := context.Background()
-	for i := 0; i < b.N; i++ {
-		if _, err := New().Figure4(ctx, PaperBenchmarks()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func benchFigure5(b *testing.B, axis SweepAxis) {
-	ctx := context.Background()
-	for i := 0; i < b.N; i++ {
-		if _, err := New().Figure5(ctx, axis, Figure5Benchmarks(axis)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFigure5IdleFactor sweeps the idle energy factor (0/5/10%).
-func BenchmarkFigure5IdleFactor(b *testing.B) { benchFigure5(b, SweepIdleFactor) }
-
-// BenchmarkFigure5MemLatency sweeps memory latency (100/200/300 cycles).
-func BenchmarkFigure5MemLatency(b *testing.B) { benchFigure5(b, SweepMemLatency) }
-
-// BenchmarkFigure5L2Size sweeps the L2 (128KB/256KB/512KB).
-func BenchmarkFigure5L2Size(b *testing.B) { benchFigure5(b, SweepL2Size) }
 
 // sweepGridFixture is the benchmark grid: the paper's idle-factor axis on
 // the smallest benchmark, under the default sensitivity targets.
@@ -290,17 +110,6 @@ func BenchmarkSweepSched(b *testing.B) {
 	b.ReportMetric(naive.Seconds()/float64(b.N), "sweep-cold-naive-sec")
 	b.ReportMetric(sched.Seconds()/float64(b.N), "sweep-cold-sched-sec")
 	b.ReportMetric(naive.Seconds()/sched.Seconds(), "sweep-sched-gain")
-}
-
-// BenchmarkED2Target reproduces the §5.1 ED² discussion (P2 ≈ L; both
-// improve ED² strongly).
-func BenchmarkED2Target(b *testing.B) {
-	ctx := context.Background()
-	for i := 0; i < b.N; i++ {
-		if _, err := New().ED2Study(ctx, PaperBenchmarks()); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // hotLoopWorkload is one prepared (trace, p-threads) pair for the hot-loop
@@ -396,59 +205,6 @@ func simHotLoop(b *testing.B, run func(*cpu.Simulator, context.Context) (*cpu.Re
 func BenchmarkSimHotLoop(b *testing.B) {
 	b.Run("event", func(b *testing.B) { simHotLoop(b, (*cpu.Simulator).RunContext) })
 	b.Run("scan", func(b *testing.B) { simHotLoop(b, (*cpu.Simulator).RunReference) })
-}
-
-// BenchmarkFigureSuite regenerates the paper's full figure suite (Figures
-// 2-5, Table 3 and the ED² study) through one shared Lab engine per
-// iteration — the end-to-end number a full reproduction pays, dominated by
-// simulation throughput. cmd/benchgate records it in BENCH_sim.json.
-func BenchmarkFigureSuite(b *testing.B) {
-	ctx := context.Background()
-	for i := 0; i < b.N; i++ {
-		lab := New()
-		if _, err := lab.Figure2(ctx, PaperBenchmarks()); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := lab.Figure3(ctx, PaperBenchmarks()); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := lab.Table3(ctx, Table3Benchmarks()); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := lab.Figure4(ctx, PaperBenchmarks()); err != nil {
-			b.Fatal(err)
-		}
-		for _, axis := range []SweepAxis{SweepIdleFactor, SweepMemLatency, SweepL2Size} {
-			if _, err := lab.Figure5(ctx, axis, Figure5Benchmarks(axis)); err != nil {
-				b.Fatal(err)
-			}
-		}
-		if _, err := lab.ED2Study(ctx, PaperBenchmarks()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSimulatorThroughput measures raw simulator speed (simulated
-// cycles per wall-clock second) on the gap baseline — a substrate-health
-// metric rather than a paper artifact.
-func BenchmarkSimulatorThroughput(b *testing.B) {
-	ctx := context.Background()
-	cfg := experiments.DefaultConfig()
-	prep, err := experiments.Prepare(ctx, "gap", program.Train, cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	var cycles int64
-	for i := 0; i < b.N; i++ {
-		run, err := experiments.RunTarget(ctx, prep, prep, pthsel.TargetL, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		cycles += run.Res.Cycles
-	}
-	b.ReportMetric(float64(cycles)/b.Elapsed().Seconds(), "sim-cycles/s")
 }
 
 // BenchmarkTraceSpill times the two warm trace-load paths against each

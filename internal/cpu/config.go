@@ -35,7 +35,6 @@ type Config struct {
 	ROBSize       int // re-order buffer entries (128)
 	RSSize        int // reservation stations, shared by all threads (80)
 	PhysRegs      int // physical registers (384)
-	ArchRegs      int // architectural registers backed by PhysRegs (64)
 	FrontEndDepth int // fetch-to-dispatch latency in cycles (8 of 15 stages)
 	RedirectPen   int // extra cycles to restart fetch after a branch resolves (2)
 	LoadPorts     int // loads issued per cycle (2)
@@ -66,7 +65,6 @@ func DefaultConfig() Config {
 		ROBSize:       128,
 		RSSize:        80,
 		PhysRegs:      384,
-		ArchRegs:      64,
 		FrontEndDepth: 8,
 		RedirectPen:   2,
 		LoadPorts:     2,

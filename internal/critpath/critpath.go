@@ -17,6 +17,8 @@
 package critpath
 
 import (
+	"encoding/json"
+	"errors"
 	"math"
 
 	"repro/internal/cache"
@@ -63,6 +65,17 @@ func (c Config) Fingerprint() (string, error) { return fingerprint.JSON(c) }
 type Curve struct {
 	MissLat float64    // full per-miss latency being tolerated (cycles)
 	Gain    [4]float64 // per-miss execution-time gain at 25/50/75/100%
+}
+
+// UnmarshalJSON decodes a curve and rejects `null`, which encoding/json
+// would otherwise turn into a zero curve: a spilled curve set holding one
+// must fail to load, not read as a load that gains nothing.
+func (c *Curve) UnmarshalJSON(data []byte) error {
+	if string(data) == "null" {
+		return errors.New("critpath: null curve")
+	}
+	type plain Curve // no methods: decodes field by field
+	return json.Unmarshal(data, (*plain)(c))
 }
 
 // GainAt returns the per-miss execution-time reduction for tolerating the

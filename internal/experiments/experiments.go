@@ -117,23 +117,22 @@ func PrepareTrace(ctx context.Context, name string, tr *trace.Trace, cfg Config)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	plan, err := planFor(cfg, "")
+	if _, err := planFor(cfg, ""); err != nil {
+		return nil, err
+	}
+	prof := profile.Collect(tr, profile.ConfigFromHier(cfg.CPU.Hier))
+	problems := stageProblems(prof, problemsConfigOf(cfg))
+	trees := slicer.BuildTrees(tr, prof, problems, cfg.Slicer)
+	curves, err := stageCurves(ctx, tr, prof, problems, critpathConfig(cfg))
 	if err != nil {
 		return nil, err
 	}
-	prof := profile.Collect(tr, plan.profileCfg)
-	problems := stageProblems(prof, plan.problemsCfg)
-	trees := slicer.BuildTrees(tr, prof, problems, plan.slicerCfg)
-	curves, err := stageCurves(ctx, tr, prof, problems, plan.critCfg)
-	if err != nil {
-		return nil, err
-	}
-	base, err := stageBaseline(ctx, name, plan.timingCfg, tr)
+	base, err := stageBaseline(ctx, name, timingConfig(cfg.CPU), tr)
 	if err != nil {
 		return nil, err
 	}
 	base = baselineFor(base, cfg.CPU.Energy)
-	params := plan.deriveCfg.Derive(float64(base.Cycles), base.Energy.Total(), base.IPC(), curves)
+	params := deriveConfig(cfg).Derive(float64(base.Cycles), base.Energy.Total(), base.IPC(), curves)
 	return assemblePrepared(name, tr, prof, trees, curves, base, params), nil
 }
 

@@ -1,14 +1,26 @@
 package experiments
 
+// The staged preparation pipeline. stageTable is the one place a stage is
+// declared: its upstream stages, its configuration projection, its build
+// and its spill codec. Stages, the fingerprint plan (planFor), the
+// store-backed build (ensure), the assembly (stagedPrepare), the
+// scheduler's DAG (addChain), the disk tier (spillLoad, spillSave) and the
+// per-stage counters all read it, indexed by row. The uncached Prepare and
+// PrepareTrace stay composed by hand: they are the reference the staged
+// path is tested against.
+
 import (
 	"context"
 	"fmt"
+	"io"
+	"slices"
 	"time"
 
 	"repro/internal/cpu"
 	"repro/internal/critpath"
 	"repro/internal/energy"
 	"repro/internal/fingerprint"
+	"repro/internal/isa"
 	"repro/internal/profile"
 	"repro/internal/program"
 	"repro/internal/pthsel"
@@ -52,27 +64,140 @@ const (
 	StagePrepared Stage = "prepared"
 )
 
+// stageDef declares one pipeline stage.
+type stageDef struct {
+	stage Stage
+	// up lists the upstream stages in the order build reads them; the
+	// stage's key chains their keys in that order.
+	up []Stage
+	// conf projects an experiment Config onto the fields the stage reads;
+	// its fingerprint is folded into the stage's key. nil only for the
+	// trace, which the workload alone identifies.
+	conf  func(Config) any
+	build func(ctx context.Context, in stageIn) (any, error)
+	codec *stageCodec // nil: never spilled
+}
+
+// stageIn is what a stage's build reads: the workload, the stage's config
+// projection and its upstream artifacts in declared order.
+type stageIn struct {
+	name  string
+	input program.InputClass
+	conf  any
+	up    []any
+}
+
+// stageTable lists every stage in dependency order, each row's upstream
+// stages before it, StagePrepared last.
+var stageTable = []stageDef{{
+	stage: StageTrace,
+	build: func(_ context.Context, in stageIn) (any, error) { return stageTrace(in.name, in.input) },
+	// Traces spill in the page-aligned format so the warm path can mmap
+	// them. A file in an older trace format fails verification and is
+	// quarantined and rebuilt: the spill tier is a cache.
+	codec: &stageCodec{
+		encode: func(v any) ([]byte, error) { return encodeWith(v.(*trace.Trace).EncodeBinaryV2) },
+		decode: func(name string, input program.InputClass, data []byte) (any, error) {
+			prog, err := buildProgram(name, input)
+			if err != nil {
+				return nil, err
+			}
+			return trace.DecodeBinaryV2(data, prog)
+		},
+		mapped: func(name string, input program.InputClass, payload []byte) (any, bool, error) {
+			prog, err := buildProgram(name, input)
+			if err != nil {
+				return nil, false, err
+			}
+			return trace.MapBytes(payload, prog)
+		},
+	},
+}, {
+	stage: StageProfile,
+	up:    []Stage{StageTrace},
+	conf:  func(c Config) any { return profile.ConfigFromHier(c.CPU.Hier) },
+	build: func(_ context.Context, in stageIn) (any, error) {
+		return profile.Collect(in.up[0].(*trace.Trace), in.conf.(profile.Config)), nil
+	},
+	codec: binaryCodec((*profile.Profile).EncodeBinary, profile.DecodeBinary),
+}, {
+	stage: StageProblems,
+	up:    []Stage{StageProfile},
+	conf:  func(c Config) any { return problemsConfigOf(c) },
+	build: func(_ context.Context, in stageIn) (any, error) {
+		return stageProblems(in.up[0].(*profile.Profile), in.conf.(problemsConfig)), nil
+	},
+	// ProblemLoads returns nil for a workload without problem loads, and
+	// nil encodes as JSON null.
+	codec: jsonCodec[[]*profile.LoadStats](true),
+}, {
+	stage: StageSlices,
+	up:    []Stage{StageTrace, StageProfile, StageProblems},
+	conf:  func(c Config) any { return c.Slicer },
+	build: func(_ context.Context, in stageIn) (any, error) {
+		return slicer.BuildTrees(in.up[0].(*trace.Trace), in.up[1].(*profile.Profile),
+			in.up[2].([]*profile.LoadStats), in.conf.(slicer.Config)), nil
+	},
+	codec: binaryCodec(func(ts []*slicer.Tree, w io.Writer) error { return slicer.EncodeTrees(w, ts) },
+		slicer.DecodeTrees),
+}, {
+	stage: StageCurves,
+	up:    []Stage{StageTrace, StageProfile, StageProblems},
+	conf:  func(c Config) any { return critpathConfig(c) },
+	build: func(ctx context.Context, in stageIn) (any, error) {
+		return stageCurves(ctx, in.up[0].(*trace.Trace), in.up[1].(*profile.Profile),
+			in.up[2].([]*profile.LoadStats), in.conf.(critpath.Config))
+	},
+	codec: jsonCodec[map[int32]critpath.Curve](false),
+}, {
+	stage: StageBaseline,
+	up:    []Stage{StageTrace},
+	conf:  func(c Config) any { return timingConfig(c.CPU) },
+	build: func(ctx context.Context, in stageIn) (any, error) {
+		return stageBaseline(ctx, in.name, in.conf.(cpu.Config), in.up[0].(*trace.Trace))
+	},
+	codec: jsonCodec[*cpu.Result](false),
+}, {
+	stage: StageParams,
+	up:    []Stage{StageBaseline, StageCurves},
+	conf:  func(c Config) any { return deriveConfig(c) },
+	build: func(_ context.Context, in stageIn) (any, error) {
+		dc := in.conf.(pthsel.DeriveConfig)
+		base := baselineFor(in.up[0].(*cpu.Result), dc.Energy)
+		return dc.Derive(float64(base.Cycles), base.Energy.Total(), base.IPC(),
+			in.up[1].(map[int32]critpath.Curve)), nil
+	},
+	codec: jsonCodec[pthsel.Params](false),
+}, {
+	// The assembled view is cheap to rebuild from spilled stages and holds
+	// cross-stage pointers that do not serialize meaningfully: no codec.
+	stage: StagePrepared,
+	up: []Stage{StageTrace, StageProfile, StageProblems, StageSlices,
+		StageCurves, StageBaseline, StageParams},
+	conf: func(c Config) any { return c },
+	build: func(_ context.Context, in stageIn) (any, error) {
+		cfg := in.conf.(Config)
+		p := assemblePrepared(in.name, in.up[0].(*trace.Trace), in.up[1].(*profile.Profile),
+			in.up[3].([]*slicer.Tree), in.up[4].(map[int32]critpath.Curve),
+			baselineFor(in.up[5].(*cpu.Result), cfg.CPU.Energy), in.up[6].(pthsel.Params))
+		p.Input = in.input
+		return p, nil
+	},
+}}
+
 // Stages lists every pipeline stage in dependency order (StagePrepared
 // last: the assembled whole-config view behind StagePrepares).
 func Stages() []Stage {
-	return []Stage{StageTrace, StageProfile, StageProblems, StageSlices,
-		StageCurves, StageBaseline, StageParams, StagePrepared}
+	out := make([]Stage, len(stageTable))
+	for i, d := range stageTable {
+		out[i] = d.stage
+	}
+	return out
 }
 
-// stageDeps maps each pipeline stage to its direct upstream stages — the
-// edge set of the stage DAG drawn above, which the scheduler expands into
-// per-workload dependency nodes. Iterating Stages() guarantees every
-// stage's deps precede it.
-var stageDeps = map[Stage][]Stage{
-	StageTrace:    nil,
-	StageProfile:  {StageTrace},
-	StageProblems: {StageProfile},
-	StageSlices:   {StageTrace, StageProfile, StageProblems},
-	StageCurves:   {StageTrace, StageProfile, StageProblems},
-	StageBaseline: {StageTrace},
-	StageParams:   {StageBaseline, StageCurves},
-	StagePrepared: {StageTrace, StageProfile, StageProblems, StageSlices,
-		StageCurves, StageBaseline, StageParams},
+// stageRow returns st's row in stageTable, or -1 for an unknown stage.
+func stageRow(st Stage) int {
+	return slices.IndexFunc(stageTable, func(d stageDef) bool { return d.stage == st })
 }
 
 // problemsConfig is the configuration of the problem-load mining stage.
@@ -81,17 +206,16 @@ type problemsConfig struct {
 	MinMisses int64
 }
 
-// stagePlan is one experiment Config projected onto the pipeline: each
-// stage's own config struct plus its chained content fingerprint.
-type stagePlan struct {
-	profileCfg  profile.Config
-	problemsCfg problemsConfig
-	slicerCfg   slicer.Config
-	critCfg     critpath.Config
-	timingCfg   cpu.Config
-	deriveCfg   pthsel.DeriveConfig
+func problemsConfigOf(cfg Config) problemsConfig {
+	return problemsConfig{Coverage: cfg.ProblemCoverage, MinMisses: cfg.MinMisses}
+}
 
-	fps map[Stage]string
+// stagePlan is one experiment Config projected onto the pipeline: each
+// stage's config projection, by table row, plus its chained content
+// fingerprint.
+type stagePlan struct {
+	confs []any
+	fps   map[Stage]string
 }
 
 // timingConfig strips the processor configuration down to the fields that
@@ -131,51 +255,34 @@ func planFor(cfg Config, workloadFP string) (stagePlan, error) {
 	if err := cfg.CPU.Validate(); err != nil {
 		return stagePlan{}, err
 	}
-	p := stagePlan{
-		profileCfg:  profile.ConfigFromHier(cfg.CPU.Hier),
-		problemsCfg: problemsConfig{Coverage: cfg.ProblemCoverage, MinMisses: cfg.MinMisses},
-		slicerCfg:   cfg.Slicer,
-		critCfg:     critpathConfig(cfg),
-		timingCfg:   timingConfig(cfg.CPU),
-		deriveCfg:   deriveConfig(cfg),
+	p := stagePlan{confs: make([]any, len(stageTable)), fps: make(map[Stage]string, len(stageTable))}
+	for i, d := range stageTable {
+		if d.conf == nil {
+			p.fps[d.stage] = workloadFP
+			continue
+		}
+		p.confs[i] = d.conf(cfg)
+		if d.stage == StagePrepared {
+			// The whole Config covers every upstream projection, so the
+			// key chains only the workload — the key Runner.Prepare
+			// computes without a plan.
+			fp, err := preparedFingerprint(cfg, workloadFP)
+			if err != nil {
+				return stagePlan{}, err
+			}
+			p.fps[d.stage] = fp
+			continue
+		}
+		own, err := fingerprint.JSON(p.confs[i])
+		if err != nil {
+			return stagePlan{}, fmt.Errorf("%s stage: %w", d.stage, err)
+		}
+		ups := make([]string, len(d.up))
+		for k, u := range d.up {
+			ups[k] = p.fps[u]
+		}
+		p.fps[d.stage] = fingerprint.Chain(own, ups...)
 	}
-	profileFP, err := p.profileCfg.Fingerprint()
-	if err != nil {
-		return stagePlan{}, fmt.Errorf("%s stage: %w", StageProfile, err)
-	}
-	problemsFP, err := fingerprint.JSON(p.problemsCfg)
-	if err != nil {
-		return stagePlan{}, fmt.Errorf("%s stage: %w", StageProblems, err)
-	}
-	slicerFP, err := p.slicerCfg.Fingerprint()
-	if err != nil {
-		return stagePlan{}, fmt.Errorf("%s stage: %w", StageSlices, err)
-	}
-	critFP, err := p.critCfg.Fingerprint()
-	if err != nil {
-		return stagePlan{}, fmt.Errorf("%s stage: %w", StageCurves, err)
-	}
-	timingFP, err := fingerprint.JSON(p.timingCfg)
-	if err != nil {
-		return stagePlan{}, fmt.Errorf("%s stage: %w", StageBaseline, err)
-	}
-	deriveFP, err := p.deriveCfg.Fingerprint()
-	if err != nil {
-		return stagePlan{}, fmt.Errorf("%s stage: %w", StageParams, err)
-	}
-	preparedFP, err := preparedFingerprint(cfg, workloadFP)
-	if err != nil {
-		return stagePlan{}, err
-	}
-	fps := map[Stage]string{StageTrace: workloadFP}
-	fps[StageProfile] = fingerprint.Chain(profileFP, fps[StageTrace])
-	fps[StageProblems] = fingerprint.Chain(problemsFP, fps[StageProfile])
-	fps[StageSlices] = fingerprint.Chain(slicerFP, fps[StageProblems])
-	fps[StageCurves] = fingerprint.Chain(critFP, fps[StageProblems])
-	fps[StageBaseline] = fingerprint.Chain(timingFP, fps[StageTrace])
-	fps[StageParams] = fingerprint.Chain(deriveFP, fps[StageBaseline], fps[StageCurves])
-	fps[StagePrepared] = preparedFP
-	p.fps = fps
 	return p, nil
 }
 
@@ -202,18 +309,28 @@ func workloadFingerprint(name string) (string, error) {
 	return bm.Fingerprint, nil
 }
 
-// ------------------------------------------------------- stage functions --
-//
-// Each stage is a plain function of its upstream artifacts and its own
-// config struct; the Runner wraps them in the content-addressed store, and
-// the uncached paths (custom programs, the free Prepare) call them directly.
-
-func stageTrace(name string, input program.InputClass) (*trace.Trace, error) {
+// buildProgram materializes a registered benchmark's program for input.
+func buildProgram(name string, input program.InputClass) (*isa.Program, error) {
 	bm, err := program.ByName(name)
 	if err != nil {
 		return nil, err
 	}
-	tr, err := trace.Run(bm.Build(input))
+	return bm.Build(input), nil
+}
+
+// ------------------------------------------------------- stage functions --
+//
+// Each stage is a plain function of its upstream artifacts and its own
+// config struct; the table rows wrap them for the content-addressed store,
+// and the uncached paths (custom programs, the free Prepare) call them
+// directly.
+
+func stageTrace(name string, input program.InputClass) (*trace.Trace, error) {
+	prog, err := buildProgram(name, input)
+	if err != nil {
+		return nil, err
+	}
+	tr, err := trace.Run(prog)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", name, err)
 	}
@@ -274,58 +391,16 @@ func assemblePrepared(name string, tr *trace.Trace, prof *profile.Profile, trees
 
 // --------------------------------------------------------- staged runner --
 
-// stage runs one pipeline stage through the content-addressed store,
-// emitting stage events and tallying the per-stage outcome counters. A cold
-// miss consults the disk spill tier before computing: the disk load happens
-// inside the singleflight slot, so concurrent requesters of one artifact
-// perform at most one load just as they perform at most one build, and a
-// freshly built artifact is spilled back before the slot completes.
-func (r *Runner) stage(ctx context.Context, name string, input program.InputClass,
-	st Stage, plan stagePlan, compute func() (any, error)) (any, error) {
-	key := artifactKey{name: name, input: input, stage: st, fp: plan.fps[st]}
-	val, outcome, err := r.store.get(ctx, key, func() (any, error) {
-		if v, ok, mapped := r.spillLoad(key); ok {
-			sc := r.stageCount(st)
-			sc.spill.Add(1)
-			if mapped {
-				sc.mapped.Add(1)
-			}
-			r.emit(ctx, Event{Kind: EventStageSpill, Bench: name, Input: input.String(), Stage: string(st)})
-			return v, nil
-		}
-		r.stageCount(st).cold.Add(1)
-		r.emit(ctx, Event{Kind: EventStageStart, Bench: name, Input: input.String(), Stage: string(st)})
-		start := time.Now()
-		v, cerr := compute()
-		elapsed := time.Since(start)
-		r.emit(ctx, Event{Kind: EventStageDone, Bench: name, Input: input.String(), Stage: string(st),
-			Err: cerr, DurationNS: elapsed.Nanoseconds()})
-		if cerr == nil {
-			r.stageLatency(st).record(elapsed.Nanoseconds())
-			r.spillSave(key, v)
-		}
-		return v, cerr
-	})
-	if err != nil {
-		return nil, err
-	}
-	switch outcome {
-	case storeHit:
-		r.stageCount(st).hit.Add(1)
-		r.emit(ctx, Event{Kind: EventStageCached, Bench: name, Input: input.String(), Stage: string(st)})
-	case storeShared:
-		r.stageCount(st).shared.Add(1)
-	}
-	return val, nil
+// chain is one (workload, input, config) preparation chain with its stage
+// plan: what stagedPrepare walks and the scheduler expands into DAG nodes.
+type chain struct {
+	name  string
+	input program.InputClass
+	cfg   Config
+	plan  stagePlan
 }
 
-// stagedPrepare assembles a Prepared from per-stage artifacts, computing
-// each missing stage at most once per engine (shared across every sweep
-// point, figure and campaign worker whose configuration agrees on the
-// fields that stage reads). The per-stage walk and the scheduler's DAG
-// nodes share one implementation, ensureStage, so both orders produce
-// identical store traffic for identical work.
-func (r *Runner) stagedPrepare(ctx context.Context, name string, input program.InputClass, cfg Config) (*Prepared, error) {
+func newChain(name string, input program.InputClass, cfg Config) (*chain, error) {
 	wfp, err := workloadFingerprint(name)
 	if err != nil {
 		return nil, err
@@ -334,127 +409,125 @@ func (r *Runner) stagedPrepare(ctx context.Context, name string, input program.I
 	if err != nil {
 		return nil, err
 	}
-	vals := make(map[Stage]any, len(stageDeps))
-	for _, st := range Stages() {
-		if st == StagePrepared {
-			break // assembled below, not through the store (we are its compute)
-		}
-		v, err := r.ensureStage(ctx, name, input, cfg, plan, st)
+	return &chain{name: name, input: input, cfg: cfg, plan: plan}, nil
+}
+
+func (c *chain) key(st Stage) artifactKey {
+	return artifactKey{name: c.name, input: c.input, stage: st, fp: c.plan.fps[st]}
+}
+
+// build runs st's build over its upstream artifacts, read in declared
+// order through get.
+func (c *chain) build(ctx context.Context, st Stage, get func(Stage) (any, error)) (any, error) {
+	i := stageRow(st)
+	d := &stageTable[i]
+	in := stageIn{name: c.name, input: c.input, conf: c.plan.confs[i], up: make([]any, len(d.up))}
+	for k, u := range d.up {
+		v, err := get(u)
 		if err != nil {
 			return nil, err
 		}
-		vals[st] = v
+		in.up[k] = v
 	}
-	base := baselineFor(vals[StageBaseline].(*cpu.Result), cfg.CPU.Energy)
-	p := assemblePrepared(name, vals[StageTrace].(*trace.Trace), vals[StageProfile].(*profile.Profile),
-		vals[StageSlices].([]*slicer.Tree), vals[StageCurves].(map[int32]critpath.Curve),
-		base, vals[StageParams].(pthsel.Params))
-	p.Input = input
-	return p, nil
+	return d.build(ctx, in)
 }
 
-// ensureStage requests one pipeline stage through the content-addressed
-// store, computing it on a cold miss. Compute closures read their upstream
-// artifacts through upstreamStage: when the caller already ordered them —
-// the sequential stagedPrepare walk, or the scheduler's dependency edges —
-// that read is a free peek; an out-of-order call recursively ensures them,
-// so ensureStage is correct from any call site.
-func (r *Runner) ensureStage(ctx context.Context, name string, input program.InputClass,
-	cfg Config, plan stagePlan, st Stage) (any, error) {
-	up := func(u Stage) (any, error) { return r.upstreamStage(ctx, name, input, cfg, plan, u) }
-	switch st {
-	case StageTrace:
-		return r.stage(ctx, name, input, st, plan, func() (any, error) {
-			return stageTrace(name, input)
-		})
-	case StageProfile:
-		return r.stage(ctx, name, input, st, plan, func() (any, error) {
-			trV, err := up(StageTrace)
-			if err != nil {
-				return nil, err
-			}
-			return profile.Collect(trV.(*trace.Trace), plan.profileCfg), nil
-		})
-	case StageProblems:
-		return r.stage(ctx, name, input, st, plan, func() (any, error) {
-			profV, err := up(StageProfile)
-			if err != nil {
-				return nil, err
-			}
-			return stageProblems(profV.(*profile.Profile), plan.problemsCfg), nil
-		})
-	case StageSlices:
-		return r.stage(ctx, name, input, st, plan, func() (any, error) {
-			tr, prof, problems, err := r.analysisInputs(ctx, name, input, cfg, plan)
-			if err != nil {
-				return nil, err
-			}
-			return slicer.BuildTrees(tr, prof, problems, plan.slicerCfg), nil
-		})
-	case StageCurves:
-		return r.stage(ctx, name, input, st, plan, func() (any, error) {
-			tr, prof, problems, err := r.analysisInputs(ctx, name, input, cfg, plan)
-			if err != nil {
-				return nil, err
-			}
-			return stageCurves(ctx, tr, prof, problems, plan.critCfg)
-		})
-	case StageBaseline:
-		return r.stage(ctx, name, input, st, plan, func() (any, error) {
-			trV, err := up(StageTrace)
-			if err != nil {
-				return nil, err
-			}
-			return stageBaseline(ctx, name, plan.timingCfg, trV.(*trace.Trace))
-		})
-	case StageParams:
-		return r.stage(ctx, name, input, st, plan, func() (any, error) {
-			baseV, err := up(StageBaseline)
-			if err != nil {
-				return nil, err
-			}
-			curvesV, err := up(StageCurves)
-			if err != nil {
-				return nil, err
-			}
-			base := baselineFor(baseV.(*cpu.Result), cfg.CPU.Energy)
-			return plan.deriveCfg.Derive(float64(base.Cycles), base.Energy.Total(),
-				base.IPC(), curvesV.(map[int32]critpath.Curve)), nil
-		})
-	case StagePrepared:
-		return r.Prepare(ctx, name, input, cfg)
+// stage requests one stage artifact through the content-addressed store,
+// emitting observer events and tallying the stage's outcome counters; the
+// assembled view reports as a preparation, every other stage as a stage. A
+// cold miss consults the disk spill tier before computing: the disk load
+// happens inside the singleflight slot, so concurrent requesters of one
+// artifact perform at most one load just as they perform at most one
+// build, and a freshly built artifact is spilled back before the slot
+// completes.
+func (r *Runner) stage(ctx context.Context, key artifactKey, compute func() (any, error)) (any, error) {
+	i := stageRow(key.stage)
+	codec, sc := stageTable[i].codec, &r.stats[i]
+	start, done, cached, label := EventStageStart, EventStageDone, EventStageCached, string(key.stage)
+	if key.stage == StagePrepared {
+		start, done, cached, label = EventPrepareStart, EventPrepareDone, EventPrepareCached, ""
 	}
-	return nil, fmt.Errorf("experiments: unknown pipeline stage %q", st)
+	event := func(kind EventKind) Event {
+		return Event{Kind: kind, Bench: key.name, Input: key.input.String(), Stage: label}
+	}
+	val, outcome, err := r.store.get(ctx, key, func() (any, error) {
+		if v, ok, mapped := r.spillLoad(codec, key); ok {
+			sc.spill.Add(1)
+			if mapped {
+				sc.mapped.Add(1)
+			}
+			r.emit(ctx, event(EventStageSpill))
+			return v, nil
+		}
+		sc.cold.Add(1)
+		r.emit(ctx, event(start))
+		t0 := time.Now()
+		v, cerr := compute()
+		elapsed := time.Since(t0)
+		ev := event(done)
+		ev.Err, ev.DurationNS = cerr, elapsed.Nanoseconds()
+		r.emit(ctx, ev)
+		if cerr == nil {
+			sc.lat.record(elapsed.Nanoseconds())
+			r.spillSave(codec, key, v)
+		}
+		return v, cerr
+	})
+	if err != nil {
+		return nil, err
+	}
+	switch outcome {
+	case storeHit:
+		sc.hit.Add(1)
+		r.emit(ctx, event(cached))
+	case storeShared:
+		sc.shared.Add(1)
+	}
+	return val, nil
 }
 
-// analysisInputs gathers the (trace, profile, problems) triple the two
-// analysis stages consume.
-func (r *Runner) analysisInputs(ctx context.Context, name string, input program.InputClass,
-	cfg Config, plan stagePlan) (*trace.Trace, *profile.Profile, []*profile.LoadStats, error) {
-	trV, err := r.upstreamStage(ctx, name, input, cfg, plan, StageTrace)
+// stagedPrepare assembles a Prepared from per-stage artifacts, requesting
+// each upstream stage of the assembly in order and computing each missing
+// one at most once per engine (shared across every sweep point, figure and
+// campaign worker whose configuration agrees on the fields that stage
+// reads). The walk and the scheduler's DAG nodes share one implementation,
+// ensure, so both orders produce identical store traffic for identical
+// work.
+func (r *Runner) stagedPrepare(ctx context.Context, name string, input program.InputClass, cfg Config) (*Prepared, error) {
+	c, err := newChain(name, input, cfg)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
-	profV, err := r.upstreamStage(ctx, name, input, cfg, plan, StageProfile)
+	// The assembly is not built through the store: we are its compute.
+	v, err := c.build(ctx, StagePrepared, func(u Stage) (any, error) { return r.ensure(ctx, c, u) })
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
-	problemsV, err := r.upstreamStage(ctx, name, input, cfg, plan, StageProblems)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return trV.(*trace.Trace), profV.(*profile.Profile), problemsV.([]*profile.LoadStats), nil
+	return v.(*Prepared), nil
 }
 
-// upstreamStage reads an upstream artifact from inside a compute closure:
-// peek first — the value is an input being read, not a new request, so a
-// completed entry costs no counter or event traffic — falling back to a
-// full ensure when nothing ordered it yet (or a cancellation retired it).
-func (r *Runner) upstreamStage(ctx context.Context, name string, input program.InputClass,
-	cfg Config, plan stagePlan, st Stage) (any, error) {
-	key := artifactKey{name: name, input: input, stage: st, fp: plan.fps[st]}
-	if v, err, ok := r.store.peek(key); ok {
+// ensure requests one stage of c through the content-addressed store,
+// building it on a cold miss. The build reads its upstream artifacts
+// through upstream: when the caller already ordered them — the sequential
+// stagedPrepare walk, or the scheduler's dependency edges — that read is a
+// free peek; an out-of-order call recursively ensures them, so ensure is
+// correct from any call site.
+func (r *Runner) ensure(ctx context.Context, c *chain, st Stage) (any, error) {
+	if st == StagePrepared {
+		return r.Prepare(ctx, c.name, c.input, c.cfg)
+	}
+	return r.stage(ctx, c.key(st), func() (any, error) {
+		return c.build(ctx, st, func(u Stage) (any, error) { return r.upstream(ctx, c, u) })
+	})
+}
+
+// upstream reads an upstream artifact from inside a build: peek first —
+// the value is an input being read, not a new request, so a completed
+// entry costs no counter or event traffic — falling back to a full ensure
+// when nothing ordered it yet (or a cancellation retired it).
+func (r *Runner) upstream(ctx context.Context, c *chain, st Stage) (any, error) {
+	if v, err, ok := r.store.peek(c.key(st)); ok {
 		return v, err
 	}
-	return r.ensureStage(ctx, name, input, cfg, plan, st)
+	return r.ensure(ctx, c, st)
 }

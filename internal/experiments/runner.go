@@ -10,7 +10,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/artifactdisk"
 	"repro/internal/cpu"
@@ -119,17 +118,18 @@ type Runner struct {
 	store *artifactStore
 	disk  *artifactdisk.Store // optional spill tier (see AttachDiskStore)
 
-	stageStats []stageCounters    // per-stage request outcomes, indexed by stageIndex
-	stageLat   []latencyReservoir // per-stage cold-build latencies, same indexing
+	stats []stageCounters // per-stage request outcomes, by stageTable row
 }
 
-// stageCounters tallies one stage's artifact-store request outcomes.
+// stageCounters tallies one stage's artifact-store request outcomes and
+// cold-build latencies.
 type stageCounters struct {
 	cold   atomic.Int64 // this engine executed the stage
 	hit    atomic.Int64 // served from a completed in-memory entry
 	shared atomic.Int64 // waited on another caller's in-flight build
 	spill  atomic.Int64 // satisfied by a disk-tier load
 	mapped atomic.Int64 // of the spill loads, served via the mmap path
+	lat    latencyReservoir
 }
 
 // NewRunner creates an engine over cfg. parallelism bounds the executor's
@@ -146,8 +146,7 @@ func NewRunner(cfg Config, parallelism int, observe func(Event)) *Runner {
 		sched:       true,
 		mappedSpill: true,
 		store:       newArtifactStore(),
-		stageStats:  make([]stageCounters, len(stageIndex)),
-		stageLat:    make([]latencyReservoir, len(stageIndex)),
+		stats:       make([]stageCounters, len(stageTable)),
 	}
 }
 
@@ -171,25 +170,6 @@ func (r *Runner) SetScheduling(enabled bool) { r.sched = enabled }
 // Call before issuing work; it is not synchronized with in-flight loads.
 func (r *Runner) SetMappedSpill(enabled bool) { r.mappedSpill = enabled }
 
-// stageIndex maps each pipeline stage to its counter slot, derived from
-// Stages() so the stage list is maintained in exactly one place.
-var stageIndex = func() map[Stage]int {
-	m := make(map[Stage]int, len(Stages()))
-	for i, st := range Stages() {
-		m[st] = i
-	}
-	return m
-}()
-
-func (r *Runner) stageCount(st Stage) *stageCounters {
-	i, ok := stageIndex[st]
-	if !ok {
-		//lab:allow(panicpath: internal invariant; every Stage constant is in stageIndex, so a miss is a programming error in this package)
-		panic(fmt.Sprintf("experiments: unknown pipeline stage %q", st))
-	}
-	return &r.stageStats[i]
-}
-
 // StagePrepares reports how many cold executions of one pipeline stage the
 // engine has performed, across all benchmarks and configurations — the
 // observable behind the per-stage reuse guarantee (a 3-point sweep along an
@@ -198,11 +178,11 @@ func (r *Runner) stageCount(st Stage) *stageCounters {
 // breaks out every outcome. StagePrepares(StagePrepared) counts
 // whole-config preparations.
 func (r *Runner) StagePrepares(st Stage) int64 {
-	i, ok := stageIndex[st]
-	if !ok {
+	i := stageRow(st)
+	if i < 0 {
 		return 0
 	}
-	return r.stageStats[i].cold.Load()
+	return r.stats[i].cold.Load()
 }
 
 // latencyWindow bounds each stage's latency reservoir: percentiles are over
@@ -246,15 +226,6 @@ func (l *latencyReservoir) percentiles() (p50, p95 int64) {
 	return rank(0.50), rank(0.95)
 }
 
-func (r *Runner) stageLatency(st Stage) *latencyReservoir {
-	i, ok := stageIndex[st]
-	if !ok {
-		//lab:allow(panicpath: internal invariant; every Stage constant is in stageIndex, so a miss is a programming error in this package)
-		panic(fmt.Sprintf("experiments: unknown pipeline stage %q", st))
-	}
-	return &r.stageLat[i]
-}
-
 func (r *Runner) emit(ctx context.Context, ev Event) {
 	if r.observe == nil {
 		return
@@ -291,28 +262,9 @@ func (r *Runner) Prepare(ctx context.Context, name string, input program.InputCl
 		return nil, err
 	}
 	key := artifactKey{name: name, input: input, stage: StagePrepared, fp: fp}
-	val, outcome, err := r.store.get(ctx, key, func() (any, error) {
-		r.stageCount(StagePrepared).cold.Add(1)
-		r.emit(ctx, Event{Kind: EventPrepareStart, Bench: name, Input: input.String()})
-		start := time.Now()
-		p, perr := r.stagedPrepare(ctx, name, input, cfg)
-		elapsed := time.Since(start)
-		r.emit(ctx, Event{Kind: EventPrepareDone, Bench: name, Input: input.String(),
-			Err: perr, DurationNS: elapsed.Nanoseconds()})
-		if perr == nil {
-			r.stageLatency(StagePrepared).record(elapsed.Nanoseconds())
-		}
-		return p, perr
-	})
+	val, err := r.stage(ctx, key, func() (any, error) { return r.stagedPrepare(ctx, name, input, cfg) })
 	if err != nil {
 		return nil, err
-	}
-	switch outcome {
-	case storeHit:
-		r.stageCount(StagePrepared).hit.Add(1)
-		r.emit(ctx, Event{Kind: EventPrepareCached, Bench: name, Input: input.String()})
-	case storeShared:
-		r.stageCount(StagePrepared).shared.Add(1)
 	}
 	return val.(*Prepared), nil
 }

@@ -85,36 +85,31 @@ func (r *Runner) newDAGBuilder() *dagBuilder {
 // config); callers add a dependency-free sink instead, whose Prepare call
 // surfaces the identical error through the normal path.
 func (b *dagBuilder) addChain(name string, input program.InputClass, cfg Config) (*schedNode, error) {
-	wfp, err := workloadFingerprint(name)
-	if err != nil {
-		return nil, err
-	}
-	plan, err := planFor(cfg, wfp)
+	c, err := newChain(name, input, cfg)
 	if err != nil {
 		return nil, err
 	}
 	var last *schedNode
-	for _, st := range Stages() {
-		key := artifactKey{name: name, input: input, stage: st, fp: plan.fps[st]}
+	for _, d := range stageTable {
+		key := c.key(d.stage)
 		if n, ok := b.nodes[key]; ok {
 			last = n
 			continue
 		}
-		n := &schedNode{seq: len(b.order), bench: name, input: input, stage: st}
+		n := &schedNode{seq: len(b.order), bench: name, input: input, stage: d.stage}
 		if _, _, done := b.r.store.peek(key); done {
 			n.status = schedCached // complete (or a cached failure)
-		} else if b.r.diskHas(key) {
+		} else if b.r.diskHas(d.codec, key) {
 			n.status = schedSpill // a verified load, not a build
 		} else {
 			n.status = schedCold
 		}
-		st := st
 		n.run = func(ctx context.Context) error {
-			b.r.runStageNode(ctx, name, input, cfg, plan, st)
+			b.r.runStageNode(ctx, c, d)
 			return nil
 		}
-		for _, u := range stageDeps[st] {
-			if dep := b.nodes[artifactKey{name: name, input: input, stage: u, fp: plan.fps[u]}]; dep != nil {
+		for _, u := range d.up {
+			if dep := b.nodes[c.key(u)]; dep != nil {
 				dep.children = append(dep.children, n)
 				n.waiting++
 			}
@@ -160,18 +155,16 @@ func (r *Runner) plan(sinks []sink, chains bool) (*dagBuilder, error) {
 // failed stage — so failure-path cold counts and events are identical in
 // both orders. The stage's own errors are cached in the store; the chain's
 // measurement sink surfaces them through its ordinary Prepare call.
-func (r *Runner) runStageNode(ctx context.Context, name string, input program.InputClass,
-	cfg Config, plan stagePlan, st Stage) {
+func (r *Runner) runStageNode(ctx context.Context, c *chain, d stageDef) {
 	if ctx.Err() != nil {
 		return
 	}
-	for _, u := range stageDeps[st] {
-		key := artifactKey{name: name, input: input, stage: u, fp: plan.fps[u]}
-		if _, err, done := r.store.peek(key); done && err != nil {
+	for _, u := range d.up {
+		if _, err, done := r.store.peek(c.key(u)); done && err != nil {
 			return
 		}
 	}
-	r.ensureStage(ctx, name, input, cfg, plan, st)
+	r.ensure(ctx, c, d.stage)
 }
 
 // runDAG is the one fan-out executor: it plans sinks (their declared

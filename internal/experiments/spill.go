@@ -19,13 +19,7 @@ import (
 	"reflect"
 
 	"repro/internal/artifactdisk"
-	"repro/internal/cpu"
-	"repro/internal/critpath"
-	"repro/internal/profile"
 	"repro/internal/program"
-	"repro/internal/pthsel"
-	"repro/internal/slicer"
-	"repro/internal/trace"
 )
 
 // stageCodec (de)serializes one stage's artifact for the disk tier. decode
@@ -34,9 +28,11 @@ import (
 type stageCodec struct {
 	encode func(v any) ([]byte, error)
 	decode func(name string, input program.InputClass, data []byte) (any, error)
-	// aligned routes the encoded payload through the page-aligned
-	// container (SaveAligned) so LoadMapped can serve it zero-copy.
-	aligned bool
+	// mapped, when set, serves the artifact from a read-only mapping of its
+	// payload, reporting whether the value aliases the mapping. Such
+	// payloads are saved in the page-aligned container (SaveAligned) so
+	// LoadMapped can serve them zero-copy.
+	mapped func(name string, input program.InputClass, payload []byte) (v any, aliased bool, err error)
 }
 
 // encodeWith runs a streaming encoder into a fresh buffer.
@@ -48,18 +44,46 @@ func encodeWith(enc func(io.Writer) error) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-func jsonCodec[T any]() stageCodec {
-	return stageCodec{
+// binaryCodec spills T through its package's streaming encoder and its
+// bounds-checked decoder.
+func binaryCodec[T any](enc func(T, io.Writer) error, dec func([]byte) (T, error)) *stageCodec {
+	return &stageCodec{
+		encode: func(v any) ([]byte, error) {
+			return encodeWith(func(w io.Writer) error { return enc(v.(T), w) })
+		},
+		decode: func(_ string, _ program.InputClass, data []byte) (any, error) { return dec(data) },
+	}
+}
+
+// errNullArtifact rejects a JSON spill payload that decodes without error
+// to a missing artifact.
+var errNullArtifact = errors.New("experiments: null artifact in JSON spill payload")
+
+// jsonCodec spills T as JSON. encoding/json decodes a checksum-valid `null`
+// without error to a nil or zero T, which would silently change selection
+// instead of forcing a rebuild, so decode rejects a `null` payload unless
+// nullOK (a stage whose real artifact may be nil), and rejects an artifact
+// holding a nil pointer (hasNil). critpath.Curve rejects a `null` curve
+// itself.
+func jsonCodec[T any](nullOK bool) *stageCodec {
+	return &stageCodec{
 		encode: func(v any) ([]byte, error) { return json.Marshal(v.(T)) },
 		decode: func(_ string, _ program.InputClass, data []byte) (any, error) {
-			var out T
+			var out *T
 			if err := json.Unmarshal(data, &out); err != nil {
 				return nil, err
 			}
-			if hasNil(reflect.ValueOf(&out).Elem()) {
-				return nil, errors.New("experiments: null artifact in JSON spill payload")
+			if out == nil {
+				if !nullOK {
+					return nil, errNullArtifact
+				}
+				var zero T
+				return zero, nil
 			}
-			return out, nil
+			if hasNil(reflect.ValueOf(*out)) {
+				return nil, errNullArtifact
+			}
+			return *out, nil
 		},
 	}
 }
@@ -79,47 +103,6 @@ func hasNil(v reflect.Value) bool {
 		}
 	}
 	return false
-}
-
-// stageCodecs maps each spillable stage to its codec. StagePrepared is
-// deliberately absent: the assembled view is cheap to rebuild from spilled
-// stages and holds cross-stage pointers that do not serialize meaningfully.
-// Trace, profile and slices use the dedicated binary codecs (a warm trace
-// load is a straight column read); the remaining artifacts are plain
-// exported data and go through JSON.
-var stageCodecs = map[Stage]stageCodec{
-	StageTrace: {
-		// Traces spill in the page-aligned format so the warm path can mmap
-		// them. A file in an older trace format fails verification and is
-		// quarantined and rebuilt: the spill tier is a cache.
-		encode: func(v any) ([]byte, error) { return encodeWith(v.(*trace.Trace).EncodeBinaryV2) },
-		decode: func(name string, input program.InputClass, data []byte) (any, error) {
-			bm, err := program.ByName(name)
-			if err != nil {
-				return nil, err
-			}
-			return trace.DecodeBinaryV2(data, bm.Build(input))
-		},
-		aligned: true,
-	},
-	StageProfile: {
-		encode: func(v any) ([]byte, error) { return encodeWith(v.(*profile.Profile).EncodeBinary) },
-		decode: func(_ string, _ program.InputClass, data []byte) (any, error) {
-			return profile.DecodeBinary(data)
-		},
-	},
-	StageSlices: {
-		encode: func(v any) ([]byte, error) {
-			return encodeWith(func(w io.Writer) error { return slicer.EncodeTrees(w, v.([]*slicer.Tree)) })
-		},
-		decode: func(_ string, _ program.InputClass, data []byte) (any, error) {
-			return slicer.DecodeTrees(data)
-		},
-	},
-	StageProblems: jsonCodec[[]*profile.LoadStats](),
-	StageCurves:   jsonCodec[map[int32]critpath.Curve](),
-	StageBaseline: jsonCodec[*cpu.Result](),
-	StageParams:   jsonCodec[pthsel.Params](),
 }
 
 // AttachDiskStore opens (creating if needed) an on-disk spill tier at dir
@@ -156,16 +139,11 @@ func diskKey(key artifactKey) artifactdisk.Key {
 	}
 }
 
-// diskHas reports whether the disk tier could satisfy key without a build —
-// the DAG planner's status probe. It never touches recency or counters.
-func (r *Runner) diskHas(key artifactKey) bool {
-	if r.disk == nil {
-		return false
-	}
-	if _, ok := stageCodecs[key.stage]; !ok {
-		return false
-	}
-	return r.disk.Has(diskKey(key))
+// diskHas reports whether the disk tier could satisfy key, a stage spilled
+// through codec, without a build — the DAG planner's status probe. It never
+// touches recency or counters.
+func (r *Runner) diskHas(codec *stageCodec, key artifactKey) bool {
+	return r.disk != nil && codec != nil && r.disk.Has(diskKey(key))
 }
 
 // spillLoad tries to satisfy a stage from the disk tier, reporting whether
@@ -173,17 +151,13 @@ func (r *Runner) diskHas(key artifactKey) bool {
 // path. A payload that passes container verification but fails stage
 // decoding is quarantined — deleted and counted — and the caller falls
 // through to a cold compute.
-func (r *Runner) spillLoad(key artifactKey) (v any, ok, mapped bool) {
-	if r.disk == nil {
-		return nil, false, false
-	}
-	codec, ok := stageCodecs[key.stage]
-	if !ok {
+func (r *Runner) spillLoad(codec *stageCodec, key artifactKey) (v any, ok, mapped bool) {
+	if r.disk == nil || codec == nil {
 		return nil, false, false
 	}
 	dk := diskKey(key)
-	if key.stage == StageTrace && r.mappedSpill {
-		if v, ok := r.spillLoadMapped(key, dk); ok {
+	if codec.mapped != nil && r.mappedSpill {
+		if v, ok := r.spillLoadMapped(codec, key, dk); ok {
 			return v, true, true
 		}
 		// Fall through to the heap path: the artifact may be absent, held
@@ -203,22 +177,17 @@ func (r *Runner) spillLoad(key artifactKey) (v any, ok, mapped bool) {
 	return val, true, false
 }
 
-// spillLoadMapped serves a trace from a read-only mapping of its spill
-// file: container and trace verification run once per chunk, the columns alias
-// the mapping, and the mapping is retained for the Runner's lifetime (the
-// in-memory artifact it backs lives that long too). Any verification
+// spillLoadMapped serves an artifact from a read-only mapping of its spill
+// file: container and artifact verification run once, the value may alias
+// the mapping, and an aliased mapping is retained for the Runner's lifetime
+// (the in-memory artifact it backs lives that long too). Any verification
 // failure quarantines the file, exactly like the heap path.
-func (r *Runner) spillLoadMapped(key artifactKey, dk artifactdisk.Key) (any, bool) {
+func (r *Runner) spillLoadMapped(codec *stageCodec, key artifactKey, dk artifactdisk.Key) (any, bool) {
 	m, ok := r.disk.LoadMapped(dk)
 	if !ok {
 		return nil, false
 	}
-	bm, err := program.ByName(key.name)
-	if err != nil {
-		m.Close()
-		return nil, false
-	}
-	tr, aliased, err := trace.MapBytes(m.Payload(), bm.Build(key.input))
+	v, aliased, err := codec.mapped(key.name, key.input, m.Payload())
 	if err != nil {
 		m.Close()
 		r.disk.Quarantine(dk)
@@ -226,33 +195,29 @@ func (r *Runner) spillLoadMapped(key artifactKey, dk artifactdisk.Key) (any, boo
 	}
 	if !aliased {
 		// The verifier fell back to a heap copy (unaligned mapping or
-		// big-endian host): the trace is fine but does not reference the
+		// big-endian host): the value is fine but does not reference the
 		// mapping, so release it now.
 		m.Close()
-		return tr, true
+		return v, true
 	}
 	r.mapMu.Lock()
 	r.mappings = append(r.mappings, m)
 	r.mapMu.Unlock()
-	return tr, true
+	return v, true
 }
 
 // spillSave writes a freshly built stage artifact to the disk tier,
 // best-effort: an artifact that cannot be serialized or persisted is simply
 // rebuilt by the next cold process.
-func (r *Runner) spillSave(key artifactKey, v any) {
-	if r.disk == nil {
-		return
-	}
-	codec, ok := stageCodecs[key.stage]
-	if !ok {
+func (r *Runner) spillSave(codec *stageCodec, key artifactKey, v any) {
+	if r.disk == nil || codec == nil {
 		return
 	}
 	data, err := codec.encode(v)
 	if err != nil {
 		return
 	}
-	if codec.aligned {
+	if codec.mapped != nil {
 		r.disk.SaveAligned(diskKey(key), data)
 		return
 	}
@@ -291,11 +256,11 @@ type StoreStats struct {
 // counted separately (a restart-warm stage is neither a cold build nor an
 // in-memory hit).
 func (r *Runner) StoreStats() StoreStats {
-	out := StoreStats{Stages: make(map[Stage]StageStoreStats, len(stageIndex))}
-	for st, i := range stageIndex {
-		c := &r.stageStats[i]
-		p50, p95 := r.stageLat[i].percentiles()
-		out.Stages[st] = StageStoreStats{
+	out := StoreStats{Stages: make(map[Stage]StageStoreStats, len(stageTable))}
+	for i, d := range stageTable {
+		c := &r.stats[i]
+		p50, p95 := c.lat.percentiles()
+		out.Stages[d.stage] = StageStoreStats{
 			Hit:         c.hit.Load(),
 			Shared:      c.shared.Load(),
 			Cold:        c.cold.Load(),

@@ -19,9 +19,9 @@ import (
 // assembled view).
 func spillableStages() []Stage {
 	var out []Stage
-	for _, st := range Stages() {
-		if _, ok := stageCodecs[st]; ok {
-			out = append(out, st)
+	for _, d := range stageTable {
+		if d.codec != nil {
+			out = append(out, d.stage)
 		}
 	}
 	return out
@@ -180,61 +180,138 @@ func TestDiskStoreCorruptionRebuild(t *testing.T) {
 }
 
 // TestDiskStoreNullJSONRebuild pins the JSON codecs against `null`: a
-// checksum-valid spill file whose payload decodes to a nil baseline, or to
-// a problems list holding a nil entry, is quarantined and its stage rebuilt
-// cold, and the preparation matches a cold run's.
+// checksum-valid spill file whose payload decodes to a nil baseline, a
+// problems list holding a nil entry, zero params, a nil curve set or a null
+// curve is quarantined and its stage rebuilt cold, and the preparation
+// matches a cold run's. A workload without problem loads spills its nil
+// problems list as `null`, which must still load warm.
 func TestDiskStoreNullJSONRebuild(t *testing.T) {
+	noProblems := DefaultConfig()
+	noProblems.MinMisses = 1 << 40 // no load misses this often: ProblemLoads is nil
+	rows := []struct {
+		name       string
+		cfg        Config
+		stage      Stage
+		payload    string
+		quarantine bool
+	}{
+		{"null baseline", DefaultConfig(), StageBaseline, "null", true},
+		{"null problem load", DefaultConfig(), StageProblems, "[null]", true},
+		{"null params", DefaultConfig(), StageParams, "null", true},
+		{"null curve set", DefaultConfig(), StageCurves, "null", true},
+		{"null curve", DefaultConfig(), StageCurves, `{"5":null}`, true},
+		{"no problem loads", noProblems, StageProblems, "null", false},
+	}
 	ctx := context.Background()
-	dir := t.TempDir()
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			t.Parallel()
+			dir := t.TempDir()
+			wfp, err := workloadFingerprint("gap")
+			if err != nil {
+				t.Fatal(err)
+			}
+			plan, err := planFor(row.cfg, wfp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			disk, err := artifactdisk.Open(dir, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			key := artifactKey{name: "gap", input: program.Train, stage: row.stage, fp: plan.fps[row.stage]}
+			if err := disk.Save(diskKey(key), []byte(row.payload)); err != nil {
+				t.Fatal(err)
+			}
+
+			r := NewRunner(row.cfg, 0, nil)
+			if err := r.AttachDiskStore(dir, 0); err != nil {
+				t.Fatal(err)
+			}
+			got, err := r.Prepare(ctx, "gap", program.Train, row.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stats := r.StoreStats()
+			wantQ, wantBuilds, wantLoads := int64(1), int64(1), int64(0)
+			if !row.quarantine {
+				wantQ, wantBuilds, wantLoads = 0, 0, 1
+			}
+			if q := stats.Disk.Quarantined; q != wantQ {
+				t.Errorf("quarantined %d files, want %d", q, wantQ)
+			}
+			if n := stats.Stages[row.stage].Cold; n != wantBuilds {
+				t.Errorf("stage %s built %d times, want %d", row.stage, n, wantBuilds)
+			}
+			if n := stats.Stages[row.stage].SpillLoads; n != wantLoads {
+				t.Errorf("stage %s loaded %d times from disk, want %d", row.stage, n, wantLoads)
+			}
+
+			want, err := NewRunner(row.cfg, 0, nil).Prepare(ctx, "gap", program.Train, row.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got.Baseline, want.Baseline) {
+				t.Error("baseline diverged from a cold run")
+			}
+			if !reflect.DeepEqual(got.Params, want.Params) {
+				t.Error("params diverged from a cold run")
+			}
+			if !reflect.DeepEqual(got.Curves, want.Curves) {
+				t.Error("curves diverged from a cold run")
+			}
+		})
+	}
+}
+
+// FuzzStageDecode feeds arbitrary bytes through the decode of every stage
+// the table spills: each input must yield an error, or a value of the
+// stage's artifact type that passes the JSON codecs' null check — never a
+// panic. The seeds are gap's real encodings of every spilled stage, their
+// truncations and `null`.
+func FuzzStageDecode(f *testing.F) {
+	ctx := context.Background()
 	cfg := DefaultConfig()
-
-	wfp, err := workloadFingerprint("gap")
-	if err != nil {
-		t.Fatal(err)
+	r := NewRunner(cfg, 1, nil)
+	if _, err := r.Prepare(ctx, "gap", program.Train, cfg); err != nil {
+		f.Fatal(err)
 	}
-	plan, err := planFor(cfg, wfp)
+	c, err := newChain("gap", program.Train, cfg)
 	if err != nil {
-		t.Fatal(err)
+		f.Fatal(err)
 	}
-	disk, err := artifactdisk.Open(dir, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for st, payload := range map[Stage]string{StageBaseline: "null", StageProblems: "[null]"} {
-		key := artifactKey{name: "gap", input: program.Train, stage: st, fp: plan.fps[st]}
-		if err := disk.Save(diskKey(key), []byte(payload)); err != nil {
-			t.Fatal(err)
+	var rows []stageDef
+	var types []reflect.Type
+	for _, d := range stageTable {
+		if d.codec == nil {
+			continue
+		}
+		v, err, ok := r.store.peek(c.key(d.stage))
+		if !ok || err != nil {
+			f.Fatalf("stage %s not built: %v", d.stage, err)
+		}
+		data, err := d.codec.encode(v)
+		if err != nil {
+			f.Fatal(err)
+		}
+		row := uint8(len(rows))
+		rows = append(rows, d)
+		types = append(types, reflect.TypeOf(v))
+		for _, seed := range [][]byte{data, data[:len(data)/2], data[:len(data)-1], []byte("null")} {
+			f.Add(row, seed)
 		}
 	}
-
-	r := NewRunner(cfg, 0, nil)
-	if err := r.AttachDiskStore(dir, 0); err != nil {
-		t.Fatal(err)
-	}
-	got, err := r.Prepare(ctx, "gap", program.Train, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if q := r.StoreStats().Disk.Quarantined; q != 2 {
-		t.Errorf("quarantined %d null payloads, want 2", q)
-	}
-	for _, st := range []Stage{StageBaseline, StageProblems} {
-		if n := r.StagePrepares(st); n != 1 {
-			t.Errorf("stage %s built %d times, want 1 (rebuilt cold)", st, n)
+	f.Fuzz(func(t *testing.T, row uint8, data []byte) {
+		i := int(row) % len(rows)
+		v, err := rows[i].codec.decode("gap", program.Train, data)
+		if err != nil {
+			return
 		}
-	}
-
-	want, err := NewRunner(cfg, 0, nil).Prepare(ctx, "gap", program.Train, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got.Baseline, want.Baseline) {
-		t.Error("baseline rebuilt over a null payload diverged from a cold run")
-	}
-	if !reflect.DeepEqual(got.Params, want.Params) {
-		t.Error("params rebuilt over a null payload diverged from a cold run")
-	}
-	if !reflect.DeepEqual(got.Curves, want.Curves) {
-		t.Error("curves rebuilt over a null payload diverged from a cold run")
-	}
+		if got := reflect.TypeOf(v); got != types[i] {
+			t.Fatalf("stage %s decoded a %v, want %v", rows[i].stage, got, types[i])
+		}
+		if hasNil(reflect.ValueOf(v)) {
+			t.Fatalf("stage %s decoded a value holding a nil pointer", rows[i].stage)
+		}
+	})
 }
