@@ -200,6 +200,26 @@ func TestFigure5SweepPoints(t *testing.T) {
 	}
 }
 
+// FuzzParseSweepAxis drives the CLI and daemon axis parser with arbitrary
+// text: it must return an error or an axis whose canonical name parses back
+// to the same axis, never panic.
+func FuzzParseSweepAxis(f *testing.F) {
+	for _, s := range []string{"idle", "mem", "l2", "idle-energy-factor", "memory-latency", "L2-size",
+		"", "L2", "IDLE", " mem", "memory-latency\x00"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		axis, err := ParseSweepAxis(s)
+		if err != nil {
+			return
+		}
+		again, err := ParseSweepAxis(axis.String())
+		if err != nil || again != axis {
+			t.Fatalf("%q parsed to %v, whose name %q parses to %v, %v", s, axis, axis.String(), again, err)
+		}
+	})
+}
+
 func TestFigure5BenchmarkTriples(t *testing.T) {
 	if got := Figure5Benchmarks(SweepIdleFactor); len(got) != 3 || got[0] != "gap" {
 		t.Errorf("idle triple = %v", got)

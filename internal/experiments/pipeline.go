@@ -128,8 +128,8 @@ var stageTable = []stageDef{{
 		return stageProblems(in.up[0].(*profile.Profile), in.conf.(problemsConfig)), nil
 	},
 	// ProblemLoads returns nil for a workload without problem loads, and
-	// nil encodes as JSON null.
-	codec: jsonCodec[[]*profile.LoadStats](true),
+	// nil encodes as JSON null: any list is a real one.
+	codec: jsonCodec[[]*profile.LoadStats](nil),
 }, {
 	stage: StageSlices,
 	up:    []Stage{StageTrace, StageProfile, StageProblems},
@@ -148,7 +148,9 @@ var stageTable = []stageDef{{
 		return stageCurves(ctx, in.up[0].(*trace.Trace), in.up[1].(*profile.Profile),
 			in.up[2].([]*profile.LoadStats), in.conf.(critpath.Config))
 	},
-	codec: jsonCodec[map[int32]critpath.Curve](false),
+	// A workload without problem loads has an empty curve set, `{}`; only
+	// `null` is not a curve set.
+	codec: jsonCodec(func(m map[int32]critpath.Curve) bool { return m != nil }),
 }, {
 	stage: StageBaseline,
 	up:    []Stage{StageTrace},
@@ -156,7 +158,7 @@ var stageTable = []stageDef{{
 	build: func(ctx context.Context, in stageIn) (any, error) {
 		return stageBaseline(ctx, in.name, in.conf.(cpu.Config), in.up[0].(*trace.Trace))
 	},
-	codec: jsonCodec[*cpu.Result](false),
+	codec: jsonCodec(func(r *cpu.Result) bool { return r.Cycles > 0 }),
 }, {
 	stage: StageParams,
 	up:    []Stage{StageBaseline, StageCurves},
@@ -167,7 +169,7 @@ var stageTable = []stageDef{{
 		return dc.Derive(float64(base.Cycles), base.Energy.Total(), base.IPC(),
 			in.up[1].(map[int32]critpath.Curve)), nil
 	},
-	codec: jsonCodec[pthsel.Params](false),
+	codec: jsonCodec(func(p pthsel.Params) bool { return p.L0 > 0 }),
 }, {
 	// The assembled view is cheap to rebuild from spilled stages and holds
 	// cross-stage pointers that do not serialize meaningfully: no codec.

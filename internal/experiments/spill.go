@@ -55,35 +55,28 @@ func binaryCodec[T any](enc func(T, io.Writer) error, dec func([]byte) (T, error
 	}
 }
 
-// errNullArtifact rejects a JSON spill payload that decodes without error
-// to a missing artifact.
-var errNullArtifact = errors.New("experiments: null artifact in JSON spill payload")
+// errEmptyArtifact rejects a JSON spill payload that decodes without error
+// to a missing or zero-value artifact.
+var errEmptyArtifact = errors.New("experiments: null or empty artifact in JSON spill payload")
 
 // jsonCodec spills T as JSON. encoding/json decodes a checksum-valid `null`
-// without error to a nil or zero T, which would silently change selection
-// instead of forcing a rebuild, so decode rejects a `null` payload unless
-// nullOK (a stage whose real artifact may be nil), and rejects an artifact
-// holding a nil pointer (hasNil). critpath.Curve rejects a `null` curve
-// itself.
-func jsonCodec[T any](nullOK bool) *stageCodec {
+// or `{}` without error to a nil or zero T, which would silently change
+// selection instead of forcing a rebuild. So decode rejects an artifact
+// holding a nil pointer (hasNil), and one that valid, when set, rejects: a
+// stage whose zero artifact is not a real one names what a real one has.
+// critpath.Curve rejects a `null` curve itself.
+func jsonCodec[T any](valid func(T) bool) *stageCodec {
 	return &stageCodec{
 		encode: func(v any) ([]byte, error) { return json.Marshal(v.(T)) },
 		decode: func(_ string, _ program.InputClass, data []byte) (any, error) {
-			var out *T
+			var out T
 			if err := json.Unmarshal(data, &out); err != nil {
 				return nil, err
 			}
-			if out == nil {
-				if !nullOK {
-					return nil, errNullArtifact
-				}
-				var zero T
-				return zero, nil
+			if hasNil(reflect.ValueOf(out)) || valid != nil && !valid(out) {
+				return nil, errEmptyArtifact
 			}
-			if hasNil(reflect.ValueOf(*out)) {
-				return nil, errNullArtifact
-			}
-			return *out, nil
+			return out, nil
 		},
 	}
 }

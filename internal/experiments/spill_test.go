@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"io/fs"
 	"os"
@@ -12,7 +14,9 @@ import (
 	"testing"
 
 	"repro/internal/artifactdisk"
+	"repro/internal/cpu"
 	"repro/internal/program"
+	"repro/internal/pthsel"
 )
 
 // spillableStages is every stage the disk tier persists (all but the cheap
@@ -179,12 +183,12 @@ func TestDiskStoreCorruptionRebuild(t *testing.T) {
 	}
 }
 
-// TestDiskStoreNullJSONRebuild pins the JSON codecs against `null`: a
-// checksum-valid spill file whose payload decodes to a nil baseline, a
-// problems list holding a nil entry, zero params, a nil curve set or a null
-// curve is quarantined and its stage rebuilt cold, and the preparation
-// matches a cold run's. A workload without problem loads spills its nil
-// problems list as `null`, which must still load warm.
+// TestDiskStoreNullJSONRebuild pins the JSON codecs against `null` and
+// `{}`: a checksum-valid spill file whose payload decodes to a nil or
+// zero-cycle baseline, a problems list holding a nil entry, zero params, a
+// nil curve set or a null curve is quarantined and its stage rebuilt cold,
+// and the preparation matches a cold run's. A workload without problem
+// loads spills its nil problems list as `null`, which must still load warm.
 func TestDiskStoreNullJSONRebuild(t *testing.T) {
 	noProblems := DefaultConfig()
 	noProblems.MinMisses = 1 << 40 // no load misses this often: ProblemLoads is nil
@@ -198,6 +202,8 @@ func TestDiskStoreNullJSONRebuild(t *testing.T) {
 		{"null baseline", DefaultConfig(), StageBaseline, "null", true},
 		{"null problem load", DefaultConfig(), StageProblems, "[null]", true},
 		{"null params", DefaultConfig(), StageParams, "null", true},
+		{"{} baseline", DefaultConfig(), StageBaseline, "{}", true},
+		{"{} params", DefaultConfig(), StageParams, "{}", true},
 		{"null curve set", DefaultConfig(), StageCurves, "null", true},
 		{"null curve", DefaultConfig(), StageCurves, `{"5":null}`, true},
 		{"no problem loads", noProblems, StageProblems, "null", false},
@@ -266,9 +272,10 @@ func TestDiskStoreNullJSONRebuild(t *testing.T) {
 
 // FuzzStageDecode feeds arbitrary bytes through the decode of every stage
 // the table spills: each input must yield an error, or a value of the
-// stage's artifact type that passes the JSON codecs' null check — never a
-// panic. The seeds are gap's real encodings of every spilled stage, their
-// truncations and `null`.
+// stage's artifact type that holds no nil pointer and is not a zero-value
+// stand-in (a baseline of 0 cycles, params with no execution time) — never
+// a panic. The seeds are gap's real encodings of every spilled stage, their
+// truncations, `null` and `{}`.
 func FuzzStageDecode(f *testing.F) {
 	ctx := context.Background()
 	cfg := DefaultConfig()
@@ -297,7 +304,7 @@ func FuzzStageDecode(f *testing.F) {
 		row := uint8(len(rows))
 		rows = append(rows, d)
 		types = append(types, reflect.TypeOf(v))
-		for _, seed := range [][]byte{data, data[:len(data)/2], data[:len(data)-1], []byte("null")} {
+		for _, seed := range [][]byte{data, data[:len(data)/2], data[:len(data)-1], []byte("null"), []byte("{}")} {
 			f.Add(row, seed)
 		}
 	}
@@ -313,5 +320,66 @@ func FuzzStageDecode(f *testing.F) {
 		if hasNil(reflect.ValueOf(v)) {
 			t.Fatalf("stage %s decoded a value holding a nil pointer", rows[i].stage)
 		}
+		switch v := v.(type) {
+		case *cpu.Result:
+			if v.Cycles <= 0 {
+				t.Fatalf("baseline decoded with %d cycles", v.Cycles)
+			}
+		case pthsel.Params:
+			if v.L0 <= 0 {
+				t.Fatalf("params decoded with execution time %v", v.L0)
+			}
+		}
 	})
+}
+
+// spillFormatPins is the SHA-256 of each spilled stage's encoding of gap's
+// Train artifacts under DefaultConfig.
+var spillFormatPins = map[Stage]string{
+	StageTrace:    "7dd86e19de98838a23de6cfff272b48529e477a25b2f14d10813736bba678f36", // PXTRC003, 7504413 bytes
+	StageProfile:  "10810279563d0131bbf982d74caddcb74d67bea002acb5768d04c3c183d1388b", // PXPRF001, 298276 bytes
+	StageProblems: "c447582746f30d11cea1ae6daa3a1fb0fcfebfa51ff3632387821dbe7c5581cf", // JSON, 25478 bytes
+	StageSlices:   "543fa31f04e4099d9ae6579735bc7714dca5ca84597117fcc2a8f7dba4dc48dd", // PXSLC001, 36276 bytes
+	StageCurves:   "3b5f631b311d7a1cf9b19cb08b1b7791f3091ea1ac171811af16c648aeb14865", // JSON, 104 bytes
+	StageBaseline: "90c505a338af6b13dbdc77b699d6ced7c3e57cdcb4d572e432f22027bac76e23", // JSON, 717 bytes
+	StageParams:   "c2cf404c0c9217c2a4cc389bc8911e52d356949583fd0daab1293566d80ba244", // JSON, 422 bytes
+}
+
+// TestSpillFormatsPinned fails on any byte change to a spill format. The
+// round-trip tests pass for any format that reads back what it writes;
+// this one compares each spilled row's encoding of gap's Train artifacts
+// with a recorded digest, so a codec rewrite must reproduce the files
+// already on disk byte for byte. A deliberate format change bumps the
+// format's magic (or, for a JSON stage, its shape) and the digest here
+// together, so old spill files quarantine instead of misloading.
+func TestSpillFormatsPinned(t *testing.T) {
+	ctx := context.Background()
+	cfg := DefaultConfig()
+	r := NewRunner(cfg, 1, nil)
+	if _, err := r.Prepare(ctx, "gap", program.Train, cfg); err != nil {
+		t.Fatal(err)
+	}
+	c, err := newChain("gap", program.Train, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range stageTable {
+		if d.codec == nil {
+			continue
+		}
+		t.Run(string(d.stage), func(t *testing.T) {
+			v, err, ok := r.store.peek(c.key(d.stage))
+			if !ok || err != nil {
+				t.Fatalf("stage %s not built: %v", d.stage, err)
+			}
+			data, err := d.codec.encode(v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum := sha256.Sum256(data)
+			if got, want := hex.EncodeToString(sum[:]), spillFormatPins[d.stage]; got != want {
+				t.Errorf("stage %s encodes to sha256 %s (%d bytes), want %s", d.stage, got, len(data), want)
+			}
+		})
+	}
 }

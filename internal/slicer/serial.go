@@ -1,74 +1,37 @@
 package slicer
 
 // Binary (de)serialization of slice trees for the on-disk artifact spill
-// tier. Each tree's nodes are flattened in depth-first preorder with parent
-// indices, which both preserves the original child order (selection walks
-// children in insertion order) and makes the encoding deterministic.
+// tier, on binrec's bounded reader and writer. Each tree's nodes are
+// flattened in depth-first preorder with parent indices, which both
+// preserves the original child order (selection walks children in insertion
+// order) and makes the encoding deterministic. A tree's load is the
+// profile's load record (profile.WriteLoad, profile.ReadLoad).
 
 import (
-	"bufio"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
 
+	"repro/internal/binrec"
 	"repro/internal/profile"
 )
 
 const serialMagic = "PXSLC001"
 
-var serialOrder = binary.LittleEndian
+// serialOrder is the format's byte order, binrec's; tests craft encodings
+// with it.
+var serialOrder = binrec.Order
 
 // EncodeTrees writes the slice trees in the spill-tier format.
 func EncodeTrees(w io.Writer, trees []*Tree) error {
-	bw := bufio.NewWriterSize(w, 1<<16)
-	if _, err := bw.WriteString(serialMagic); err != nil {
-		return err
-	}
-	var scratch [8]byte
-	writeU32 := func(v uint32) error {
-		serialOrder.PutUint32(scratch[:4], v)
-		_, err := bw.Write(scratch[:4])
-		return err
-	}
-	writeI64 := func(v int64) error {
-		serialOrder.PutUint64(scratch[:8], uint64(v))
-		_, err := bw.Write(scratch[:8])
-		return err
-	}
-	if err := writeU32(uint32(len(trees))); err != nil {
-		return err
-	}
+	bw := binrec.NewWriter(w)
+	bw.Bytes([]byte(serialMagic))
+	bw.U32(uint32(len(trees)))
 	for _, t := range trees {
-		if err := writeU32(uint32(t.TargetPC)); err != nil {
-			return err
-		}
-		ls := t.Load
-		if ls == nil {
-			ls = &profile.LoadStats{}
-		}
-		if err := writeU32(uint32(ls.PC)); err != nil {
-			return err
-		}
-		for _, v := range []int64{ls.Execs, ls.L1Misses, ls.L2Misses} {
-			if err := writeI64(v); err != nil {
-				return err
-			}
-		}
-		if err := writeU32(uint32(len(ls.MissDynIx))); err != nil {
-			return err
-		}
-		for _, ix := range ls.MissDynIx {
-			if err := writeI64(ix); err != nil {
-				return err
-			}
-		}
-		if err := writeI64(t.Sampled); err != nil {
-			return err
-		}
-		if err := writeI64(int64(math.Float64bits(t.Scale))); err != nil {
-			return err
-		}
+		bw.U32(uint32(t.TargetPC))
+		profile.WriteLoad(bw, t.Load)
+		bw.I64(t.Sampled)
+		bw.I64(int64(math.Float64bits(t.Scale)))
 		// Flatten: preorder walk assigning indices; each node records its
 		// parent's index (root's parent is ^uint32(0)).
 		var flat []*Node
@@ -82,79 +45,21 @@ func EncodeTrees(w io.Writer, trees []*Tree) error {
 			}
 		}
 		walk(t.Root)
-		if err := writeU32(uint32(len(flat))); err != nil {
-			return err
-		}
+		bw.U32(uint32(len(flat)))
 		for _, n := range flat {
 			parent := ^uint32(0)
 			if n.Parent != nil {
 				parent = index[n.Parent]
 			}
-			if err := writeU32(parent); err != nil {
-				return err
-			}
-			if err := writeU32(uint32(n.PC)); err != nil {
-				return err
-			}
-			if err := writeU32(uint32(n.Depth)); err != nil {
-				return err
-			}
-			for _, v := range []int64{n.DCtrig, n.DCptcm, n.DistSum} {
-				if err := writeI64(v); err != nil {
-					return err
-				}
-			}
+			bw.U32(parent)
+			bw.U32(uint32(n.PC))
+			bw.U32(uint32(n.Depth))
+			bw.I64(n.DCtrig)
+			bw.I64(n.DCptcm)
+			bw.I64(n.DistSum)
 		}
 	}
 	return bw.Flush()
-}
-
-// decoder reads the spill format's little-endian fields from an encoding
-// held in memory. The first read past the end, or the first length prefix
-// the remaining bytes cannot hold, sets err; every later read returns zero.
-type decoder struct {
-	buf []byte
-	err error
-}
-
-func (d *decoder) next(n int) []byte {
-	if d.err == nil && n > len(d.buf) {
-		d.err = io.ErrUnexpectedEOF
-	}
-	if d.err != nil {
-		return nil
-	}
-	b := d.buf[:n]
-	d.buf = d.buf[n:]
-	return b
-}
-
-func (d *decoder) u32() uint32 {
-	if b := d.next(4); b != nil {
-		return serialOrder.Uint32(b)
-	}
-	return 0
-}
-
-func (d *decoder) i64() int64 {
-	if b := d.next(8); b != nil {
-		return int64(serialOrder.Uint64(b))
-	}
-	return 0
-}
-
-// count reads a length prefix of elements that each take at least size
-// bytes, and rejects one that the remaining bytes cannot hold, so nothing
-// allocated from it outgrows the input.
-func (d *decoder) count(size int) int {
-	n := d.u32()
-	if d.err == nil && uint64(n)*uint64(size) > uint64(len(d.buf)) {
-		d.err = fmt.Errorf("length %d exceeds the %d bytes that remain", n, len(d.buf))
-	}
-	if d.err != nil {
-		return 0
-	}
-	return int(n)
 }
 
 // Smallest encoded records: a node is parent, PC, depth and three
@@ -162,42 +67,32 @@ func (d *decoder) count(size int) int {
 // sample count and scale, the node count and one node.
 const (
 	nodeMinBytes = 3*4 + 3*8
-	treeMinBytes = 4 + (4 + 3*8 + 4) + 2*8 + 4 + nodeMinBytes
+	treeMinBytes = 4 + profile.LoadMinBytes + 2*8 + 4 + nodeMinBytes
 )
 
 // DecodeTrees parses slice trees in the spill-tier format. Every length
-// prefix is checked against the bytes that remain before anything is
-// allocated, so a corrupt header costs an error, not memory. Decode errors
-// mean corruption (or a stale format); callers quarantine and rebuild.
+// prefix is bounded by the bytes that remain (binrec.Reader.Count) before
+// anything is allocated. Decode errors mean corruption (or a stale format);
+// callers quarantine and rebuild.
 func DecodeTrees(data []byte) ([]*Tree, error) {
-	if len(data) < len(serialMagic) || string(data[:len(serialMagic)]) != serialMagic {
-		return nil, fmt.Errorf("slicer: bad magic %q", data[:min(len(data), len(serialMagic))])
-	}
-	d := &decoder{buf: data[len(serialMagic):]}
-	trees := make([]*Tree, 0, d.count(treeMinBytes))
-	for ti := 0; ti < cap(trees) && d.err == nil; ti++ {
+	r := binrec.NewReader(data)
+	r.Magic(serialMagic)
+	trees := make([]*Tree, 0, r.Count(treeMinBytes))
+	for ti := 0; ti < cap(trees) && r.Err() == nil; ti++ {
 		// Fields decode in encoding order: operands evaluate left to right.
-		t := &Tree{TargetPC: int32(d.u32()),
-			Load: &profile.LoadStats{PC: int32(d.u32()), Execs: d.i64(), L1Misses: d.i64(), L2Misses: d.i64()}}
-		if nIx := d.count(8); nIx > 0 {
-			t.Load.MissDynIx = make([]int64, nIx)
-			for j := range t.Load.MissDynIx {
-				t.Load.MissDynIx[j] = d.i64()
-			}
-		}
-		t.Sampled = d.i64()
-		t.Scale = math.Float64frombits(uint64(d.i64()))
-		nNodes := d.count(nodeMinBytes)
-		if d.err == nil && nNodes == 0 {
+		t := &Tree{TargetPC: int32(r.U32()), Load: profile.ReadLoad(r), Sampled: r.I64(),
+			Scale: math.Float64frombits(uint64(r.I64()))}
+		nNodes := r.Count(nodeMinBytes)
+		if r.Err() == nil && nNodes == 0 {
 			return nil, fmt.Errorf("slicer: tree %d has no nodes", ti)
 		}
 		flat := make([]*Node, nNodes)
-		for ni := 0; ni < nNodes && d.err == nil; ni++ {
-			parent := d.u32()
-			n := &Node{PC: int32(d.u32()), Depth: int(d.u32()), DCtrig: d.i64(), DCptcm: d.i64(), DistSum: d.i64()}
+		for ni := 0; ni < nNodes && r.Err() == nil; ni++ {
+			parent := r.U32()
+			n := &Node{PC: int32(r.U32()), Depth: int(r.U32()), DCtrig: r.I64(), DCptcm: r.I64(), DistSum: r.I64()}
 			flat[ni] = n
 			switch {
-			case d.err != nil:
+			case r.Err() != nil:
 			case parent == ^uint32(0):
 				if ni != 0 {
 					return nil, fmt.Errorf("slicer: tree %d has a second root at node %d", ti, ni)
@@ -212,16 +107,13 @@ func DecodeTrees(data []byte) ([]*Tree, error) {
 				n.Parent.Children = append(n.Parent.Children, n)
 			}
 		}
-		if d.err == nil && t.Root == nil {
+		if r.Err() == nil && t.Root == nil {
 			return nil, fmt.Errorf("slicer: tree %d has no root", ti)
 		}
 		trees = append(trees, t)
 	}
-	if d.err != nil {
-		return nil, fmt.Errorf("slicer: decode: %w", d.err)
-	}
-	if len(d.buf) != 0 {
-		return nil, fmt.Errorf("slicer: trailing bytes after last tree")
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("slicer: decode: %w", err)
 	}
 	return trees, nil
 }

@@ -46,7 +46,6 @@ package trace
 import (
 	"bufio"
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -55,13 +54,14 @@ import (
 	"sync/atomic"
 	"unsafe"
 
+	"repro/internal/binrec"
 	"repro/internal/isa"
 )
 
 // serialMagic identifies the spill format.
 const serialMagic = "PXTRC003"
 
-var serialOrder = binary.LittleEndian
+var serialOrder = binrec.Order
 
 const (
 	v2Page       = 4096
@@ -124,23 +124,16 @@ func v2TrailerOff(n int64) int64 {
 // v2Trailer serializes the program shape and final registers.
 func (t *Trace) v2Trailer() []byte {
 	var b bytes.Buffer
-	var scratch [8]byte
-	putU32 := func(v uint32) {
-		serialOrder.PutUint32(scratch[:4], v)
-		b.Write(scratch[:4])
-	}
-	putI64 := func(v int64) {
-		serialOrder.PutUint64(scratch[:8], uint64(v))
-		b.Write(scratch[:8])
-	}
-	putU32(uint32(len(t.Prog.Name)))
-	b.WriteString(t.Prog.Name)
-	putU32(uint32(len(t.Prog.Insts)))
-	putU32(uint32(len(t.Prog.InitMem)))
+	w := binrec.NewWriter(&b)
+	w.U32(uint32(len(t.Prog.Name)))
+	w.Bytes([]byte(t.Prog.Name))
+	w.U32(uint32(len(t.Prog.Insts)))
+	w.U32(uint32(len(t.Prog.InitMem)))
 	for _, r := range t.FinalRegs {
-		putI64(r)
+		w.I64(r)
 	}
-	putI64(0) // reserved
+	w.I64(0)  // reserved
+	w.Flush() // a bytes.Buffer write cannot fail
 	return b.Bytes()
 }
 
@@ -304,65 +297,22 @@ func parseV2Trailer(data []byte, lay v2Layout, prog *isa.Program, t *Trace) erro
 	if got := crc32.Checksum(tb, crcCastagnoli); got != lay.trailerCRC {
 		return fmt.Errorf("trace: v2 trailer crc mismatch (%08x != %08x)", got, lay.trailerCRC)
 	}
-	off := 0
-	need := func(k int) error {
-		if len(tb)-off < k {
-			return fmt.Errorf("trace: v2 trailer truncated at byte %d", off)
-		}
-		return nil
+	r := binrec.NewReader(tb)
+	// Fields decode in encoding order: operands evaluate left to right.
+	name, nInsts, nMem := string(r.Next(r.Count(1))), r.U32(), r.U32()
+	for i := range t.FinalRegs {
+		t.FinalRegs[i] = r.I64()
 	}
-	readU32 := func() (uint32, error) {
-		if err := need(4); err != nil {
-			return 0, err
-		}
-		v := serialOrder.Uint32(tb[off:])
-		off += 4
-		return v, nil
-	}
-	readI64 := func() (int64, error) {
-		if err := need(8); err != nil {
-			return 0, err
-		}
-		v := int64(serialOrder.Uint64(tb[off:]))
-		off += 8
-		return v, nil
-	}
-	nameLen, err := readU32()
-	if err != nil {
-		return err
-	}
-	if nameLen > 1<<16 {
-		return fmt.Errorf("trace: implausible program name length %d", nameLen)
-	}
-	if err := need(int(nameLen)); err != nil {
-		return err
-	}
-	name := string(tb[off : off+int(nameLen)])
-	off += int(nameLen)
-	nInsts, err := readU32()
-	if err != nil {
-		return err
-	}
-	nMem, err := readU32()
-	if err != nil {
-		return err
+	reserved := r.I64()
+	if err := r.Done(); err != nil {
+		return fmt.Errorf("trace: v2 trailer: %w", err)
 	}
 	if name != prog.Name || int(nInsts) != len(prog.Insts) || int(nMem) != len(prog.InitMem) {
 		return fmt.Errorf("trace: encoded for program %q (%d insts, %d mem words), got %q (%d, %d)",
 			name, nInsts, nMem, prog.Name, len(prog.Insts), len(prog.InitMem))
 	}
-	for i := range t.FinalRegs {
-		if t.FinalRegs[i], err = readI64(); err != nil {
-			return err
-		}
-	}
-	if r, err := readI64(); err != nil {
-		return err
-	} else if r != 0 {
-		return fmt.Errorf("trace: v2 trailer reserved field is %#x, want 0", r)
-	}
-	if off != len(tb) {
-		return fmt.Errorf("trace: %d trailing bytes after v2 trailer", len(tb)-off)
+	if reserved != 0 {
+		return fmt.Errorf("trace: v2 trailer reserved field is %#x, want 0", reserved)
 	}
 	return nil
 }
