@@ -46,6 +46,7 @@ type Cache struct {
 	cfg       Config
 	sets      int
 	blockBits uint
+	setMask   uint64  // sets-1 when sets is a power of two (a mask, not a division), else 0
 	tag       []int64 // sets*ways; -1 invalid
 	lru       []int32
 	readyAt   []int64
@@ -73,6 +74,9 @@ func New(cfg Config) *Cache {
 		prefID:  make([]int32, n),
 	}
 	c.blockBits = uint(log2(cfg.BlockBytes))
+	if c.sets&(c.sets-1) == 0 {
+		c.setMask = uint64(c.sets - 1)
+	}
 	for i := range c.tag {
 		c.tag[i] = -1
 		c.prefID[i] = NoPrefetcher
@@ -178,7 +182,11 @@ func (c *Cache) ClearPrefID(addr int64) {
 }
 
 func (c *Cache) set(addr int64) (set, base int) {
-	set = int(uint64(addr>>c.blockBits) % uint64(c.sets))
+	if blk := uint64(addr >> c.blockBits); c.setMask != 0 {
+		set = int(blk & c.setMask)
+	} else {
+		set = int(blk % uint64(c.sets))
+	}
 	return set, set * c.cfg.Ways
 }
 

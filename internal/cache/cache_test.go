@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -161,6 +162,59 @@ func TestTLBLRUOrder(t *testing.T) {
 	}
 	if tlb.Lookup(1 * 4096) {
 		t.Error("LRU page not evicted")
+	}
+}
+
+// scanTLB is the TLB without its way hint: every lookup scans all ways.
+type scanTLB struct {
+	tags  []int64
+	lru   []int32
+	clock int32
+}
+
+func (t *scanTLB) lookup(page int64) bool {
+	victim := 0
+	for i := range t.tags {
+		if t.tags[i] == page {
+			t.clock++
+			t.lru[i] = t.clock
+			return true
+		}
+		if t.lru[i] < t.lru[victim] {
+			victim = i
+		}
+	}
+	t.clock++
+	t.tags[victim] = page
+	t.lru[victim] = t.clock
+	return false
+}
+
+// TestTLBHintMatchesScan checks that the way hint changes no outcome: over a
+// seeded stream of pages, with hot and cold phases, evictions and a Reset
+// that leaves stale hints behind, every lookup hits or misses exactly as a
+// plain LRU scan does.
+func TestTLBHintMatchesScan(t *testing.T) {
+	const entries, pageBytes = 8, 4096
+	tlb := NewTLB(entries, pageBytes)
+	rng := rand.New(rand.NewSource(1))
+	for round := 0; round < 2; round++ {
+		ref := &scanTLB{tags: make([]int64, entries), lru: make([]int32, entries)}
+		for i := range ref.tags {
+			ref.tags[i] = -1
+		}
+		for i := 0; i < 20000; i++ {
+			pages := int64(6) // phases that fit, then thrash
+			if i/1000%2 == 1 {
+				pages = 40
+			}
+			page := rng.Int63n(pages)
+			addr := page*pageBytes + rng.Int63n(pageBytes)
+			if got, want := tlb.Lookup(addr), ref.lookup(page); got != want {
+				t.Fatalf("round %d, lookup %d (page %d): hit=%v, scan says %v", round, i, page, got, want)
+			}
+		}
+		tlb.Reset()
 	}
 }
 

@@ -1,9 +1,6 @@
 package cpu
 
-import (
-	"math"
-	"slices"
-)
+import "math"
 
 const (
 	calBits  = 10
@@ -21,22 +18,21 @@ type calEvent struct {
 // wheel is one small array of list heads and pushing or popping an event
 // touches the pool's recently freed nodes instead of a slice per bucket.
 type calNode struct {
-	at   int64
 	d    int32
 	next int32
 }
 
 // calendar is a calendar/bucket queue of future completion events, each
 // carrying a main-thread dynamic index (>= 0) or a p-thread context
-// (ctxEvent). Events within the wheel horizon join the list of bucket
-// at&calMask; the simulator visits every cycle that holds an event (cycle
-// skipping never jumps past the earliest pending event), so each bucket
-// holds at most one distinct time when popped. Events beyond the horizon
-// wait in a small time-sorted overflow list and migrate into the wheel as
-// the clock approaches. Events due at one cycle pop in the order they
-// joined the wheel; the engine's handling of them does not depend on it,
-// but the issue walk pushes in ascending dynamic order, which keeps the
-// done queue's sorted insertions at its tail.
+// (ctxEvent). Events within the wheel horizon join the head of bucket
+// at&calMask; events beyond it wait in a small time-sorted overflow list
+// and migrate into the wheel as the clock approaches.
+//
+// The engine pops every cycle that holds an event (cycle skipping never
+// jumps past nextAt), so at any cycle now the wheel holds only events in
+// (now, now+calSlots): bucket t&calMask holds exactly the events due at t.
+// Nodes therefore need no time stamp, and a pop takes its whole bucket,
+// newest event first.
 type calendar struct {
 	head    [calSlots]int32 // per bucket: first node, index+1 (0 = empty)
 	nodes   []calNode
@@ -88,12 +84,11 @@ func (c *calendar) link(at int64, d int32) {
 		n = int32(len(c.nodes))
 	}
 	s := at & calMask
-	c.nodes[n-1] = calNode{at: at, d: d, next: c.head[s]}
+	c.nodes[n-1] = calNode{d: d, next: c.head[s]}
 	c.head[s] = n
 }
 
-// pop collects every event due at now into dst and returns it. Events due
-// later stay queued.
+// pop appends every event due at now to dst, newest first, and returns it.
 //
 //lab:hotpath
 func (c *calendar) pop(now int64, dst []int32) []int32 {
@@ -102,25 +97,25 @@ func (c *calendar) pop(now int64, dst []int32) []int32 {
 		c.far = c.far[:copy(c.far, c.far[1:])]
 		c.link(ev.at, ev.d)
 	}
-	start := len(dst)
-	prev := &c.head[now&calMask]
-	for n := *prev; n != 0; {
-		node := &c.nodes[n-1]
-		next := node.next
-		if node.at <= now {
-			dst = append(dst, node.d)
-			c.pending--
-			*prev = next
-			node.next = c.free
-			c.free = n
-		} else {
-			prev = &node.next
-		}
-		n = next
+	s := now & calMask
+	first := c.head[s]
+	if first == 0 {
+		return dst
 	}
-	// The list runs newest first.
-	slices.Reverse(dst[start:])
-	return dst
+	c.head[s] = 0
+	n := first
+	for {
+		node := &c.nodes[n-1]
+		dst = append(dst, node.d)
+		c.pending--
+		if node.next == 0 {
+			// Hand the whole list to the free list.
+			node.next = c.free
+			c.free = first
+			return dst
+		}
+		n = node.next
+	}
 }
 
 // nextAt returns the earliest pending event time strictly after now, or
@@ -131,20 +126,10 @@ func (c *calendar) nextAt(now int64) int64 {
 	if c.pending == 0 {
 		return math.MaxInt64
 	}
-	best := int64(math.MaxInt64)
-	if len(c.far) > 0 {
-		best = c.far[0].at
-	}
 	for off := int64(1); off < calSlots; off++ {
-		t := now + off
-		if t >= best {
-			break
-		}
-		for n := c.head[t&calMask]; n != 0; n = c.nodes[n-1].next {
-			if c.nodes[n-1].at == t {
-				return t
-			}
+		if c.head[(now+off)&calMask] != 0 {
+			return now + off
 		}
 	}
-	return best
+	return c.far[0].at
 }

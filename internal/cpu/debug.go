@@ -6,10 +6,11 @@ import "fmt"
 // diagnostics.
 func (s *Simulator) debugState() string {
 	head := "empty"
-	if s.robLen > 0 {
-		d := s.rob[s.robHead]
+	robLen := int(int64(s.dispIdx) - s.res.Committed)
+	if robLen > 0 {
+		sl := s.slot(int32(s.res.Committed))
 		head = fmt.Sprintf("dyn=%d pc=%d op=%s st=%b done=%d",
-			d, s.tr.PC(int(d)), s.inst(d).Op, s.state[d], s.completeAt[d])
+			s.res.Committed, sl.pc, s.prog.Insts[sl.pc].Op, sl.state, sl.completeAt)
 	}
 	ctxs := ""
 	for i := range s.ctxs {
@@ -29,6 +30,6 @@ func (s *Simulator) debugState() string {
 			i, c.pt.ID, c.fetched, c.dispatched, c.issued, c.freed, c.limit(), dep)
 	}
 	return fmt.Sprintf("rob=%d rs=%d phys=%d fq=%d fetchIdx=%d/%d resume=%d stallBr=%d head{%s} mshr=%d%s",
-		s.robLen, s.rsUsed, s.physUsed, s.fqLen, s.fetchIdx, s.n,
+		robLen, s.rsUsed, s.physUsed, s.fetchIdx-s.dispIdx, s.fetchIdx, s.n,
 		s.fetchResumeAt, s.stalledOnBranch, head, s.hier.MSHR.InFlight(s.now), ctxs) + fmt.Sprintf(" busFreeAt=%d now=%d", s.hier.BusFreeAt(), s.now)
 }

@@ -13,16 +13,13 @@ import (
 	"repro/internal/trace"
 )
 
-// Per-dynamic-instruction state flags.
+// In-flight instruction state flags (slot.state).
 const (
-	fDispatched uint8 = 1 << iota
-	fIssued
+	fIssued uint8 = 1 << iota
 	fRSFreed
-	fMispred
-	fFwd // load served by store forwarding
 )
 
-// Served-level encoding stored alongside flags (2 bits).
+// Served-level encoding (slot.level).
 const (
 	lvlNone uint8 = iota
 	lvlL1
@@ -30,22 +27,48 @@ const (
 	lvlMem
 )
 
-type fetchEnt struct {
-	dyn     int32
-	availAt int64
+// slot is one in-flight main-thread instruction. Fetch decodes dynamic
+// instruction d once into ring entry d&slotMask, reading its trace row in
+// one pass; dispatch, issue, commit, cycle attribution and the event
+// engine's wakeups then read the slot, not the trace's chunked columns or
+// the per-PC tables.
+type slot struct {
+	availAt    int64 // cycle the fetched instruction reaches rename
+	completeAt int64 // completion cycle, once issued
+	addr       int64 // effective address of a load or store
+	val        int64 // value written, or stored by a store
+	pc         int32
+	prod1      int32 // source producers' dynamic indices (-1 none)
+	prod2      int32
+	wakeHead   int32 // event engine: consumers' wake list (index+1, 0 = empty)
+	flags      uint8 // isa.Flag* predicates of the static instruction
+	lat        uint8 // functional-unit latency
+	state      uint8 // fIssued, fRSFreed
+	level      uint8 // lvl*: the level that served a load
+	waitCnt    uint8 // event engine: incomplete producers still awaited
 }
 
 // Simulator runs one program execution (a dynamic trace) through the timing
 // model, optionally with a set of selected p-threads installed in the
 // trigger table.
 //
+// The main thread's in-flight instructions live in one ring of slots, sized
+// to the next power of two at or above ROBSize+FetchQCap. Fetch, dispatch
+// and commit are in order, so three indices describe the whole window: the
+// ROB holds [Result.Committed, dispIdx) and the fetch queue [dispIdx,
+// fetchIdx). No per-trace-entry column exists: a dynamic index older than
+// the commit point names a completed instruction whose slot may already
+// hold a younger one, so every reader of a possibly committed index (a
+// producer, a done-queue entry, a p-thread's main-thread operand) tests it
+// against the commit point first.
+//
 // A Simulator is reusable: Reset reinitializes it for a new (config, trace,
-// p-thread) triple while retaining every internal pool — ROB, per-entry
-// state columns, wakeup-node pool, calendar nodes, cache arrays, p-thread
-// contexts — so steady-state reuse performs no allocation. A Result
-// returned by Run/RunContext borrows simulator-owned memory and is valid
-// only until the next Reset; callers that outlive the reuse cycle must
-// Clone it.
+// p-thread) triple while retaining every internal pool — the slot ring,
+// in-flight store table, wakeup-node pool, calendar nodes, cache arrays,
+// p-thread contexts — so steady-state reuse performs no allocation, and no
+// part of Reset grows with the trace's length. A Result returned by
+// Run/RunContext borrows simulator-owned memory and is valid only until the
+// next Reset; callers that outlive the reuse cycle must Clone it.
 //
 // RunContext drives the pipeline stages with the event-driven engine:
 // wakeup lists, ready and done queues and a calendar queue of completion
@@ -68,27 +91,25 @@ type Simulator struct {
 	now int64
 	n   int
 
-	// Main-thread front end.
+	// In-flight window: slot ring and the fetch and dispatch points (the
+	// commit point is res.Committed). fetchRow reads the trace at fetchIdx.
+	slots           []slot
+	slotMask        int32
 	fetchIdx        int
+	fetchRow        trace.Cursor
+	dispIdx         int
 	fetchResumeAt   int64
 	stalledOnBranch int32 // dyn index of unresolved mispredicted branch, -1 none
-	fetchQ          []fetchEnt
-	fqHead, fqLen   int
 
 	// Back end.
-	rob             []int32
-	robHead, robLen int
-	state           []uint8
-	level           []uint8
-	completeAt      []int64
-	rsUsed          int
-	physUsed        int
+	rsUsed   int
+	physUsed int
 
 	// Dispatch-time architectural state (correct path).
 	specRegs   [isa.NumRegs]int64
 	lastWriter [isa.NumRegs]int64
 	mem        []int64
-	inflightSt []int32 // per memory word: dispatched, uncommitted stores
+	stores     storeTable // words of dispatched, uncommitted stores
 
 	// Pre-execution. Triggers are a per-PC intrusive list over the installed
 	// p-threads (trigHead[pc] -> first index, trigNext chains in install
@@ -119,8 +140,8 @@ type Simulator struct {
 	spawnStatic []int32 // spawnID -> stat index
 
 	// Per-PC static summaries, rebuilt on Reset (the program is tens of
-	// instructions): predicate bytes and functional-unit latencies, so hot
-	// stages test flag bits instead of re-running isa.Inst's Op switches.
+	// instructions): predicate bytes and functional-unit latencies, which
+	// fetch copies into each slot.
 	pcFlags []uint8
 	pcLats  []uint8
 
@@ -143,10 +164,24 @@ type Simulator struct {
 	branchesMain int64
 }
 
+// slot returns dynamic instruction d's ring entry. d must be in flight:
+// fetched and not yet committed.
+//
+//lab:hotpath
+func (s *Simulator) slot(d int32) *slot { return &s.slots[d&s.slotMask] }
+
+// committed reports whether dynamic instruction d has committed: it is
+// complete, its reservation station is free, and its slot may hold a
+// younger instruction.
+//
+//lab:hotpath
+func (s *Simulator) committed(d int64) bool { return d < s.res.Committed }
+
 // SimStats counts the simulator's own work in its latest run: the numbers
 // that explain its throughput. They live outside Result, so Results stay
-// byte-identical across engines; only the event engine delivers events and
-// wakes contexts, so those counters read 0 after RunReference.
+// byte-identical across engines; only the event engine delivers events,
+// wakes contexts and keeps a ready queue, so those counters read 0 after
+// RunReference.
 type SimStats struct {
 	VisitedCycles int64 // cycles simulated one by one (one issue pass each)
 	SkippedCycles int64 // quiescent cycles jumped over in bulk
@@ -154,6 +189,7 @@ type SimStats struct {
 	CtxVisits     int64 // p-thread contexts visited by issue passes
 	CtxWakeups    int64 // idle p-thread contexts made due for the next issue pass
 	Spawns        int64 // p-thread instances started
+	ReadyQMax     int64 // most main-thread instructions ready to issue at once
 }
 
 // Stats returns the work counters of the latest run (zero after Reset).
@@ -181,9 +217,11 @@ func grow[T any](s []T, n int) []T {
 
 // Reset reinitializes the simulator for a run of tr under cfg with the
 // given p-threads installed, reusing every internal pool sized on previous
-// runs. After one warm-up run per (program size, configuration) shape,
-// Reset and the subsequent run allocate nothing. Any Result previously
-// returned by this simulator is invalidated (see Simulator doc).
+// runs. Its work grows with the configuration's window, the program and its
+// memory image, never with the trace's length. After one warm-up run per
+// (program size, configuration) shape, Reset and the subsequent run
+// allocate nothing. Any Result previously returned by this simulator is
+// invalidated (see Simulator doc).
 func (s *Simulator) Reset(cfg Config, tr *trace.Trace, pthreads []*PThread) error {
 	if err := cfg.Validate(); err != nil {
 		return err
@@ -225,43 +263,24 @@ func (s *Simulator) Reset(cfg Config, tr *trace.Trace, pthreads []*PThread) erro
 
 	s.now = 0
 	s.fetchIdx = 0
+	s.fetchRow = tr.Cursor()
+	s.fetchRow.Next()
+	s.dispIdx = 0
 	s.fetchResumeAt = 0
 	s.stalledOnBranch = -1
-	if cap(s.fetchQ) >= cfg.FetchQCap {
-		s.fetchQ = s.fetchQ[:cfg.FetchQCap]
-	} else {
-		s.fetchQ = make([]fetchEnt, cfg.FetchQCap)
-	}
-	s.fqHead, s.fqLen = 0, 0
-
-	s.rob = grow(s.rob, cfg.ROBSize)
-	s.robHead, s.robLen = 0, 0
-	// One canonical clear loop per slice so each compiles to a memclr.
-	s.state = grow(s.state, n)
-	for i := range s.state {
-		s.state[i] = 0
-	}
-	s.level = grow(s.level, n)
-	for i := range s.level {
-		s.level[i] = 0
-	}
-	s.completeAt = grow(s.completeAt, n)
-	for i := range s.completeAt {
-		s.completeAt[i] = 0
-	}
+	// Fetch fills a slot completely, so the ring needs no clearing.
+	ring := 1 << bits.Len(uint(cfg.ROBSize+cfg.FetchQCap-1))
+	s.slots = grow(s.slots, ring)
+	s.slotMask = int32(ring - 1)
 	s.rsUsed, s.physUsed = 0, 0
 
 	s.specRegs = [isa.NumRegs]int64{}
 	for r := range s.lastWriter {
 		s.lastWriter[r] = -1
 	}
-	memWords := len(tr.Prog.InitMem)
-	s.mem = grow(s.mem, memWords)
+	s.mem = grow(s.mem, len(tr.Prog.InitMem))
 	copy(s.mem, tr.Prog.InitMem)
-	s.inflightSt = grow(s.inflightSt, memWords)
-	for i := range s.inflightSt {
-		s.inflightSt[i] = 0
-	}
+	s.stores.reset(cfg.ROBSize)
 
 	s.installPThreads(pthreads)
 
@@ -292,7 +311,7 @@ func (s *Simulator) Reset(cfg Config, tr *trace.Trace, pthreads []*PThread) erro
 	if s.evMem == nil {
 		s.evMem = &evState{}
 	}
-	s.evMem.reset(n, cfg.ROBSize, nctx)
+	s.evMem.reset(cfg.ROBSize, nctx)
 	s.ev = s.evMem
 
 	s.stats = SimStats{}
@@ -394,10 +413,11 @@ func (s *Simulator) RunContext(ctx context.Context) (*Result, error) {
 // noCommitLimit aborts a run with no forward progress (deadlock guard).
 const noCommitLimit = 1_000_000
 
+// done reports whether every instruction has committed (and so was
+// fetched and dispatched).
+//
 //lab:hotpath
-func (s *Simulator) done() bool {
-	return s.fetchIdx >= s.n && s.fqLen == 0 && s.robLen == 0
-}
+func (s *Simulator) done() bool { return s.res.Committed == int64(s.n) }
 
 func (s *Simulator) maxCycles() int64 {
 	if s.cfg.MaxCycles > 0 {
@@ -406,35 +426,27 @@ func (s *Simulator) maxCycles() int64 {
 	return defaultMaxCycles
 }
 
-//lab:hotpath
-func (s *Simulator) inst(d int32) isa.Inst { return s.prog.Insts[s.tr.PC(int(d))] }
-
 // ---------------------------------------------------------------- commit --
 
 //lab:hotpath
 func (s *Simulator) commitStage() int {
 	committed := 0
-	for s.robLen > 0 && committed < s.cfg.CommitWidth {
-		d := s.rob[s.robHead]
-		if s.state[d]&fIssued == 0 || s.completeAt[d] > s.now {
+	for s.res.Committed < int64(s.dispIdx) && committed < s.cfg.CommitWidth {
+		sl := s.slot(int32(s.res.Committed))
+		if sl.state&fIssued == 0 || sl.completeAt > s.now {
 			break
 		}
-		fl := s.pcFlags[s.tr.PC(int(d))]
-		if s.state[d]&fRSFreed == 0 {
+		if sl.state&fRSFreed == 0 {
 			s.rsUsed--
-			s.state[d] |= fRSFreed
 		}
-		if fl&isa.FlagStore != 0 {
-			addr := s.tr.Addr(int(d))
-			s.hier.StoreCommit(addr, s.now)
+		if sl.flags&isa.FlagStore != 0 {
+			s.hier.StoreCommit(sl.addr, s.now)
 			s.memMainAcc++
-			s.inflightSt[addr>>3]--
+			s.stores.remove(sl.addr >> 3)
 		}
-		if fl&isa.FlagHasDst != 0 {
+		if sl.flags&isa.FlagHasDst != 0 {
 			s.physUsed--
 		}
-		s.robHead = (s.robHead + 1) % s.cfg.ROBSize
-		s.robLen--
 		s.res.Committed++
 		committed++
 	}
@@ -451,12 +463,11 @@ func (s *Simulator) attributeCycle(committed int) StallCategory {
 	switch {
 	case committed > 0:
 		cat = CatCommit
-	case s.robLen == 0:
+	case s.res.Committed == int64(s.dispIdx):
 		cat = CatFetch
 	default:
-		d := s.rob[s.robHead]
-		if s.state[d]&fIssued != 0 {
-			switch s.level[d] {
+		if sl := s.slot(int32(s.res.Committed)); sl.state&fIssued != 0 {
+			switch sl.level {
 			case lvlMem:
 				cat = CatMem
 			case lvlL2:
@@ -474,12 +485,22 @@ func (s *Simulator) attributeCycle(committed int) StallCategory {
 
 // ----------------------------------------------------------------- issue --
 
+// ready reports whether a main-thread producer's value is available: no
+// producer, a committed one, or an in-flight one that has issued and
+// completed.
+//
 //lab:hotpath
 func (s *Simulator) ready(prod int64) bool {
-	if prod == trace.NoProducer {
-		return true
-	}
-	return s.state[prod]&fIssued != 0 && s.completeAt[prod] <= s.now
+	return prod == trace.NoProducer || s.committed(prod) || s.complete(int32(prod))
+}
+
+// complete reports whether in-flight instruction d has issued and
+// completed.
+//
+//lab:hotpath
+func (s *Simulator) complete(d int32) bool {
+	sl := s.slot(d)
+	return sl.state&fIssued != 0 && sl.completeAt <= s.now
 }
 
 // issueMain issues one ready main-thread instruction, charging the load or
@@ -489,55 +510,50 @@ func (s *Simulator) ready(prod int64) bool {
 // mshrFull reports the rejection case.
 //
 //lab:hotpath
-func (s *Simulator) issueMain(d int32, loadBudget, storeBudget *int) (issued, mshrFull bool) {
-	pc := s.tr.PC(int(d))
-	fl := s.pcFlags[pc]
+func (s *Simulator) issueMain(sl *slot, loadBudget, storeBudget *int) (issued, mshrFull bool) {
 	switch {
-	case fl&isa.FlagLoad != 0:
+	case sl.flags&isa.FlagLoad != 0:
 		if *loadBudget == 0 {
 			return false, false
 		}
-		addr := s.tr.Addr(int(d))
-		if s.inflightSt[addr>>3] > 0 {
+		if s.stores.has(sl.addr >> 3) {
 			// Store-to-load forwarding through the LSQ.
-			s.completeAt[d] = s.now + int64(s.cfg.Hier.L1D.HitLatency)
-			s.level[d] = lvlL1
-			s.state[d] |= fFwd
+			sl.completeAt = s.now + int64(s.cfg.Hier.L1D.HitLatency)
+			sl.level = lvlL1
 			s.memMainAcc++
 		} else {
-			info, ok := s.hier.Load(addr, s.now, false, int64(pc))
+			info, ok := s.hier.Load(sl.addr, s.now, false, int64(sl.pc))
 			if !ok {
 				return false, true // MSHR full; retry next cycle
 			}
 			s.memMainAcc++
-			s.completeAt[d] = info.DoneAt
+			sl.completeAt = info.DoneAt
 			switch info.Level {
 			case cache.LvlMem:
-				s.level[d] = lvlMem
+				sl.level = lvlMem
 			case cache.LvlL2:
-				s.level[d] = lvlL2
+				sl.level = lvlL2
 			default:
-				s.level[d] = lvlL1
+				sl.level = lvlL1
 			}
 			if info.PrefHit != cache.NoPrefetcher {
 				s.creditPrefetch(info.PrefHit, info.PrefInFlit)
 			}
 		}
 		*loadBudget--
-	case fl&isa.FlagStore != 0:
+	case sl.flags&isa.FlagStore != 0:
 		if *storeBudget == 0 {
 			return false, false
 		}
-		s.completeAt[d] = s.now + 1 // address generation
+		sl.completeAt = s.now + 1 // address generation
 		*storeBudget--
 	default:
-		lat := int64(s.pcLats[pc])
-		s.completeAt[d] = s.now + lat
-		if fl&isa.FlagALU != 0 {
+		sl.completeAt = s.now + int64(sl.lat)
+		if sl.flags&isa.FlagALU != 0 {
 			s.aluMain++
 		}
 	}
-	s.state[d] |= fIssued
+	sl.state |= fIssued
 	return true, false
 }
 
@@ -584,15 +600,11 @@ func (s *Simulator) issuePInst(ctx *pctx, loadBudget *int) (issued, mshrFull boo
 
 //lab:hotpath
 func (s *Simulator) pdepReady(ctx *pctx, d depRef) bool {
-	switch d.kind {
-	case depNone:
-		return true
-	case depMain:
-		return s.state[d.idx]&fIssued != 0 && s.completeAt[d.idx] <= s.now
-	default: // depBody
+	if d.kind == depBody {
 		at := ctx.insts[d.idx].completeAt
 		return at > 0 && at <= s.now
 	}
+	return d.kind == depNone || s.committed(int64(d.idx)) || s.complete(d.idx)
 }
 
 // freePctxRS returns the reservation stations and physical registers of
@@ -651,15 +663,14 @@ func (s *Simulator) creditPrefetch(spawnID int32, partial bool) {
 func (s *Simulator) dispatchStage() bool {
 	active := false
 	budget := s.cfg.DispatchWidth
-	for budget > 0 && s.fqLen > 0 {
-		fe := s.fetchQ[s.fqHead]
-		if fe.availAt > s.now {
+	for budget > 0 && s.dispIdx < s.fetchIdx {
+		d := int32(s.dispIdx)
+		sl := s.slot(d)
+		if sl.availAt > s.now {
 			break
 		}
-		d := fe.dyn
-		pc := s.tr.PC(int(d))
-		fl := s.pcFlags[pc]
-		if s.robLen >= s.cfg.ROBSize || s.rsUsed >= s.cfg.RSSize {
+		fl := sl.flags
+		if int64(s.dispIdx)-s.res.Committed >= int64(s.cfg.ROBSize) || s.rsUsed >= s.cfg.RSSize {
 			break
 		}
 		if fl&isa.FlagHasDst != 0 && s.physUsed >= s.cfg.PhysRegs {
@@ -667,25 +678,20 @@ func (s *Simulator) dispatchStage() bool {
 		}
 		// Spawn p-threads before the trigger's own register update: the
 		// body re-executes the trigger computation from pre-trigger state.
-		for ti := s.trigHead[pc]; ti >= 0; ti = s.trigNext[ti] {
+		for ti := s.trigHead[sl.pc]; ti >= 0; ti = s.trigNext[ti] {
 			s.spawn(ti)
 		}
-		s.fqHead = (s.fqHead + 1) % s.cfg.FetchQCap
-		s.fqLen--
-		s.rob[(s.robHead+s.robLen)%s.cfg.ROBSize] = d
-		s.robLen++
-		s.state[d] |= fDispatched
+		s.dispIdx++
 		s.rsUsed++
 		if fl&isa.FlagHasDst != 0 {
 			s.physUsed++
-			dst := s.prog.Insts[pc].Dst
-			s.specRegs[dst] = s.tr.Val(int(d))
+			dst := s.prog.Insts[sl.pc].Dst
+			s.specRegs[dst] = sl.val
 			s.lastWriter[dst] = int64(d)
 		}
 		if fl&isa.FlagStore != 0 {
-			addr := s.tr.Addr(int(d))
-			s.mem[addr>>3] = s.tr.Val(int(d))
-			s.inflightSt[addr>>3]++
+			s.mem[sl.addr>>3] = sl.val
+			s.stores.add(sl.addr >> 3)
 		}
 		s.instsMain++
 		if fl&isa.FlagBranch != 0 {
@@ -695,9 +701,9 @@ func (s *Simulator) dispatchStage() bool {
 			// Subscribe to incomplete producers; an instruction with none
 			// enters the ready queue directly (it has the largest dynamic
 			// index in flight, so appending keeps the queue sorted).
-			w1 := s.watch(s.tr.Prod1(int(d)), d)
-			w2 := s.watch(s.tr.Prod2(int(d)), d)
-			if !w1 && !w2 {
+			s.watch(sl.prod1, d, sl)
+			s.watch(sl.prod2, d, sl)
+			if sl.waitCnt == 0 {
 				s.ev.readyQ = append(s.ev.readyQ, d)
 			}
 		}
@@ -804,42 +810,52 @@ func (s *Simulator) fetchStage() bool {
 	// A mispredicted branch blocks fetch until it resolves.
 	resolved := false
 	if s.stalledOnBranch >= 0 {
-		d := s.stalledOnBranch
-		if s.state[d]&fIssued != 0 && s.completeAt[d] <= s.now {
-			s.fetchResumeAt = s.completeAt[d] + int64(s.cfg.RedirectPen)
+		// The branch is the last instruction fetched, so while fetch waits
+		// on it its slot is never refilled, committed or not.
+		if sl := s.slot(s.stalledOnBranch); sl.state&fIssued != 0 && sl.completeAt <= s.now {
+			s.fetchResumeAt = sl.completeAt + int64(s.cfg.RedirectPen)
 			s.stalledOnBranch = -1
 			resolved = true
 		} else {
 			return false
 		}
 	}
-	if s.now < s.fetchResumeAt || s.fqLen >= s.cfg.FetchQCap {
+	space := s.cfg.FetchQCap - (s.fetchIdx - s.dispIdx)
+	if s.now < s.fetchResumeAt || space <= 0 {
 		return resolved
 	}
 	// I-cache access for the block containing the next PC. Instruction
 	// addresses live in their own space at 8 bytes per instruction.
-	iaddr := int64(s.tr.PC(s.fetchIdx)) * 8
+	row := &s.fetchRow
+	iaddr := int64(row.PC()) * 8
 	done := s.hier.FetchBlock(iaddr, s.now, false)
 	if done > s.now+int64(s.cfg.Hier.L1I.HitLatency) {
 		s.fetchResumeAt = done // i-cache miss: stall until fill
 		return true
 	}
-	width := s.cfg.FetchWidth
-	if space := s.cfg.FetchQCap - s.fqLen; space < width {
-		width = space
-	}
+	width := min(s.cfg.FetchWidth, space)
+	availAt := s.now + int64(s.cfg.FrontEndDepth)
 	for w := 0; w < width && s.fetchIdx < s.n; w++ {
+		// Decode once: the slot carries everything the later stages read.
 		d := int32(s.fetchIdx)
-		pc := s.tr.PC(s.fetchIdx)
+		pc := row.PC()
 		fl := s.pcFlags[pc]
-		s.fetchQ[(s.fqHead+s.fqLen)%s.cfg.FetchQCap] = fetchEnt{dyn: d, availAt: s.now + int64(s.cfg.FrontEndDepth)}
-		s.fqLen++
+		*s.slot(d) = slot{
+			availAt: availAt,
+			addr:    row.Addr(),
+			val:     row.Val(),
+			pc:      pc,
+			prod1:   int32(row.Prod1()),
+			prod2:   int32(row.Prod2()),
+			flags:   fl,
+			lat:     s.pcLats[pc],
+		}
+		taken := row.Taken()
+		row.Next()
 		s.fetchIdx++
 		if fl&isa.FlagBranch != 0 {
-			taken := s.tr.Taken(int(d))
 			pred, btbHit := s.bp.PredictAndUpdate(int64(pc), taken, int64(s.prog.Insts[pc].Target))
 			if pred != taken {
-				s.state[d] |= fMispred
 				s.stalledOnBranch = d
 				break
 			}

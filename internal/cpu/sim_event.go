@@ -3,9 +3,8 @@ package cpu
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/bits"
-
-	"repro/internal/trace"
 )
 
 // wakeNode is one entry in a producer's wakeup list: a consumer waiting for
@@ -26,13 +25,13 @@ func ctxEvent(c int) int32 { return -int32(c) - 1 }
 // the per-cycle window rescan with three structures:
 //
 //   - wakeup lists: every in-flight producer keeps the consumers waiting on
-//     it; its completion event walks the list and drops each consumer's
-//     pending-operand count, or wakes a waiting p-thread context,
-//   - ready and done queues: consumers with no pending operands, and
-//     completed instructions whose reservation station the issue walk
-//     returns, both kept in ROB (dynamic-index) order so issue priority and
-//     the stations freed before the issue budget runs out match the
-//     reference scan,
+//     it, headed in its slot; its completion event walks the list and drops
+//     each consumer's pending-operand count (also in the slot), or wakes a
+//     waiting p-thread context,
+//   - ready and done queues: consumers with no pending operands, kept in ROB
+//     (dynamic-index) order so issue priority matches the reference scan,
+//     and completed instructions whose reservation station the issue pass
+//     returns,
 //   - a calendar queue: every issued instruction schedules its completion,
 //     so the engine knows the next cycle anything can happen and skips
 //     quiescent spans in one step. A p-thread completion names its context
@@ -41,13 +40,11 @@ type evState struct {
 	cal    calendar
 	popBuf []int32
 
-	wakeHead []int32 // per dyn index: producer's wake-list head (index+1, 0 = empty)
-	waitCnt  []uint8 // per dyn index: incomplete producers the consumer waits on
 	nodes    []wakeNode
 	freeNode int32 // free-list head (index+1, 0 = empty)
 
 	readyQ []int32 // dispatched, operands complete, not yet issued; ascending dyn
-	doneQ  []int32 // completed, reservation station maybe not yet freed; ascending dyn
+	doneQ  []int32 // completed, reservation station maybe not yet freed
 
 	// due holds the p-thread contexts the next issue pass visits: those
 	// with a completion to free or an in-order head that may issue. The
@@ -57,10 +54,9 @@ type evState struct {
 	nextPoll int64 // next context-cancellation poll cycle
 }
 
-// reset prepares the engine state for a run over n dynamic instructions,
-// reusing (and zeroing) the per-entry columns and keeping every queue's and
-// the node pool's storage, so steady-state simulator reuse never allocates.
-func (ev *evState) reset(n, robSize, nctx int) {
+// reset prepares the engine state for a run, keeping every queue's and the
+// node pool's storage, so steady-state simulator reuse never allocates.
+func (ev *evState) reset(robSize, nctx int) {
 	if ev.popBuf == nil {
 		ev.popBuf = make([]int32, 0, 64)
 		ev.nodes = make([]wakeNode, 0, 2*robSize)
@@ -69,14 +65,6 @@ func (ev *evState) reset(n, robSize, nctx int) {
 	}
 	ev.cal.reset()
 	ev.popBuf = ev.popBuf[:0]
-	ev.wakeHead = grow(ev.wakeHead, n)
-	for i := range ev.wakeHead {
-		ev.wakeHead[i] = 0
-	}
-	ev.waitCnt = grow(ev.waitCnt, n)
-	for i := range ev.waitCnt {
-		ev.waitCnt[i] = 0
-	}
 	ev.nodes = ev.nodes[:0]
 	ev.freeNode = 0
 	ev.readyQ = ev.readyQ[:0]
@@ -169,9 +157,10 @@ func (s *Simulator) processEvents() {
 			s.wakeCtx(int(-d - 1))
 			continue
 		}
-		ev.doneQ = insertSorted(ev.doneQ, d)
-		n := ev.wakeHead[d]
-		ev.wakeHead[d] = 0
+		ev.doneQ = append(ev.doneQ, d)
+		sl := s.slot(d)
+		n := sl.wakeHead
+		sl.wakeHead = 0
 		for n != 0 {
 			node := &ev.nodes[n-1]
 			c, nx := node.consumer, node.next
@@ -179,8 +168,11 @@ func (s *Simulator) processEvents() {
 			ev.freeNode = n
 			if c < 0 {
 				s.wakeCtx(int(-c - 1))
-			} else if ev.waitCnt[c]--; ev.waitCnt[c] == 0 {
-				s.insertReady(c)
+			} else {
+				cs := s.slot(c)
+				if cs.waitCnt--; cs.waitCnt == 0 {
+					s.insertReady(c)
+				}
 			}
 			n = nx
 		}
@@ -197,25 +189,19 @@ func (s *Simulator) wakeCtx(c int) {
 	}
 }
 
-// watch subscribes consumer d to producer prod's completion. It returns
-// false without subscribing when the operand is already available (no
-// producer, or the producer has issued and completed).
+// watch subscribes consumer d, whose slot is sl, to producer prod's
+// completion unless the operand is already available (see ready).
 //
 //lab:hotpath
-func (s *Simulator) watch(prod int64, d int32) bool {
-	if prod == trace.NoProducer {
-		return false
+func (s *Simulator) watch(prod int32, d int32, sl *slot) {
+	if !s.ready(int64(prod)) {
+		s.subscribe(prod, d)
+		sl.waitCnt++
 	}
-	if s.state[prod]&fIssued != 0 && s.completeAt[prod] <= s.now {
-		return false
-	}
-	s.subscribe(int32(prod), d)
-	s.ev.waitCnt[d]++
-	return true
 }
 
-// subscribe adds consumer to in-flight main-thread producer prod's wakeup
-// list.
+// subscribe adds consumer to in-flight, incomplete main-thread producer
+// prod's wakeup list.
 //
 //lab:hotpath
 func (s *Simulator) subscribe(prod, consumer int32) {
@@ -228,44 +214,38 @@ func (s *Simulator) subscribe(prod, consumer int32) {
 		ev.nodes = append(ev.nodes, wakeNode{})
 		idx = int32(len(ev.nodes))
 	}
-	ev.nodes[idx-1] = wakeNode{consumer: consumer, next: ev.wakeHead[prod]}
-	ev.wakeHead[prod] = idx
+	sl := s.slot(prod)
+	ev.nodes[idx-1] = wakeNode{consumer: consumer, next: sl.wakeHead}
+	sl.wakeHead = idx
 }
 
-// insertSorted places d into a queue kept in ascending dynamic order (issue
-// priority = ROB order, matching the reference scan).
+// insertReady places d into the ready queue, kept in ascending dynamic
+// order (issue priority = ROB order, matching the reference scan). A woken
+// consumer is usually among the youngest in flight, so the insertion point
+// is searched from the tail.
 //
 //lab:hotpath
-func insertSorted(q []int32, d int32) []int32 {
-	if len(q) == 0 || q[len(q)-1] < d {
-		return append(q, d)
+func (s *Simulator) insertReady(d int32) {
+	q := append(s.ev.readyQ, d)
+	i := len(q) - 1
+	for ; i > 0 && q[i-1] > d; i-- {
+		q[i] = q[i-1]
 	}
-	lo, hi := 0, len(q)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if q[mid] < d {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	q = append(q, 0)
-	copy(q[lo+1:], q[lo:])
-	q[lo] = d
-	return q
+	q[i] = d
+	s.ev.readyQ = q
 }
 
-//lab:hotpath
-func (s *Simulator) insertReady(d int32) { s.ev.readyQ = insertSorted(s.ev.readyQ, d) }
-
-// issueStageEvent performs one cycle of issue under the event engine: a
-// merged in-order walk of the done (completed, station not yet returned)
-// and ready queues, equivalent to the reference scan's oldest-first ROB
-// walk but touching only instructions that can actually make progress: an
-// instruction still executing is in neither queue. Returns whether
-// anything issued, freed, or hit an MSHR rejection (a rejection forces
-// cycle-by-cycle retry, because every retry re-probes the stateful
-// hierarchy exactly as the reference engine does).
+// issueStageEvent performs one cycle of issue under the event engine,
+// equivalent to the reference scan's oldest-first ROB walk but touching
+// only instructions that can make progress: an instruction still executing
+// is in neither queue. The ready queue issues oldest first until the issue
+// budget runs out. The reference walk frees each completed instruction's
+// station as it passes it and stops where the budget ran out, so the done
+// queue returns the stations of the entries older than the last issued
+// instruction, or of all of them when the budget lasted; the rest wait for
+// a later pass. Returns whether anything issued, freed, or hit an MSHR
+// rejection (a rejection forces cycle-by-cycle retry, because every retry
+// re-probes the stateful hierarchy exactly as the reference engine does).
 //
 //lab:hotpath
 func (s *Simulator) issueStageEvent() bool {
@@ -276,22 +256,14 @@ func (s *Simulator) issueStageEvent() bool {
 	storeBudget := s.cfg.StorePorts
 
 	mshrFull := false
-	dq, rq := ev.doneQ, ev.readyQ
-	di, ri, rw := 0, 0, 0
-	for issueBudget > 0 && (di < len(dq) || ri < len(rq)) {
-		if di < len(dq) && (ri >= len(rq) || dq[di] < rq[ri]) {
-			d := dq[di]
-			di++
-			if s.state[d]&fRSFreed == 0 { // else already returned at commit
-				s.rsUsed--
-				s.state[d] |= fRSFreed
-				active = true
-			}
-			continue
-		}
+	rq := ev.readyQ
+	s.stats.ReadyQMax = max(s.stats.ReadyQMax, int64(len(rq)))
+	cutoff := int32(math.MaxInt32)
+	ri, rw := 0, 0
+	for ; ri < len(rq) && issueBudget > 0; ri++ {
 		d := rq[ri]
-		ri++
-		issued, full := s.issueMain(d, &loadBudget, &storeBudget)
+		sl := s.slot(d)
+		issued, full := s.issueMain(sl, &loadBudget, &storeBudget)
 		if !issued {
 			// Port-starved or MSHR-rejected: retried next cycle.
 			mshrFull = mshrFull || full
@@ -299,14 +271,29 @@ func (s *Simulator) issueStageEvent() bool {
 			rw++
 			continue
 		}
-		issueBudget--
 		active = true
-		ev.cal.push(s.completeAt[d], s.now, d)
+		ev.cal.push(sl.completeAt, s.now, d)
+		if issueBudget--; issueBudget == 0 {
+			cutoff = d
+		}
 	}
-	// Issue bandwidth exhausted: everything younger keeps its place.
-	ev.doneQ = dq[:copy(dq, dq[di:])]
-	rw += copy(rq[rw:], rq[ri:])
-	ev.readyQ = rq[:rw]
+	if rw < ri {
+		ev.readyQ = rq[:rw+copy(rq[rw:], rq[ri:])]
+	}
+
+	dq, kept := ev.doneQ, 0
+	for _, d := range dq {
+		switch {
+		case d > cutoff:
+			dq[kept] = d
+			kept++
+		case !s.committed(int64(d)): // else it returned its station at commit
+			s.rsUsed--
+			s.slot(d).state |= fRSFreed
+			active = true
+		}
+	}
+	ev.doneQ = dq[:kept]
 
 	pctxActive, pctxFull := s.issuePctxEvent(&issueBudget, &loadBudget)
 	return active || pctxActive || mshrFull || pctxFull
@@ -351,7 +338,12 @@ func (s *Simulator) issueDueCtx(c int, issueBudget, loadBudget *int) (active, ms
 			break
 		}
 		p := &ctx.insts[ctx.issued]
-		if !s.pdepWait(c, ctx, p.dep1) || !s.pdepWait(c, ctx, p.dep2) {
+		if !s.pdepReady(ctx, p.dep1) {
+			s.waitFor(c, ctx, p.dep1)
+			break
+		}
+		if !s.pdepReady(ctx, p.dep2) {
+			s.waitFor(c, ctx, p.dep2)
 			break
 		}
 		issued, full := s.issuePInst(ctx, loadBudget)
@@ -371,21 +363,16 @@ func (s *Simulator) issueDueCtx(c int, issueBudget, loadBudget *int) (active, ms
 	return active, mshrFull
 }
 
-// pdepWait reports whether operand d of context c's head is ready. When it
-// waits on an in-flight main-thread producer, c joins that producer's
-// wakeup list (once per producer); a body producer's completion event wakes
-// c on its own.
+// waitFor parks context c, whose head waits on operand d. When d is an
+// in-flight main-thread producer, c joins its wakeup list (once per
+// producer); a body producer's completion event wakes c on its own.
 //
 //lab:hotpath
-func (s *Simulator) pdepWait(c int, ctx *pctx, d depRef) bool {
-	if s.pdepReady(ctx, d) {
-		return true
-	}
+func (s *Simulator) waitFor(c int, ctx *pctx, d depRef) {
 	if d.kind == depMain && ctx.waitMain != d.idx {
 		s.subscribe(d.idx, ctxEvent(c))
 		ctx.waitMain = d.idx
 	}
-	return false
 }
 
 // nextWakeAt returns the earliest future cycle at which any pipeline agent
@@ -401,8 +388,8 @@ func (s *Simulator) pdepWait(c int, ctx *pctx, d depRef) bool {
 //lab:hotpath
 func (s *Simulator) nextWakeAt() int64 {
 	next := s.ev.cal.nextAt(s.now)
-	if s.fqLen > 0 {
-		if t := s.fetchQ[s.fqHead].availAt; t > s.now && t < next {
+	if s.dispIdx < s.fetchIdx {
+		if t := s.slot(int32(s.dispIdx)).availAt; t > s.now && t < next {
 			next = t
 		}
 	}

@@ -53,20 +53,19 @@ func (s *Simulator) issueStageScan() {
 	loadBudget := s.cfg.LoadPorts
 	storeBudget := s.cfg.StorePorts
 
-	for i := 0; i < s.robLen && issueBudget > 0; i++ {
-		d := s.rob[(s.robHead+i)%s.cfg.ROBSize]
-		st := s.state[d]
-		if st&fIssued != 0 {
-			if st&fRSFreed == 0 && s.completeAt[d] <= s.now {
+	for d := int32(s.res.Committed); d < int32(s.dispIdx) && issueBudget > 0; d++ {
+		sl := s.slot(d)
+		if sl.state&fIssued != 0 {
+			if sl.state&fRSFreed == 0 && sl.completeAt <= s.now {
 				s.rsUsed--
-				s.state[d] |= fRSFreed
+				sl.state |= fRSFreed
 			}
 			continue
 		}
 		if !s.ready(s.tr.Prod1(int(d))) || !s.ready(s.tr.Prod2(int(d))) {
 			continue
 		}
-		if issued, _ := s.issueMain(d, &loadBudget, &storeBudget); issued {
+		if issued, _ := s.issueMain(sl, &loadBudget, &storeBudget); issued {
 			issueBudget--
 		}
 	}

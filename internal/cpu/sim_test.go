@@ -386,3 +386,65 @@ func TestInvalidPThreadRejectedBySimulator(t *testing.T) {
 		t.Error("simulator accepted an invalid p-thread")
 	}
 }
+
+// TestStoreForwarding pins which in-flight stores serve a load from the
+// LSQ: a forwarded load never reaches the L1D, so the run's main-thread
+// L1D accesses count the store's commit alone. Each program stores to one
+// word and loads from a word.
+//
+// The younger-store case pins a known defect as it stands (see the FOUND
+// note on store forwarding in CHANGES.md): a load whose address resolves
+// late is served by a store dispatched after it, because forwarding checks
+// every dispatched, uncommitted store to the word, not only older ones.
+// Fixing it changes every golden Result, so it is its own change.
+func TestStoreForwarding(t *testing.T) {
+	const (
+		rA, rD, rV = isa.Reg(1), isa.Reg(2), isa.Reg(3)
+		word       = 4096 // byte address of the stored word
+	)
+	// Six dependent multiplies delay the older instruction's operand: the
+	// store's data when it comes first (the store stays uncommitted while
+	// the load issues), the load's address otherwise (the younger store
+	// dispatches and issues while the load waits).
+	build := func(storeFirst bool, loadAddr int64) *isa.Program {
+		b := isa.NewBuilder("forward")
+		b.MovI(rD, 42)
+		b.MovI(rA, 1)
+		late := rA
+		if storeFirst {
+			late = rD
+		}
+		for i := 0; i < 6; i++ {
+			b.MulI(late, late, 1)
+		}
+		b.MulI(rA, rA, 0) // rA = 0: the load address is loadAddr
+		if storeFirst {
+			b.Store(isa.Zero, word, rD)
+			b.Load(rV, rA, loadAddr)
+		} else {
+			b.Load(rV, rA, loadAddr)
+			b.Store(isa.Zero, word, rD)
+		}
+		b.Halt()
+		b.SetMem(make([]int64, 2048))
+		return b.MustBuild()
+	}
+	cases := []struct {
+		name       string
+		storeFirst bool
+		loadAddr   int64
+		l1dMain    int64
+		cycles     int64
+	}{
+		{"older store forwards", true, word, 1, 273},
+		{"younger store forwards (defect)", false, word, 1, 277},
+		{"younger store to another word", false, word + 8, 2, 519},
+	}
+	for _, tc := range cases {
+		res := runProg(t, build(tc.storeFirst, tc.loadAddr), nil)
+		if res.CacheCounts.L1DMain != tc.l1dMain || res.Cycles != tc.cycles {
+			t.Errorf("%s: %d main L1D accesses in %d cycles, want %d in %d",
+				tc.name, res.CacheCounts.L1DMain, res.Cycles, tc.l1dMain, tc.cycles)
+		}
+	}
+}

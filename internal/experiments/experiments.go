@@ -26,9 +26,9 @@ import (
 // through this package (baselines, target measurements, campaign workers)
 // grabs a pooled simulator, Resets it onto the new (config, trace,
 // p-threads) triple and returns it afterwards, so the figure suite's
-// thousands of runs reuse a handful of fully-grown simulators — ROB, state
-// columns, wakeup pools, cache arrays — instead of reallocating them per
-// run. Determinism is unaffected: Reset restores exactly the
+// thousands of runs reuse a handful of fully-grown simulators — in-flight
+// slot ring, store table, wakeup pools, cache arrays — instead of
+// reallocating them per run. Determinism is unaffected: Reset restores exactly the
 // freshly-constructed state (pinned by the golden and reuse tests).
 var simPool sync.Pool
 
