@@ -5,7 +5,12 @@
 // JSON, and — in the default text mode — decoded back from that JSON before
 // rendering, so the printed tables provably contain nothing the JSON
 // doesn't. One Lab engine serves all figures: each benchmark is prepared
-// exactly once no matter how many artifacts are requested.
+// exactly once no matter how many artifacts are requested. The artifacts
+// run inside one Lab.Suite, so a timing run that several of them measure
+// (same trace, timing configuration and p-thread list) simulates once; a
+// target that selects no p-threads takes the baseline without simulating.
+// A shared run reports no simulator throughput; every other field is what
+// the artifact's standalone call reports.
 //
 // Usage:
 //
@@ -86,11 +91,21 @@ func main() {
 	defer stop()
 
 	all := *fig == 0 && *table == 0
-	for _, a := range artifacts(ctx, lab, nil) {
-		if all || (a.fig != 0 && a.fig == *fig) || (a.table != 0 && a.table == *table) {
-			rep, err := a.run()
-			emit(a.name, rep, err, *asJSON)
+	err := lab.Suite(ctx, func(ctx context.Context) error {
+		for _, a := range artifacts(ctx, lab, nil) {
+			if all || (a.fig != 0 && a.fig == *fig) || (a.table != 0 && a.table == *table) {
+				rep, err := a.run()
+				if err != nil {
+					return err
+				}
+				emit(a.name, rep, *asJSON)
+			}
 		}
+		return nil
+	})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "report:", err)
+		os.Exit(1)
 	}
 }
 
@@ -231,11 +246,7 @@ func renderStream(path string) error {
 // out as {"artifact": name, "report": ...}; in text mode the JSON is
 // decoded back into a fresh report of name's type (decoderFor) and
 // rendered from the decoded copy.
-func emit(name string, rep preexec.Report, err error, asJSON bool) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "report:", err)
-		os.Exit(1)
-	}
+func emit(name string, rep preexec.Report, asJSON bool) {
 	raw, err := json.Marshal(rep)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "report: marshal:", err)

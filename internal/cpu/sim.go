@@ -108,7 +108,7 @@ type Simulator struct {
 	// Dispatch-time architectural state (correct path).
 	specRegs   [isa.NumRegs]int64
 	lastWriter [isa.NumRegs]int64
-	mem        []int64
+	mem        memImage   // current only while p-threads are installed
 	stores     storeTable // words of dispatched, uncommitted stores
 
 	// Pre-execution. Triggers are a per-PC intrusive list over the installed
@@ -278,8 +278,11 @@ func (s *Simulator) Reset(cfg Config, tr *trace.Trace, pthreads []*PThread) erro
 	for r := range s.lastWriter {
 		s.lastWriter[r] = -1
 	}
-	s.mem = grow(s.mem, len(tr.Prog.InitMem))
-	copy(s.mem, tr.Prog.InitMem)
+	// Only p-thread bodies read the memory image, so a run without
+	// p-threads neither restores nor updates it.
+	if len(pthreads) > 0 {
+		s.mem.reset(tr.Prog.InitMem)
+	}
 	s.stores.reset(cfg.ROBSize)
 
 	s.installPThreads(pthreads)
@@ -690,7 +693,9 @@ func (s *Simulator) dispatchStage() bool {
 			s.lastWriter[dst] = int64(d)
 		}
 		if fl&isa.FlagStore != 0 {
-			s.mem[sl.addr>>3] = sl.val
+			if len(s.pthreads) > 0 {
+				s.mem.store(sl.addr>>3, sl.val)
+			}
 			s.stores.add(sl.addr >> 3)
 		}
 		s.instsMain++

@@ -131,7 +131,7 @@ func PrepareTrace(ctx context.Context, name string, tr *trace.Trace, cfg Config)
 	if err != nil {
 		return nil, err
 	}
-	base = baselineFor(base, cfg.CPU.Energy)
+	base = withEnergy(base, cfg.CPU.Energy)
 	params := deriveConfig(cfg).Derive(float64(base.Cycles), base.Energy.Total(), base.IPC(), curves)
 	return assemblePrepared(name, tr, prof, trees, curves, base, params), nil
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"math"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -343,14 +344,88 @@ func TestSweepScanMatchesEvent(t *testing.T) {
 	}
 }
 
-// TestSweepSharesMeasurements pins the shared-measurement rule on the
-// memory-latency grid over the paper nine under L, E and P: targets at one
-// point whose selections are the same p-thread list share one simulation.
-// (a) The warm sweep's reports, throughput stripped, are byte-identical to
-// the same runs built one by one through RunTarget. (b) Exactly the
-// distinct selections — counted with pthsel.Select and cpu.SamePThreads —
-// report a throughput, and there are fewer of them than runs. (c) Nothing
-// is remembered across calls: a second identical sweep simulates as many.
+// oneByOne is the shared-nothing reference for a grid: every (benchmark,
+// point, target) run built through RunTarget (run.Sel is pthsel.Select's
+// own), benchmarks fanned out on the engine's pool. It returns the runs'
+// reports in sweep order, throughput stripped, and how many timing runs a
+// sweep must simulate: the distinct non-empty p-thread lists
+// (cpu.SamePThreads) per measurement baseline-stage key, across the whole
+// grid and summed point by point.
+func oneByOne(t *testing.T, r *Runner, grid Grid) (want []RunReport, distinct, perPoint int) {
+	t.Helper()
+	type point struct {
+		key  artifactKey
+		runs []*TargetRun
+	}
+	pts := grid.points(r.cfg)
+	refs := make([][]point, len(grid.Benchmarks))
+	err := r.runDAG(context.Background(), figureSinks(grid.Benchmarks, func(ctx context.Context, i int) error {
+		for _, pt := range pts {
+			prep, err := r.Prepare(ctx, grid.Benchmarks[i], pt.cfg.MeasureInput, pt.cfg)
+			if err != nil {
+				return err
+			}
+			c, err := newChain(grid.Benchmarks[i], prep.Input, pt.cfg)
+			if err != nil {
+				return err
+			}
+			p := point{key: c.key(StageBaseline)}
+			for _, tgt := range grid.Targets {
+				run, err := RunTarget(ctx, prep, prep, tgt, pt.cfg)
+				if err != nil {
+					return err
+				}
+				p.runs = append(p.runs, run)
+			}
+			refs[i] = append(refs[i], p)
+		}
+		return nil
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	type timing struct {
+		key      artifactKey
+		pthreads []*cpu.PThread
+	}
+	var all []timing
+	for _, bench := range refs {
+		for _, p := range bench {
+			var here []timing
+			for _, run := range p.runs {
+				rr := runReport(run)
+				rr.SimCyclesPerSec = 0
+				want = append(want, rr)
+				if len(run.Sel.PThreads) == 0 {
+					continue
+				}
+				tm := timing{p.key, run.Sel.PThreads}
+				same := func(o timing) bool { return o.key == tm.key && cpu.SamePThreads(o.pthreads, tm.pthreads) }
+				if !slices.ContainsFunc(here, same) {
+					here = append(here, tm)
+				}
+				if !slices.ContainsFunc(all, same) {
+					all = append(all, tm)
+				}
+			}
+			perPoint += len(here)
+		}
+	}
+	return want, len(all), perPoint
+}
+
+// TestSweepSharesMeasurements pins the call-scoped timing-run table on the
+// memory-latency grid over the paper nine under L, E and P, at parallelism
+// 2: a run simulates once per distinct (baseline-stage key, p-thread list),
+// and a target that selects nothing takes the baseline. (a) The warm
+// sweep's reports, throughput stripped, are byte-identical to the same runs
+// built one by one through RunTarget. (b) Exactly the distinct timing runs
+// report a throughput, in the report and in run-done events, and there are
+// fewer of them than runs: the table is single-flight across workers.
+// (c) Nothing is remembered across calls: a second identical sweep
+// simulates as many. (d) A Figure 5 idle-axis sweep, whose points differ
+// only in energy parameters, shares its timing runs across points and
+// stays byte-identical to one-by-one RunTarget.
 func TestSweepSharesMeasurements(t *testing.T) {
 	ctx := context.Background()
 	var runDone, simulated int // observer calls are serialized
@@ -362,95 +437,154 @@ func TestSweepSharesMeasurements(t *testing.T) {
 			}
 		}
 	})
-	grid := Grid{Axes: []Axis{GridAxis(SweepMemLatency)}, Benchmarks: PaperBenchmarks(), Targets: Figure4Targets}
-	cold, err := r.Sweep(ctx, grid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm, err := r.Sweep(ctx, grid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	measured := func(rep *SweepReport) (n int) {
-		for _, pt := range rep.Points {
-			for _, run := range pt.Runs {
-				if run.SimCyclesPerSec > 0 {
-					n++
-				}
+	// measured counts the runs a report says were simulated, and strips
+	// their throughput.
+	measured := func(runs []RunReport) (n int) {
+		for i := range runs {
+			if runs[i].SimCyclesPerSec > 0 {
+				n++
 			}
+			runs[i].SimCyclesPerSec = 0
 		}
 		return n
 	}
-	coldMeasured, warmMeasured := measured(cold), measured(warm)
-	if runDone != 2*grid.Points()*len(grid.Benchmarks)*len(grid.Targets) || simulated != coldMeasured+warmMeasured {
-		t.Errorf("run-done events: %d, %d with a throughput; want one per target run and %d with a throughput",
-			runDone, simulated, coldMeasured+warmMeasured)
+	sweep := func(g Grid) (runs []RunReport, sims int) {
+		runDone, simulated = 0, 0
+		rep, err := r.Sweep(ctx, g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pt := range rep.Points {
+			runs = append(runs, pt.Runs...)
+		}
+		if n := measured(runs); runDone != len(runs) || simulated != n {
+			t.Errorf("run-done events: %d, %d with a throughput; want one per target run (%d) and %d with a throughput",
+				runDone, simulated, len(runs), n)
+		}
+		return runs, simulated
 	}
 
+	grid := Grid{Axes: []Axis{GridAxis(SweepMemLatency)}, Benchmarks: PaperBenchmarks(), Targets: Figure4Targets}
+	cold, coldSims := sweep(grid)
+	warm, warmSims := sweep(grid)
+	want, distinct, _ := oneByOne(t, r, grid)
+	a, _ := json.Marshal(warm)
+	b, _ := json.Marshal(want)
+	if !bytes.Equal(a, b) {
+		t.Errorf("shared-measurement sweep diverges from one-by-one RunTarget:\nsweep:     %s\nRunTarget: %s", a, b)
+	}
+	if c, _ := json.Marshal(cold); !bytes.Equal(c, a) {
+		t.Error("cold and warm sweeps disagree")
+	}
+	if warmSims != distinct || distinct >= len(want) {
+		t.Errorf("warm sweep simulated %d of %d runs, want the %d distinct timing runs (fewer than the runs)",
+			warmSims, len(want), distinct)
+	}
+	if coldSims != warmSims {
+		t.Errorf("second sweep simulated %d runs, first %d: measurements must not be remembered across calls",
+			warmSims, coldSims)
+	}
+	t.Logf("memory-latency grid: %d distinct timing runs of %d runs", distinct, len(want))
+
+	runDone, simulated = 0, 0
+	fig5, err := r.Figure5(ctx, SweepIdleFactor, Figure5Benchmarks(SweepIdleFactor))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []RunReport
+	for _, pt := range fig5.Points {
+		got = append(got, pt.Runs...)
+	}
+	sims := measured(got)
+	idle := Grid{Axes: []Axis{GridAxis(SweepIdleFactor)}, Benchmarks: Figure5Benchmarks(SweepIdleFactor), Targets: Figure4Targets}
+	want, distinct, perPoint := oneByOne(t, r, idle)
+	a, _ = json.Marshal(got)
+	b, _ = json.Marshal(want)
+	if !bytes.Equal(a, b) {
+		t.Errorf("idle-axis Figure 5 diverges from one-by-one RunTarget:\nfigure 5:  %s\nRunTarget: %s", a, b)
+	}
+	if runDone != len(got) || sims != distinct || simulated != distinct || distinct >= perPoint {
+		t.Errorf("idle-axis Figure 5: %d run-done events for %d runs, %d simulated (%d events with a throughput); want one event per run and the %d distinct timing runs, fewer than the %d distinct per point",
+			runDone, len(got), sims, simulated, distinct, perPoint)
+	}
+	t.Logf("idle-axis Figure 5: %d timing runs of %d runs (%d without sharing across points)", distinct, len(want), perPoint)
+}
+
+// TestEmptySelectionIsBaseline covers every paper benchmark at every
+// memory-latency point where L, E or P selects no p-threads: the sweep
+// takes the preparation's baseline as the run without simulating, its
+// report (throughput stripped) is byte-identical to a simulated RunTarget,
+// and no caller mutates the shared baseline Result.
+func TestEmptySelectionIsBaseline(t *testing.T) {
+	ctx := context.Background()
+	r := NewRunner(DefaultConfig(), 2, nil)
+	grid := Grid{Axes: []Axis{GridAxis(SweepMemLatency)}, Benchmarks: PaperBenchmarks(), Targets: Figure4Targets}
 	pts := grid.points(r.cfg)
-	// The reference: every run built one by one through RunTarget, which
-	// shares nothing (run.Sel is pthsel.Select's own), benchmarks fanned
-	// out on the engine's pool.
-	perPoint := make([][][]*TargetRun, len(grid.Benchmarks))
-	err = r.runDAG(ctx, figureSinks(grid.Benchmarks, func(ctx context.Context, i int) error {
+	preps := make([][]*Prepared, len(grid.Benchmarks))
+	err := r.runDAG(ctx, figureSinks(grid.Benchmarks, func(ctx context.Context, i int) error {
 		for _, pt := range pts {
 			prep, err := r.Prepare(ctx, grid.Benchmarks[i], pt.cfg.MeasureInput, pt.cfg)
 			if err != nil {
 				return err
 			}
-			var runs []*TargetRun
-			for _, tgt := range grid.Targets {
-				run, err := RunTarget(ctx, prep, prep, tgt, pt.cfg)
-				if err != nil {
-					return err
-				}
-				runs = append(runs, run)
-			}
-			perPoint[i] = append(perPoint[i], runs)
+			preps[i] = append(preps[i], prep)
 		}
 		return nil
 	}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var want []RunReport
-	distinct := 0
-	for _, points := range perPoint {
-		for _, runs := range points {
-			for i, run := range runs {
-				rr := runReport(run)
-				rr.SimCyclesPerSec = 0
-				want = append(want, rr)
-				if !slices.ContainsFunc(runs[:i], func(p *TargetRun) bool { return cpu.SamePThreads(p.Sel.PThreads, run.Sel.PThreads) }) {
-					distinct++
+	var before []*cpu.Result
+	for _, bench := range preps {
+		for _, prep := range bench {
+			before = append(before, prep.Baseline.Clone())
+		}
+	}
+
+	rep, err := r.Sweep(ctx, grid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	empty := 0
+	for bi, bench := range grid.Benchmarks {
+		for pi, pt := range pts {
+			prep, row := preps[bi][pi], rep.Points[bi*len(pts)+pi]
+			for ti, tgt := range grid.Targets {
+				sel := pthsel.Select(prep.Trace, prep.Prof, prep.Trees, prep.Params, tgt)
+				if len(sel.PThreads) > 0 {
+					continue
+				}
+				empty++
+				got := row.Runs[ti]
+				if got.SimCyclesPerSec != 0 {
+					t.Errorf("%s@%s %s: empty selection simulated (%.0f cycles/s)", bench, pt.point(), tgt, got.SimCyclesPerSec)
+				}
+				ref, err := RunTarget(ctx, prep, prep, tgt, pt.cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := runReport(ref)
+				want.SimCyclesPerSec = 0
+				a, _ := json.Marshal(got)
+				b, _ := json.Marshal(want)
+				if !bytes.Equal(a, b) {
+					t.Errorf("%s@%s %s: baseline-derived run diverges from RunTarget:\nderived:   %s\nRunTarget: %s",
+						bench, pt.point(), tgt, a, b)
 				}
 			}
 		}
 	}
-
-	stripThroughput(cold)
-	stripThroughput(warm)
-	var got []RunReport
-	for _, pt := range warm.Points {
-		got = append(got, pt.Runs...)
+	if empty == 0 {
+		t.Fatal("no target selected nothing: the test covers no empty selection")
 	}
-	a, _ := json.Marshal(got)
-	b, _ := json.Marshal(want)
-	if !bytes.Equal(a, b) {
-		t.Errorf("shared-measurement sweep diverges from one-by-one RunTarget:\nsweep:     %s\nRunTarget: %s", a, b)
+	k := 0
+	for bi, bench := range preps {
+		for pi, prep := range bench {
+			if !reflect.DeepEqual(before[k], prep.Baseline) {
+				t.Errorf("%s@%s: the preparation's baseline Result changed", grid.Benchmarks[bi], pts[pi].point())
+			}
+			k++
+		}
 	}
-	c, _ := json.Marshal(cold.Points)
-	w, _ := json.Marshal(warm.Points)
-	if !bytes.Equal(c, w) {
-		t.Error("cold and warm sweeps disagree")
-	}
-	if warmMeasured != distinct || distinct >= len(want) {
-		t.Errorf("warm sweep simulated %d of %d runs, want the %d distinct selections (fewer than the runs)",
-			warmMeasured, len(want), distinct)
-	}
-	if coldMeasured != warmMeasured {
-		t.Errorf("second sweep simulated %d runs, first %d: measurements must not be remembered across calls",
-			warmMeasured, coldMeasured)
-	}
-	t.Logf("%d distinct selections of %d runs", distinct, len(want))
+	t.Logf("%d empty selections of %d runs", empty, len(grid.Benchmarks)*len(pts)*len(grid.Targets))
 }

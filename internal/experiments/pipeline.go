@@ -165,7 +165,7 @@ var stageTable = []stageDef{{
 	conf:  func(c Config) any { return deriveConfig(c) },
 	build: func(_ context.Context, in stageIn) (any, error) {
 		dc := in.conf.(pthsel.DeriveConfig)
-		base := baselineFor(in.up[0].(*cpu.Result), dc.Energy)
+		base := withEnergy(in.up[0].(*cpu.Result), dc.Energy)
 		return dc.Derive(float64(base.Cycles), base.Energy.Total(), base.IPC(),
 			in.up[1].(map[int32]critpath.Curve)), nil
 	},
@@ -181,7 +181,7 @@ var stageTable = []stageDef{{
 		cfg := in.conf.(Config)
 		p := assemblePrepared(in.name, in.up[0].(*trace.Trace), in.up[1].(*profile.Profile),
 			in.up[3].([]*slicer.Tree), in.up[4].(map[int32]critpath.Curve),
-			baselineFor(in.up[5].(*cpu.Result), cfg.CPU.Energy), in.up[6].(pthsel.Params))
+			withEnergy(in.up[5].(*cpu.Result), cfg.CPU.Energy), in.up[6].(pthsel.Params))
 		p.Input = in.input
 		return p, nil
 	},
@@ -364,14 +364,15 @@ func stageBaseline(ctx context.Context, name string, timingCfg cpu.Config, tr *t
 	return base, nil
 }
 
-// baselineFor returns one configuration's view of a cached timing baseline:
-// a clone whose energy breakdown is recomputed from the recorded event
-// counts under that configuration's energy parameters. Simulation timing is
-// independent of the energy model, so this is bit-identical to re-running
-// the baseline under the full configuration — which is what lets sweep
-// points that only mutate energy knobs reuse the cached baseline L0/E0.
-func baselineFor(base *cpu.Result, p energy.Params) *cpu.Result {
-	out := base.Clone()
+// withEnergy returns one configuration's view of a timing Result: a clone
+// whose energy breakdown is recomputed from the recorded event counts under
+// that configuration's energy parameters. Simulation timing is independent
+// of the energy model, so this is bit-identical to re-running the
+// simulation under the full configuration — which is what lets sweep
+// points that only mutate energy knobs share the cached baseline L0/E0 and
+// every target's timing run.
+func withEnergy(res *cpu.Result, p energy.Params) *cpu.Result {
+	out := res.Clone()
 	out.Energy = energy.Compute(p, out.Events)
 	return out
 }

@@ -5,14 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"slices"
 	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/artifactdisk"
-	"repro/internal/cpu"
 	"repro/internal/program"
 	"repro/internal/pthsel"
 )
@@ -323,26 +321,25 @@ func (r *Runner) ideal(ctx context.Context, bench string, targets []pthsel.Targe
 }
 
 // measure selects p-threads on sel for each target in order and measures
-// them on meas, simulating each distinct selection once: a target whose
-// p-threads equal an earlier target's (cpu.SamePThreads) derives its run
-// from that Result, which the deterministic simulator would reproduce
-// exactly. A shared run did not simulate, so its SimSeconds stays 0. Each
-// target gets its own run-start/run-done pair. Nothing outlives the call,
-// so a repeated sweep simulates again.
+// them on meas through the call's timing-run table (see timing.go): a
+// target whose run the call already has — the baseline for an empty
+// selection, an earlier target's or another sink's for the same p-threads
+// on the same trace and timing configuration — derives it without
+// simulating, so its SimSeconds stays 0. Each target gets its own
+// run-start/run-done pair.
 func (r *Runner) measure(ctx context.Context, bench string, sel, meas *Prepared, targets []pthsel.Target, cfg Config) ([]*TargetRun, error) {
+	c, err := newChain(bench, meas.Input, cfg)
+	if err != nil {
+		return nil, err
+	}
+	key, table := c.key(StageBaseline), timingTableOf(ctx)
 	runs := make([]*TargetRun, 0, len(targets))
 	for _, tgt := range targets {
 		r.emit(ctx, Event{Kind: EventRunStart, Bench: bench, Target: tgt.String()})
 		var run *TargetRun
 		err := ctx.Err()
 		if err == nil {
-			selection := pthsel.Select(sel.Trace, sel.Prof, sel.Trees, sel.Params, tgt)
-			same := func(p *TargetRun) bool { return cpu.SamePThreads(p.Sel.PThreads, selection.PThreads) }
-			if k := slices.IndexFunc(runs, same); k >= 0 {
-				run = Derive(selection, meas.Baseline, runs[k].Res)
-			} else {
-				run, err = MeasureSelection(ctx, cfg.CPU, meas, selection)
-			}
+			run, err = table.run(ctx, key, cfg.CPU, meas, pthsel.Select(sel.Trace, sel.Prof, sel.Trees, sel.Params, tgt))
 		}
 		ev := Event{Kind: EventRunDone, Bench: bench, Target: tgt.String(), Err: err}
 		if err == nil {

@@ -175,8 +175,10 @@ func (r *Runner) runStageNode(ctx context.Context, c *chain, d stageDef) {
 // depth-first in plan (grid) order. Every node runs exactly once.
 // Cancellation stops workers from claiming further nodes; in-flight nodes
 // abort through their own context checks. It returns ctx.Err(), or else
-// the sinks' errors joined in job order.
+// the sinks' errors joined in job order. The sinks share one timing-run
+// table: ctx's own inside Suite, else a fresh one for this call.
 func (r *Runner) runDAG(ctx context.Context, sinks []sink) error {
+	ctx = withTimingTable(ctx)
 	b, _ := r.plan(sinks, r.sched)
 	nodes := b.order
 	if len(nodes) == 0 {

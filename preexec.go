@@ -587,6 +587,25 @@ func (l *Lab) Sweep(ctx context.Context, g Grid) (*SweepReport, error) {
 	return l.run.Sweep(ctx, g)
 }
 
+// Suite runs fn as one call scope for measurements: every figure, table,
+// sweep and campaign fn issues on this Lab through the context it receives
+// shares one table of timing runs, so a (trace, timing configuration,
+// p-thread list) run that several artifacts measure simulates once. Each
+// artifact is byte-identical to its standalone call, except that a run
+// another artifact already simulated reports no SimCyclesPerSec. Each
+// target keeps its own run-start/run-done events. The table dies when
+// Suite returns; outside Suite every entry point call gets its own.
+//
+//	err := lab.Suite(ctx, func(ctx context.Context) error {
+//	        f3, err := lab.Figure3(ctx, names)
+//	        ...
+//	        f5, err := lab.Figure5(ctx, preexec.SweepIdleFactor, names)
+//	        ...
+//	})
+func (l *Lab) Suite(ctx context.Context, fn func(ctx context.Context) error) error {
+	return l.run.Suite(ctx, fn)
+}
+
 // SweepDAG plans a grid without running it: the stage dependency DAG the
 // fan-out executor would walk (depth-first, in plan order), with every node
 // annotated by its status against the engine's current stores (cold /
