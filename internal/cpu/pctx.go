@@ -108,7 +108,7 @@ func (c *pctx) init(ti, spawnID int32, s *Simulator) {
 	c.grow(n) // no-op in steady state: NewSimulator sized the pools
 	c.vals = c.vals[:n]
 	c.insts = c.insts[:n]
-	c.abortAt = c.exec(&s.specRegs, &s.lastWriter, s.mem.words)
+	c.abortAt = c.exec(&s.specRegs, &s.lastWriter, s.mem)
 	if c.abortAt < n {
 		s.pthStats[c.statIdx].Aborted++
 	}

@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"encoding/binary"
 	"fmt"
 	"slices"
 
@@ -67,6 +68,28 @@ func SamePThreads(a, b []*PThread) bool {
 		return p.ID == q.ID && p.TriggerPC == q.TriggerPC && p.TargetPC == q.TargetPC &&
 			slices.Equal(p.Body, q.Body) && slices.Equal(p.Targets, q.Targets)
 	})
+}
+
+// PThreadsKey encodes an ordered p-thread list as a map key: two lists
+// have the same key exactly when SamePThreads holds for them.
+func PThreadsKey(pthreads []*PThread) string {
+	var b []byte
+	for _, p := range pthreads {
+		b = binary.AppendVarint(b, int64(p.ID))
+		b = binary.AppendVarint(b, int64(p.TriggerPC))
+		b = binary.AppendVarint(b, int64(p.TargetPC))
+		b = binary.AppendUvarint(b, uint64(len(p.Body)))
+		for _, in := range p.Body {
+			b = append(b, byte(in.Op), byte(in.Dst), byte(in.Src1), byte(in.Src2))
+			b = binary.AppendVarint(b, in.Imm)
+			b = binary.AppendVarint(b, int64(in.Target))
+		}
+		b = binary.AppendUvarint(b, uint64(len(p.Targets)))
+		for _, t := range p.Targets {
+			b = binary.AppendVarint(b, int64(t))
+		}
+	}
+	return string(b)
 }
 
 // MaxBodyLen returns the longest body among the given p-threads (0 for

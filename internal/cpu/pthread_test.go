@@ -91,7 +91,8 @@ func TestPThreadCounters(t *testing.T) {
 }
 
 // TestSamePThreads pins the sharing rule: two selections share one
-// measurement only when their ordered p-thread lists agree field for field.
+// measurement only when their ordered p-thread lists agree field for field,
+// and PThreadsKey agrees with SamePThreads on every case.
 func TestSamePThreads(t *testing.T) {
 	list := func() []*PThread {
 		a := validPThread()
@@ -101,16 +102,24 @@ func TestSamePThreads(t *testing.T) {
 		b.Targets = []int{3, 4}
 		return []*PThread{a, b}
 	}
-	if !SamePThreads(list(), list()) {
+	if !SamePThreads(list(), list()) || PThreadsKey(list()) != PThreadsKey(list()) {
 		t.Fatal("deep-equal lists rejected")
 	}
-	if !SamePThreads(nil, []*PThread{}) {
+	if !SamePThreads(nil, []*PThread{}) || PThreadsKey(nil) != PThreadsKey([]*PThread{}) {
 		t.Error("two empty selections rejected")
 	}
 	cases := map[string]func([]*PThread) []*PThread{
 		"one ID": func(l []*PThread) []*PThread { l[1].ID = 7; return l },
 		"one body instruction": func(l []*PThread) []*PThread {
 			l[0].Body[1].Imm++
+			return l
+		},
+		"body opcode":   func(l []*PThread) []*PThread { l[0].Body[0].Op = isa.Nop; return l },
+		"body register": func(l []*PThread) []*PThread { l[1].Body[0].Src2++; return l },
+		"body target":   func(l []*PThread) []*PThread { l[1].Body[0].Target++; return l },
+		"body moved": func(l []*PThread) []*PThread {
+			l[0].Body = append(l[0].Body, l[1].Body[0])
+			l[1].Body = l[1].Body[1:]
 			return l
 		},
 		"targets order": func(l []*PThread) []*PThread { l[1].Targets = []int{4, 3}; return l },
@@ -122,6 +131,9 @@ func TestSamePThreads(t *testing.T) {
 	for name, mutate := range cases {
 		if SamePThreads(list(), mutate(list())) {
 			t.Errorf("%s: lists that differ were accepted as the same", name)
+		}
+		if PThreadsKey(list()) == PThreadsKey(mutate(list())) {
+			t.Errorf("%s: lists that differ share a key", name)
 		}
 	}
 }

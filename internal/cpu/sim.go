@@ -108,7 +108,7 @@ type Simulator struct {
 	// Dispatch-time architectural state (correct path).
 	specRegs   [isa.NumRegs]int64
 	lastWriter [isa.NumRegs]int64
-	mem        memImage   // current only while p-threads are installed
+	mem        []int64    // current only while p-threads are installed
 	stores     storeTable // words of dispatched, uncommitted stores
 
 	// Pre-execution. Triggers are a per-PC intrusive list over the installed
@@ -281,7 +281,8 @@ func (s *Simulator) Reset(cfg Config, tr *trace.Trace, pthreads []*PThread) erro
 	// Only p-thread bodies read the memory image, so a run without
 	// p-threads neither restores nor updates it.
 	if len(pthreads) > 0 {
-		s.mem.reset(tr.Prog.InitMem)
+		s.mem = grow(s.mem, len(tr.Prog.InitMem))
+		copy(s.mem, tr.Prog.InitMem)
 	}
 	s.stores.reset(cfg.ROBSize)
 
@@ -694,7 +695,7 @@ func (s *Simulator) dispatchStage() bool {
 		}
 		if fl&isa.FlagStore != 0 {
 			if len(s.pthreads) > 0 {
-				s.mem.store(sl.addr>>3, sl.val)
+				s.mem[sl.addr>>3] = sl.val
 			}
 			s.stores.add(sl.addr >> 3)
 		}

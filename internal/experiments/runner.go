@@ -321,25 +321,24 @@ func (r *Runner) ideal(ctx context.Context, bench string, targets []pthsel.Targe
 }
 
 // measure selects p-threads on sel for each target in order and measures
-// them on meas through the call's timing-run table (see timing.go): a
-// target whose run the call already has — the baseline for an empty
-// selection, an earlier target's or another sink's for the same p-threads
-// on the same trace and timing configuration — derives it without
-// simulating, so its SimSeconds stays 0. Each target gets its own
-// run-start/run-done pair.
+// them on meas through the call's timing runs (see timing.go): a target
+// whose run the call already has — the baseline for an empty selection, an
+// earlier target's or another sink's for the same p-threads on the same
+// trace and timing configuration — derives it without simulating, so its
+// SimSeconds stays 0. Each target gets its own run-start/run-done pair.
 func (r *Runner) measure(ctx context.Context, bench string, sel, meas *Prepared, targets []pthsel.Target, cfg Config) ([]*TargetRun, error) {
 	c, err := newChain(bench, meas.Input, cfg)
 	if err != nil {
 		return nil, err
 	}
-	key, table := c.key(StageBaseline), timingTableOf(ctx)
+	key := c.key(StageBaseline)
 	runs := make([]*TargetRun, 0, len(targets))
 	for _, tgt := range targets {
 		r.emit(ctx, Event{Kind: EventRunStart, Bench: bench, Target: tgt.String()})
 		var run *TargetRun
 		err := ctx.Err()
 		if err == nil {
-			run, err = table.run(ctx, key, cfg.CPU, meas, pthsel.Select(sel.Trace, sel.Prof, sel.Trees, sel.Params, tgt))
+			run, err = timingRun(ctx, key, cfg.CPU, meas, pthsel.Select(sel.Trace, sel.Prof, sel.Trees, sel.Params, tgt))
 		}
 		ev := Event{Kind: EventRunDone, Bench: bench, Target: tgt.String(), Err: err}
 		if err == nil {

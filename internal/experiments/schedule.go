@@ -178,7 +178,7 @@ func (r *Runner) runStageNode(ctx context.Context, c *chain, d stageDef) {
 // the sinks' errors joined in job order. The sinks share one timing-run
 // table: ctx's own inside Suite, else a fresh one for this call.
 func (r *Runner) runDAG(ctx context.Context, sinks []sink) error {
-	ctx = withTimingTable(ctx)
+	ctx = withTimingRuns(ctx)
 	b, _ := r.plan(sinks, r.sched)
 	nodes := b.order
 	if len(nodes) == 0 {

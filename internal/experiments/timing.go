@@ -1,14 +1,16 @@
 package experiments
 
-// The call-scoped timing-run table. The simulator is deterministic in
-// (timing configuration, trace, p-threads), so within one call every
-// target measurement with the same measurement preparation, timing
-// configuration and p-thread list is the same run. The table holds one
-// timing Result per such run: the first requester simulates it, every
-// other requester derives its TargetRun from that Result, with the energy
-// breakdown recomputed under its own energy parameters (withEnergy). The
-// empty p-thread list's entry is the preparation's baseline, so a target
-// that selects nothing never simulates.
+// Call-scoped timing runs. The simulator is deterministic in (timing
+// configuration, trace, p-threads), so within one call every target
+// measurement with the same measurement preparation, timing configuration
+// and p-thread list is the same run. The call's context carries one
+// timing-run table: an artifactStore of timing Results keyed by the
+// preparation's baseline-stage key — which chains the trace's key and the
+// timing configuration — and the p-thread list (cpu.PThreadsKey). The
+// first requester simulates, every other requester derives its TargetRun
+// from that Result with the energy breakdown recomputed under its own
+// energy parameters (withEnergy). An empty selection is the preparation's
+// baseline and never simulates.
 //
 // runDAG gives every entry point call a fresh table unless the call's
 // context already carries one (Runner.Suite); nothing is kept on the
@@ -16,44 +18,20 @@ package experiments
 
 import (
 	"context"
-	"slices"
-	"sync"
 
 	"repro/internal/cpu"
 	"repro/internal/pthsel"
 )
 
-// timingRun is one table slot, single-flight: the first requester
-// simulates, everyone else waits on done.
-type timingRun struct {
-	pthreads []*cpu.PThread
-	done     chan struct{}
-	res      *cpu.Result // read-only once done; energy under its producer's parameters
-	err      error
-}
+type timingRunsKey struct{}
 
-// timingTable maps a measurement preparation's baseline-stage key — which
-// chains the trace's key and the timing configuration — to the runs
-// measured on it, compared by cpu.SamePThreads.
-type timingTable struct {
-	mu   sync.Mutex
-	runs map[artifactKey][]*timingRun
-}
-
-type timingTableKey struct{}
-
-// withTimingTable returns ctx carrying a timing-run table: ctx itself when
+// withTimingRuns returns ctx carrying a timing-run table: ctx itself when
 // it already carries one, else ctx with a fresh table.
-func withTimingTable(ctx context.Context) context.Context {
-	if _, ok := ctx.Value(timingTableKey{}).(*timingTable); ok {
+func withTimingRuns(ctx context.Context) context.Context {
+	if _, ok := ctx.Value(timingRunsKey{}).(*artifactStore); ok {
 		return ctx
 	}
-	return context.WithValue(ctx, timingTableKey{}, &timingTable{runs: map[artifactKey][]*timingRun{}})
-}
-
-// timingTableOf returns ctx's timing-run table.
-func timingTableOf(ctx context.Context) *timingTable {
-	return withTimingTable(ctx).Value(timingTableKey{}).(*timingTable)
+	return context.WithValue(ctx, timingRunsKey{}, newArtifactStore())
 }
 
 // Suite runs fn with one timing-run table for every entry point call fn
@@ -61,73 +39,33 @@ func timingTableOf(ctx context.Context) *timingTable {
 // sweeps or campaigns measure is simulated once across all of them. The
 // table dies when Suite returns.
 func (r *Runner) Suite(ctx context.Context, fn func(context.Context) error) error {
-	return fn(withTimingTable(ctx))
+	return fn(withTimingRuns(ctx))
 }
 
-// run measures selection on meas, whose baseline stage is key, under cfg:
-// it simulates when no earlier requester in the table has (MeasureSelection,
-// so the run reports its throughput), else derives the run from the shared
-// Result without simulating (SimSeconds stays 0). A simulation cancelled
-// under another requester's context is retired and retried under ctx.
-func (t *timingTable) run(ctx context.Context, key artifactKey, cfg cpu.Config, meas *Prepared, selection *pthsel.Selection) (*TargetRun, error) {
-	for {
-		e, owner := t.claim(key, meas.Baseline, selection.PThreads)
-		if owner {
-			run, err := MeasureSelection(ctx, cfg, meas, selection)
-			if err == nil {
-				e.res = run.Res
-			}
-			e.err = err
-			close(e.done)
-			if isContextErr(err) {
-				t.retire(key, e)
-			}
-			return run, err
-		}
-		select {
-		case <-e.done:
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-		if e.err == nil {
-			return Derive(selection, meas.Baseline, withEnergy(e.res, cfg.Energy)), nil
-		}
-		if !isContextErr(e.err) {
-			return nil, e.err
-		}
-		t.retire(key, e)
+// timingRun measures selection on meas, whose baseline stage is key, under
+// cfg. It simulates (MeasureSelection, so the run reports its throughput)
+// when no earlier requester of ctx's timing-run table has, and otherwise
+// derives the run from the shared Result without simulating (SimSeconds
+// stays 0). An empty selection is the baseline's run.
+func timingRun(ctx context.Context, key artifactKey, cfg cpu.Config, meas *Prepared, selection *pthsel.Selection) (*TargetRun, error) {
+	if len(selection.PThreads) == 0 {
+		return Derive(selection, meas.Baseline, meas.Baseline), nil
 	}
-}
-
-// claim returns key's slot for pthreads, and whether the caller created it
-// and must fill it. A key's first claim seeds the empty list's slot with
-// base, the preparation's baseline.
-func (t *timingTable) claim(key artifactKey, base *cpu.Result, pthreads []*cpu.PThread) (*timingRun, bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	runs, ok := t.runs[key]
-	if !ok {
-		seed := &timingRun{done: make(chan struct{}), res: base}
-		close(seed.done)
-		runs = []*timingRun{seed}
-		t.runs[key] = runs
-	}
-	for _, e := range runs {
-		if cpu.SamePThreads(e.pthreads, pthreads) {
-			return e, false
+	key.fp += "\x00" + cpu.PThreadsKey(selection.PThreads)
+	var run *TargetRun
+	res, outcome, err := withTimingRuns(ctx).Value(timingRunsKey{}).(*artifactStore).get(ctx, key, func() (any, error) {
+		var err error
+		run, err = MeasureSelection(ctx, cfg, meas, selection)
+		if err != nil {
+			return nil, err
 		}
+		return run.Res, nil
+	})
+	switch {
+	case err != nil:
+		return nil, err
+	case outcome == storeCold:
+		return run, nil
 	}
-	e := &timingRun{pthreads: pthreads, done: make(chan struct{})}
-	t.runs[key] = append(runs, e)
-	return e, true
-}
-
-// retire drops a slot whose simulation was cancelled, unless another
-// requester already did.
-func (t *timingTable) retire(key artifactKey, e *timingRun) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if i := slices.Index(t.runs[key], e); i >= 0 {
-		t.runs[key] = slices.Delete(t.runs[key], i, i+1)
-	}
+	return Derive(selection, meas.Baseline, withEnergy(res.(*cpu.Result), cfg.Energy)), nil
 }

@@ -10,13 +10,13 @@ import (
 	"repro/internal/pthsel"
 )
 
-// TestTimingTableConcurrent drives one timing-run slot from many
+// TestTimingTableConcurrent drives one timing run from many
 // goroutines, a quarter of them with a cancelled context: a cancelled
 // simulation is retired rather than handed on, every live requester gets
 // the run, and exactly one of them simulated it. An empty selection takes
 // the baseline without simulating.
 func TestTimingTableConcurrent(t *testing.T) {
-	ctx := context.Background()
+	ctx := withTimingRuns(context.Background())
 	cfg := DefaultConfig()
 	prep, err := Prepare(ctx, "gap", program.Train, cfg)
 	if err != nil {
@@ -29,7 +29,7 @@ func TestTimingTableConcurrent(t *testing.T) {
 	key := c.key(StageBaseline)
 	sel := pthsel.Select(prep.Trace, prep.Prof, prep.Trees, prep.Params, pthsel.TargetL)
 	if len(sel.PThreads) == 0 {
-		t.Fatal("gap selects no L-p-threads: the slot would be the baseline's")
+		t.Fatal("gap selects no L-p-threads: the run would be the baseline's")
 	}
 	want, err := MeasureSelection(ctx, cfg.CPU, prep, sel)
 	if err != nil {
@@ -38,7 +38,6 @@ func TestTimingTableConcurrent(t *testing.T) {
 
 	cancelled, cancel := context.WithCancel(ctx)
 	cancel()
-	table := timingTableOf(ctx)
 	const workers = 16
 	runs := make([]*TargetRun, workers)
 	errs := make([]error, workers)
@@ -51,7 +50,7 @@ func TestTimingTableConcurrent(t *testing.T) {
 			if i%4 == 0 {
 				wctx = cancelled
 			}
-			runs[i], errs[i] = table.run(wctx, key, cfg.CPU, prep, sel)
+			runs[i], errs[i] = timingRun(wctx, key, cfg.CPU, prep, sel)
 		}(i)
 	}
 	wg.Wait()
@@ -74,7 +73,7 @@ func TestTimingTableConcurrent(t *testing.T) {
 		t.Errorf("%d live requesters simulated, want exactly 1", simulated)
 	}
 
-	empty, err := table.run(ctx, key, cfg.CPU, prep, &pthsel.Selection{Target: pthsel.TargetE})
+	empty, err := timingRun(ctx, key, cfg.CPU, prep, &pthsel.Selection{Target: pthsel.TargetE})
 	if err != nil {
 		t.Fatal(err)
 	}
