@@ -29,6 +29,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"syscall"
 	"time"
 
 	"repro/internal/labd"
@@ -66,7 +67,8 @@ func main() {
 	go func() { errc <- httpSrv.ListenAndServe() }()
 	fmt.Fprintf(os.Stderr, "labd: serving on %s, store in %s\n", *addr, *dir)
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	// kill sends SIGTERM; Ctrl-C sends SIGINT. Both stop gracefully.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	select {
 	case err := <-errc:
@@ -75,10 +77,13 @@ func main() {
 	case <-ctx.Done():
 	}
 
-	// Graceful stop: cancel running jobs, then drain connections (their
-	// event streams terminate with the cancelled jobs).
+	// Graceful stop: cancel running jobs and wait for them, unmapping the
+	// engine's traces, then drain connections (their event streams
+	// terminate with the cancelled jobs).
 	fmt.Fprintln(os.Stderr, "labd: shutting down")
-	srv.Close()
+	if err := srv.Close(); err != nil {
+		fmt.Fprintln(os.Stderr, "labd:", err)
+	}
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := httpSrv.Shutdown(shutdownCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {

@@ -2,6 +2,7 @@ package preexec
 
 import (
 	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -78,6 +79,36 @@ func TestWithDiskStoreWarmRestart(t *testing.T) {
 		if got := wstats.Stages[st].SpillLoads; got != 1 {
 			t.Errorf("warm lab after hit: stage %s SpillLoads = %d, want 1", st, got)
 		}
+	}
+}
+
+// TestLabClose pins the end of a disk-backed Lab's lifetime: Close unmaps
+// its traces, and every later call on the Lab or on a Study it returned
+// fails with ErrClosed instead of reading unmapped memory.
+func TestLabClose(t *testing.T) {
+	ctx := context.Background()
+	lab := New(WithDiskStore(t.TempDir(), 0))
+	study, err := lab.AnalyzeBenchmark(ctx, "gap")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := lab.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := lab.Close(); err != nil {
+		t.Fatalf("second Close: %v", err)
+	}
+	if d := lab.StoreStats().Disk; d.MappedFiles != 0 {
+		t.Errorf("closed lab: %d mapped files, want 0", d.MappedFiles)
+	}
+	if _, err := lab.AnalyzeBenchmark(ctx, "gap"); !errors.Is(err, ErrClosed) {
+		t.Errorf("AnalyzeBenchmark after Close: %v, want ErrClosed", err)
+	}
+	if _, err := lab.Figure3(ctx, []string{"gap"}); !errors.Is(err, ErrClosed) {
+		t.Errorf("Figure3 after Close: %v, want ErrClosed", err)
+	}
+	if _, err := study.Run(ctx, TargetP); !errors.Is(err, ErrClosed) {
+		t.Errorf("Study.Run after Close: %v, want ErrClosed", err)
 	}
 }
 

@@ -93,8 +93,11 @@ var stageTable = []stageDef{{
 	stage: StageTrace,
 	build: func(_ context.Context, in stageIn) (any, error) { return stageTrace(in.name, in.input) },
 	// Traces spill in the page-aligned format so the warm path can mmap
-	// them. A file in an older trace format fails verification and is
-	// quarantined and rebuilt: the spill tier is a cache.
+	// them, and a cold-built trace is served from the file just written for
+	// it, reusing the built trace's program: a disk-backed engine holds
+	// every trace in a mapping. A file in an older trace format fails
+	// verification and is quarantined and rebuilt: the spill tier is a
+	// cache.
 	codec: &stageCodec{
 		encode: func(v any) ([]byte, error) { return encodeWith(v.(*trace.Trace).EncodeBinaryV2) },
 		decode: func(name string, input program.InputClass, data []byte) (any, error) {
@@ -104,7 +107,10 @@ var stageTable = []stageDef{{
 			}
 			return trace.DecodeBinaryV2(data, prog)
 		},
-		mapped: func(name string, input program.InputClass, payload []byte) (any, bool, error) {
+		mapped: func(name string, input program.InputClass, payload []byte, built any) (any, bool, error) {
+			if built != nil {
+				return trace.MapBytes(payload, built.(*trace.Trace).Prog)
+			}
 			prog, err := buildProgram(name, input)
 			if err != nil {
 				return nil, false, err
@@ -442,8 +448,11 @@ func (c *chain) build(ctx context.Context, st Stage, get func(Stage) (any, error
 // happens inside the singleflight slot, so concurrent requesters of one
 // artifact perform at most one load just as they perform at most one
 // build, and a freshly built artifact is spilled back before the slot
-// completes.
+// completes. After Close every request fails with ErrClosed.
 func (r *Runner) stage(ctx context.Context, key artifactKey, compute func() (any, error)) (any, error) {
+	if r.closed.Load() {
+		return nil, ErrClosed
+	}
 	i := stageRow(key.stage)
 	codec, sc := stageTable[i].codec, &r.stats[i]
 	start, done, cached, label := EventStageStart, EventStageDone, EventStageCached, string(key.stage)
@@ -472,7 +481,7 @@ func (r *Runner) stage(ctx context.Context, key artifactKey, compute func() (any
 		r.emit(ctx, ev)
 		if cerr == nil {
 			sc.lat.record(elapsed.Nanoseconds())
-			r.spillSave(codec, key, v)
+			v = r.spillSave(codec, key, v)
 		}
 		return v, cerr
 	})

@@ -105,11 +105,13 @@ type Runner struct {
 	mappedSpill bool
 
 	// mappings holds the live artifact mappings whose columns back mapped
-	// traces. In-memory artifacts live for the Runner's lifetime, so their
-	// backing mappings must too; the store's deferred byte accounting
-	// handles eviction underneath a live reader.
+	// traces, warm-loaded or remapped after a cold build (mapSpill). The
+	// in-memory artifacts they back live until Close, which unmaps them
+	// and sets closed so no later request can read one; the store's
+	// deferred byte accounting handles eviction underneath a live reader.
 	mapMu    sync.Mutex
 	mappings []*artifactdisk.Mapping
+	closed   atomic.Bool
 
 	obsMu sync.Mutex // serializes observer callbacks
 
@@ -167,6 +169,29 @@ func (r *Runner) SetScheduling(enabled bool) { r.sched = enabled }
 // byte-identical either way; only load cost and memory sharing change.
 // Call before issuing work; it is not synchronized with in-flight loads.
 func (r *Runner) SetMappedSpill(enabled bool) { r.mappedSpill = enabled }
+
+// ErrClosed is returned by every stage request of a closed Runner.
+var ErrClosed = errors.New("experiments: engine closed")
+
+// Close ends the engine's lifetime: it unmaps every spill mapping the
+// engine retains — the mapped traces its store serves — and every later
+// stage request fails with ErrClosed instead of reading unmapped memory.
+// Call it once every call on the engine has returned; StoreStats keeps
+// working. Close is idempotent.
+func (r *Runner) Close() error {
+	r.mapMu.Lock()
+	defer r.mapMu.Unlock()
+	r.closed.Store(true)
+	var errs []error
+	for _, m := range r.mappings {
+		errs = append(errs, m.Close())
+	}
+	r.mappings = nil
+	return errors.Join(errs...)
+}
+
+// Closed reports whether Close has been called.
+func (r *Runner) Closed() bool { return r.closed.Load() }
 
 // StagePrepares reports how many cold executions of one pipeline stage the
 // engine has performed, across all benchmarks and configurations — the

@@ -31,8 +31,11 @@ type stageCodec struct {
 	// mapped, when set, serves the artifact from a read-only mapping of its
 	// payload, reporting whether the value aliases the mapping. Such
 	// payloads are saved in the page-aligned container (SaveAligned) so
-	// LoadMapped can serve them zero-copy.
-	mapped func(name string, input program.InputClass, payload []byte) (v any, aliased bool, err error)
+	// LoadMapped can serve them zero-copy, and a cold-built artifact is
+	// served from the file just written for it (spillSave). built is nil
+	// on a warm load; after a cold build it is the artifact the payload was
+	// encoded from, whose unserialized parts mapped reuses.
+	mapped func(name string, input program.InputClass, payload []byte, built any) (v any, aliased bool, err error)
 }
 
 // encodeWith runs a streaming encoder into a fresh buffer.
@@ -148,9 +151,8 @@ func (r *Runner) spillLoad(codec *stageCodec, key artifactKey) (v any, ok, mappe
 	if r.disk == nil || codec == nil {
 		return nil, false, false
 	}
-	dk := diskKey(key)
 	if codec.mapped != nil && r.mappedSpill {
-		if v, ok := r.spillLoadMapped(codec, key, dk); ok {
+		if v, _, ok := r.mapSpill(codec, key, nil); ok {
 			return v, true, true
 		}
 		// Fall through to the heap path: the artifact may be absent, held
@@ -158,6 +160,7 @@ func (r *Runner) spillLoad(codec *stageCodec, key artifactKey) (v any, ok, mappe
 		// or freshly quarantined (in which case the load below misses and
 		// the caller rebuilds).
 	}
+	dk := diskKey(key)
 	data, ok := r.disk.Load(dk)
 	if !ok {
 		return nil, false, false
@@ -170,51 +173,66 @@ func (r *Runner) spillLoad(codec *stageCodec, key artifactKey) (v any, ok, mappe
 	return val, true, false
 }
 
-// spillLoadMapped serves an artifact from a read-only mapping of its spill
-// file: container and artifact verification run once, the value may alias
-// the mapping, and an aliased mapping is retained for the Runner's lifetime
-// (the in-memory artifact it backs lives that long too). Any verification
-// failure quarantines the file, exactly like the heap path.
-func (r *Runner) spillLoadMapped(codec *stageCodec, key artifactKey, dk artifactdisk.Key) (any, bool) {
+// mapSpill serves an artifact from a read-only mapping of its spill file,
+// for a warm load (built nil) and for a cold build just spilled (built the
+// heap artifact). Container and artifact verification run once; a failure
+// quarantines the file, exactly like the heap path. A value that aliases
+// the mapping keeps it in r.mappings until Close — the in-memory artifact
+// it backs lives that long — and one the verifier copied to the heap
+// (unaligned mapping or big-endian host) releases it at once. ok is false
+// when nothing was served, also after Close.
+func (r *Runner) mapSpill(codec *stageCodec, key artifactKey, built any) (v any, aliased, ok bool) {
+	dk := diskKey(key)
 	m, ok := r.disk.LoadMapped(dk)
 	if !ok {
-		return nil, false
+		return nil, false, false
 	}
-	v, aliased, err := codec.mapped(key.name, key.input, m.Payload())
+	v, aliased, err := codec.mapped(key.name, key.input, m.Payload(), built)
 	if err != nil {
 		m.Close()
 		r.disk.Quarantine(dk)
-		return nil, false
+		return nil, false, false
 	}
 	if !aliased {
-		// The verifier fell back to a heap copy (unaligned mapping or
-		// big-endian host): the value is fine but does not reference the
-		// mapping, so release it now.
 		m.Close()
-		return v, true
+		return v, false, true
 	}
 	r.mapMu.Lock()
+	defer r.mapMu.Unlock()
+	if r.closed.Load() {
+		m.Close()
+		return nil, false, false
+	}
 	r.mappings = append(r.mappings, m)
-	r.mapMu.Unlock()
-	return v, true
+	return v, true, true
 }
 
 // spillSave writes a freshly built stage artifact to the disk tier,
 // best-effort: an artifact that cannot be serialized or persisted is simply
-// rebuilt by the next cold process.
-func (r *Runner) spillSave(codec *stageCodec, key artifactKey, v any) {
+// rebuilt by the next cold process. It returns the value the in-memory
+// store keeps: for a mapped codec, the artifact served from a mapping of
+// the file just written, so the heap copy becomes garbage; v itself when
+// the save fails, the platform cannot map, the payload maps unaligned, or
+// the mapped path is off.
+func (r *Runner) spillSave(codec *stageCodec, key artifactKey, v any) any {
 	if r.disk == nil || codec == nil {
-		return
+		return v
 	}
 	data, err := codec.encode(v)
 	if err != nil {
-		return
+		return v
 	}
-	if codec.mapped != nil {
-		r.disk.SaveAligned(diskKey(key), data)
-		return
+	if codec.mapped == nil {
+		r.disk.Save(diskKey(key), data)
+		return v
 	}
-	r.disk.Save(diskKey(key), data)
+	if r.disk.SaveAligned(diskKey(key), data) != nil || !r.mappedSpill {
+		return v
+	}
+	if mv, aliased, ok := r.mapSpill(codec, key, v); ok && aliased {
+		return mv
+	}
+	return v
 }
 
 // StageStoreStats is one pipeline stage's view of the artifact store: how

@@ -1,9 +1,11 @@
 package experiments
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"hash/crc32"
 	"io/fs"
 	"os"
@@ -14,6 +16,7 @@ import (
 
 	"repro/internal/artifactdisk"
 	"repro/internal/program"
+	"repro/internal/pthsel"
 )
 
 // traceSpillFile returns the single trace-stage artifact file under dir.
@@ -59,12 +62,50 @@ func copyDir(t *testing.T, src, dst string) {
 	}
 }
 
-// TestMappedSpillRestartWarm pins the zero-copy restart path: a fresh Runner
-// over a populated directory serves its trace through a read-only mapping
-// (spill_mapped == 1 on the trace stage, 0 everywhere else), keeps one file
-// mapped in the store's accounting, and assembles a preparation equal to the
-// cold one. A runner with the mapped path disabled still loads the same v2
-// file, just through the heap decoder.
+// samePrepared fails t unless got's artifacts are byte-identical to want's
+// and a target run over got's trace reproduces the one over want's.
+func samePrepared(t *testing.T, ctx context.Context, cfg Config, want, got *Prepared) {
+	t.Helper()
+	encode := func(p *Prepared) []byte {
+		data, err := encodeWith(p.Trace.EncodeBinaryV2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	if !bytes.Equal(encode(want), encode(got)) {
+		t.Error("trace diverged")
+	}
+	if !reflect.DeepEqual(want.Prof, got.Prof) || !reflect.DeepEqual(want.Trees, got.Trees) ||
+		!reflect.DeepEqual(want.Curves, got.Curves) || !reflect.DeepEqual(want.Baseline, got.Baseline) ||
+		!reflect.DeepEqual(want.Params, got.Params) {
+		t.Error("profile, slice trees, curves, baseline or params diverged")
+	}
+	result := func(p *Prepared) []byte {
+		run, err := MeasureSelection(ctx, cfg.CPU, p, pthsel.Select(p.Trace, p.Prof, p.Trees, p.Params, pthsel.TargetP))
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := json.Marshal(run.Res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
+	}
+	if !bytes.Equal(result(want), result(got)) {
+		t.Error("target run diverged")
+	}
+}
+
+// TestMappedSpillRestartWarm pins the mapped trace paths. A cold build is
+// served from the file it was just spilled to (one mapped file, no spill
+// load) with artifacts and a target run identical to an engine without a
+// disk store; a fresh Runner over the populated directory serves its trace
+// through a read-only mapping (spill_mapped == 1 on the trace stage, 0
+// everywhere else), keeps one file mapped in the store's accounting, and
+// assembles a preparation equal to the cold one. A runner with the mapped
+// path disabled maps nothing, cold or warm: it loads the same v2 file
+// through the heap decoder. Close unmaps and fails later requests.
 func TestMappedSpillRestartWarm(t *testing.T) {
 	if !artifactdisk.MapSupported() {
 		t.Skip("platform cannot map files")
@@ -80,6 +121,32 @@ func TestMappedSpillRestartWarm(t *testing.T) {
 	p1, err := r1.Prepare(ctx, "gap", program.Train, cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	s1 := r1.StoreStats()
+	if tc := s1.Stages[StageTrace]; tc.Cold != 1 || tc.SpillLoads != 0 || tc.SpillMapped != 0 {
+		t.Errorf("cold runner trace cold/spill_loads/spill_mapped = %d/%d/%d, want 1/0/0",
+			tc.Cold, tc.SpillLoads, tc.SpillMapped)
+	}
+	if s1.Disk.MappedFiles != 1 {
+		t.Errorf("cold runner: %d mapped files, want 1 (the remapped trace)", s1.Disk.MappedFiles)
+	}
+	p0, err := NewRunner(cfg, 0, nil).Prepare(ctx, "gap", program.Train, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	samePrepared(t, ctx, cfg, p0, p1)
+
+	r0 := NewRunner(cfg, 0, nil)
+	r0.SetMappedSpill(false)
+	if err := r0.AttachDiskStore(t.TempDir(), 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r0.Prepare(ctx, "gap", program.Train, cfg); err != nil {
+		t.Fatal(err)
+	}
+	if s0 := r0.StoreStats(); s0.Disk.MappedFiles != 0 || s0.Stages[StageTrace].Cold != 1 {
+		t.Errorf("heap-only cold runner: %d mapped files, trace cold %d, want 0 and 1",
+			s0.Disk.MappedFiles, s0.Stages[StageTrace].Cold)
 	}
 
 	r2 := NewRunner(cfg, 0, nil)
@@ -144,6 +211,20 @@ func TestMappedSpillRestartWarm(t *testing.T) {
 	}
 	if s3.Disk.MappedFiles != 0 {
 		t.Errorf("heap-only runner: %d mapped files, want 0", s3.Disk.MappedFiles)
+	}
+
+	for _, r := range []*Runner{r1, r2} {
+		for i := 0; i < 2; i++ { // Close is idempotent
+			if err := r.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if st := r.StoreStats(); st.Disk.MappedFiles != 0 || st.Disk.MappedBytes != 0 {
+			t.Errorf("closed runner: %d mapped files, %d bytes, want 0", st.Disk.MappedFiles, st.Disk.MappedBytes)
+		}
+		if _, err := r.Prepare(ctx, "gap", program.Train, cfg); !errors.Is(err, ErrClosed) {
+			t.Errorf("Prepare after Close: err %v, want ErrClosed", err)
+		}
 	}
 }
 

@@ -73,6 +73,11 @@ type Server struct {
 	mu     sync.Mutex
 	jobs   map[string]*job
 	nextID int
+	closed bool // Close began: no further job starts
+
+	// running counts runSweep goroutines, so Close can wait for every job
+	// to leave the engine before closing it.
+	running sync.WaitGroup
 }
 
 // job is one submitted sweep and its event history.
@@ -138,9 +143,18 @@ func New(cfg Config) (*Server, error) {
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
-// Close cancels every running job. In-flight streams terminate with their
-// jobs; the HTTP server's own shutdown is the caller's.
-func (s *Server) Close() { s.cancel() }
+// Close cancels every running job, waits for each job's goroutine to
+// return, then closes the Lab, unmapping its traces. A sweep submitted
+// after Close is refused. In-flight streams terminate with their jobs; the
+// HTTP server's own shutdown is the caller's. Close is idempotent.
+func (s *Server) Close() error {
+	s.mu.Lock()
+	s.closed = true
+	s.mu.Unlock()
+	s.cancel()
+	s.running.Wait()
+	return s.lab.Close()
+}
 
 // ---------------------------------------------------------------- events --
 
@@ -305,6 +319,9 @@ const maxSweepBody = 1 << 20
 // synchronously in the handler, into a registry that never shrinks.
 const maxSweepJobs = 256
 
+// errShuttingDown refuses a sweep submitted once Close has begun.
+var errShuttingDown = errors.New("daemon is shutting down")
+
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var req labapi.SweepRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSweepBody)).Decode(&req); err != nil {
@@ -332,6 +349,10 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	// A grid that cannot be planned (no, unknown or duplicated benchmarks)
 	// would only fail as a job: reject it here with the engine's message.
 	dag, err := s.lab.SweepDAG(grid)
+	if errors.Is(err, preexec.ErrClosed) {
+		httpError(w, http.StatusServiceUnavailable, errShuttingDown)
+		return
+	}
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
@@ -340,9 +361,16 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithCancel(s.base)
 	j := &job{state: labapi.JobRunning, cancel: cancel, subs: map[*subscriber]struct{}{}, dag: dag.DOT()}
 	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		cancel()
+		httpError(w, http.StatusServiceUnavailable, errShuttingDown)
+		return
+	}
 	s.nextID++
 	j.id = fmt.Sprintf("j%d", s.nextID)
 	s.jobs[j.id] = j
+	s.running.Add(1)
 	s.mu.Unlock()
 
 	go s.runSweep(ctx, j, grid)
@@ -353,6 +381,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 // artifact line then job-done on success, job-failed (or cancelled) with
 // the error otherwise.
 func (s *Server) runSweep(ctx context.Context, j *job, grid preexec.Grid) {
+	defer s.running.Done()
 	defer j.cancel()
 	rep, err := s.lab.Sweep(preexec.WithEventTag(ctx, j.id), grid)
 	if err != nil {

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	preexec "repro"
+	"repro/internal/artifactdisk"
 	"repro/internal/labapi"
 )
 
@@ -282,6 +283,69 @@ func TestCancelJob(t *testing.T) {
 			t.Fatalf("job never left state %s", job.State)
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestRestartLeavesNoMappings restarts a daemon three times in one process
+// on one store directory. Each daemon serves a paper job with its trace
+// mapped — remapped after the cold build, then warm-loaded — and its Close
+// unmaps it, so no restart leaves a mapping behind.
+func TestRestartLeavesNoMappings(t *testing.T) {
+	if !artifactdisk.MapSupported() {
+		t.Skip("platform cannot map files")
+	}
+	dir := t.TempDir()
+	for i := 0; i < 3; i++ {
+		srv, ts := newTestServer(t, Config{Dir: dir})
+		id := submitSweep(t, ts.URL, labapi.SweepRequest{Benchmarks: []string{"gap"}, Targets: []string{"L"}})
+		sweepArtifact(t, streamEvents(t, ts.URL, id))
+		if d := getStats(t, ts.URL).Store.Disk; d.MappedFiles < 1 {
+			t.Errorf("daemon %d: %d mapped files while serving, want >= 1", i, d.MappedFiles)
+		}
+		if err := srv.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if d := getStats(t, ts.URL).Store.Disk; d.MappedFiles != 0 || d.MappedBytes != 0 {
+			t.Errorf("daemon %d after Close: %d mapped files, %d mapped bytes, want 0",
+				i, d.MappedFiles, d.MappedBytes)
+		}
+		ts.Close()
+	}
+}
+
+// TestCloseWaitsForJobs closes the daemon while a long job runs: Close
+// returns only once the job's goroutine has finished it as cancelled, and a
+// sweep submitted afterwards is refused.
+func TestCloseWaitsForJobs(t *testing.T) {
+	srv, ts := newTestServer(t, Config{Dir: t.TempDir(), Parallelism: 1})
+	id := submitSweep(t, ts.URL, labapi.SweepRequest{Axes: []string{"idle", "mem"}, Benchmarks: []string{"twolf"}})
+	resp, err := http.Get(fmt.Sprintf("%s/v1/jobs/%s/events", ts.URL, id))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if _, err := bufio.NewReader(resp.Body).ReadString('\n'); err != nil {
+		t.Fatalf("no first event: %v", err)
+	}
+
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	srv.mu.Lock()
+	j := srv.jobs[id]
+	srv.mu.Unlock()
+	if st := j.snapshot().State; st != labapi.JobCancelled {
+		t.Errorf("job state %s when Close returned, want cancelled", st)
+	}
+
+	body, _ := json.Marshal(smokeRequest)
+	after, err := http.Post(ts.URL+"/v1/sweep", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	after.Body.Close()
+	if after.StatusCode != http.StatusServiceUnavailable {
+		t.Errorf("sweep after Close: status %d, want 503", after.StatusCode)
 	}
 }
 

@@ -391,6 +391,26 @@ func (l *Lab) DiskStoreErr() error { return l.diskErr }
 // Config returns the engine's configuration.
 func (l *Lab) Config() Config { return l.cfg }
 
+// ErrClosed is returned by every call on a Lab, and on a Study it returned,
+// after Lab.Close.
+var ErrClosed = experiments.ErrClosed
+
+// Close ends the Lab's lifetime. It unmaps every trace the engine serves
+// from its disk store's files, and every later call on the Lab or on a
+// Study it returned fails with ErrClosed instead of reading unmapped
+// memory; the counters (StagePrepares, StoreStats) keep working. Call it
+// once every call on the Lab has returned. Close is idempotent.
+func (l *Lab) Close() error { return l.run.Close() }
+
+// err is what an entry point returns before doing any work: ErrClosed
+// after Close, else the configuration's validation error.
+func (l *Lab) err() error {
+	if l.run.Closed() {
+		return ErrClosed
+	}
+	return l.cfgErr
+}
+
 // StagePrepares reports how many cold executions of one preparation
 // pipeline stage the engine has performed; StagePrepares(StagePrepared)
 // counts whole-config preparations. It is the observable behind the
@@ -440,14 +460,14 @@ func (l *Lab) Benchmark(name string) (*Program, error) {
 // program: its trace, profile, slice trees, criticality curves and baseline
 // simulation.
 type Study struct {
-	cfg  Config
+	lab  *Lab
 	prep *experiments.Prepared
 }
 
 // Analyze traces, profiles and baselines a custom program.
 func (l *Lab) Analyze(ctx context.Context, prog *Program) (*Study, error) {
-	if l.cfgErr != nil {
-		return nil, l.cfgErr
+	if err := l.err(); err != nil {
+		return nil, err
 	}
 	if err := prog.Validate(); err != nil {
 		return nil, err
@@ -460,21 +480,21 @@ func (l *Lab) Analyze(ctx context.Context, prog *Program) (*Study, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Study{cfg: l.cfg, prep: prep}, nil
+	return &Study{lab: l, prep: prep}, nil
 }
 
 // AnalyzeBenchmark is Analyze for a named built-in workload. The
 // preparation goes through the artifact store, so repeated studies and
 // figures over the same benchmark share one.
 func (l *Lab) AnalyzeBenchmark(ctx context.Context, name string) (*Study, error) {
-	if l.cfgErr != nil {
-		return nil, l.cfgErr
+	if err := l.err(); err != nil {
+		return nil, err
 	}
 	prep, err := l.run.Prepare(ctx, name, l.cfg.MeasureInput, l.cfg)
 	if err != nil {
 		return nil, err
 	}
-	return &Study{cfg: l.cfg, prep: prep}, nil
+	return &Study{lab: l, prep: prep}, nil
 }
 
 // Baseline returns the unoptimized simulation result.
@@ -482,6 +502,9 @@ func (s *Study) Baseline() *Result { return s.prep.Baseline }
 
 // Select runs PTHSEL/PTHSEL+E under the given target.
 func (s *Study) Select(ctx context.Context, target Target) (*Selection, error) {
+	if err := s.lab.err(); err != nil {
+		return nil, err
+	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -494,7 +517,10 @@ func (s *Study) Select(ctx context.Context, target Target) (*Selection, error) {
 // pool, so repeated measurements reuse one fully-grown simulator, and it
 // records the simulation's wall-clock time (see TargetRun.SimCyclesPerSec).
 func (s *Study) Measure(ctx context.Context, sel *Selection) (*TargetRun, error) {
-	return experiments.MeasureSelection(ctx, s.cfg.CPU, s.prep, sel)
+	if err := s.lab.err(); err != nil {
+		return nil, err
+	}
+	return experiments.MeasureSelection(ctx, s.lab.cfg.CPU, s.prep, sel)
 }
 
 // Run is Select followed by Measure.
@@ -512,8 +538,8 @@ func (s *Study) Run(ctx context.Context, target Target) (*TargetRun, error) {
 // per-benchmark failures are carried inside the report (see
 // CampaignReport.Err).
 func (l *Lab) RunCampaign(ctx context.Context, names []string, targets []Target) (*CampaignReport, error) {
-	if l.cfgErr != nil {
-		return nil, l.cfgErr
+	if err := l.err(); err != nil {
+		return nil, err
 	}
 	return l.run.Campaign(ctx, names, targets)
 }
@@ -521,48 +547,48 @@ func (l *Lab) RunCampaign(ctx context.Context, names []string, targets []Target)
 // Figure2 reproduces the paper's Figure 2 breakdowns for the given
 // benchmarks.
 func (l *Lab) Figure2(ctx context.Context, names []string) (*Figure2Report, error) {
-	if l.cfgErr != nil {
-		return nil, l.cfgErr
+	if err := l.err(); err != nil {
+		return nil, err
 	}
 	return l.run.Figure2(ctx, names)
 }
 
 // Figure3 reproduces the paper's primary study (Figure 3).
 func (l *Lab) Figure3(ctx context.Context, names []string) (*Figure3Report, error) {
-	if l.cfgErr != nil {
-		return nil, l.cfgErr
+	if err := l.err(); err != nil {
+		return nil, err
 	}
 	return l.run.Figure3(ctx, names)
 }
 
 // Table3 reproduces the paper's model-validation table.
 func (l *Lab) Table3(ctx context.Context, names []string) (*Table3Report, error) {
-	if l.cfgErr != nil {
-		return nil, l.cfgErr
+	if err := l.err(); err != nil {
+		return nil, err
 	}
 	return l.run.Table3(ctx, names)
 }
 
 // Figure4 reproduces the realistic-profiling experiment (§5.3).
 func (l *Lab) Figure4(ctx context.Context, names []string) (*Figure4Report, error) {
-	if l.cfgErr != nil {
-		return nil, l.cfgErr
+	if err := l.err(); err != nil {
+		return nil, err
 	}
 	return l.run.Figure4(ctx, names)
 }
 
 // Figure5 reproduces one sensitivity sweep (Figure 5).
 func (l *Lab) Figure5(ctx context.Context, axis SweepAxis, names []string) (*Figure5Report, error) {
-	if l.cfgErr != nil {
-		return nil, l.cfgErr
+	if err := l.err(); err != nil {
+		return nil, err
 	}
 	return l.run.Figure5(ctx, axis, names)
 }
 
 // ED2Study reproduces the §5.1 ED² discussion.
 func (l *Lab) ED2Study(ctx context.Context, names []string) (*ED2Report, error) {
-	if l.cfgErr != nil {
-		return nil, l.cfgErr
+	if err := l.err(); err != nil {
+		return nil, err
 	}
 	return l.run.ED2Study(ctx, names)
 }
@@ -581,8 +607,8 @@ func (l *Lab) ED2Study(ctx context.Context, names []string) (*ED2Report, error) 
 //	        Benchmarks: []string{"mcf", "twolf"},
 //	})
 func (l *Lab) Sweep(ctx context.Context, g Grid) (*SweepReport, error) {
-	if l.cfgErr != nil {
-		return nil, l.cfgErr
+	if err := l.err(); err != nil {
+		return nil, err
 	}
 	return l.run.Sweep(ctx, g)
 }
@@ -613,8 +639,8 @@ func (l *Lab) Suite(ctx context.Context, fn func(ctx context.Context) error) err
 // GET /v1/jobs/{id}/dag). Planning registers the grid's workloads but
 // builds nothing and touches no counters.
 func (l *Lab) SweepDAG(g Grid) (*DAGReport, error) {
-	if l.cfgErr != nil {
-		return nil, l.cfgErr
+	if err := l.err(); err != nil {
+		return nil, err
 	}
 	return l.run.SweepDAG(g)
 }
