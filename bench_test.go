@@ -1,18 +1,14 @@
-// Benchmarks that cmd/benchgate runs and gates: the simulator hot loop
-// (event engine against the reference scan loop), the warm and cold sweep
-// grid, the paired stage-DAG scheduling ratio and the paired mapped
-// trace-spill ratio. The repository's end-to-end benchmark is perfbench/.
+// The simulator hot loop over the paper suite: BenchmarkSimHotLoop times
+// the event engine against the reference scan loop, and
+// TestSimHotLoopAllocationFree pins the event engine's steady state at zero
+// heap allocations. The repository's end-to-end benchmark is perfbench/.
 package preexec
 
 import (
-	"bytes"
 	"context"
-	"fmt"
 	"sync"
 	"testing"
-	"time"
 
-	"repro/internal/artifactdisk"
 	"repro/internal/cpu"
 	"repro/internal/experiments"
 	"repro/internal/program"
@@ -20,101 +16,9 @@ import (
 	"repro/internal/trace"
 )
 
-// sweepGridFixture is the benchmark grid: the paper's idle-factor axis on
-// the smallest benchmark, under the default sensitivity targets.
-func sweepGridFixture() Grid {
-	return Grid{Axes: []Axis{GridAxis(SweepIdleFactor)}, Benchmarks: []string{"gap"}}
-}
-
-// heavyStageBuilds counts the expensive upstream stage executions (trace,
-// profile, slice trees) an engine has performed — the per-stage reuse
-// observable cmd/benchgate gates.
-func heavyStageBuilds(lab *Lab) int64 {
-	return lab.StagePrepares(StageTrace) + lab.StagePrepares(StageProfile) + lab.StagePrepares(StageSlices)
-}
-
-// BenchmarkSweepGrid measures a 3-point single-axis sweep grid cold (fresh
-// engine, every stage built once thanks to per-stage sharing) versus warm
-// (every artifact cached; only the target measurements run). Both variants
-// report grid-stage-builds — heavy stage executions per sweep — which is 3
-// cold (one trace + one profile + one slice build for the benchmark) and
-// must be exactly 0 warm: cmd/benchgate gates the warm column, so a
-// regression that re-runs tracing, profiling or slicing for already-seen
-// sweep points fails CI.
-func BenchmarkSweepGrid(b *testing.B) {
-	ctx := context.Background()
-	grid := sweepGridFixture()
-	b.Run("cold", func(b *testing.B) {
-		var builds int64
-		for i := 0; i < b.N; i++ {
-			lab := New()
-			if _, err := lab.Sweep(ctx, grid); err != nil {
-				b.Fatal(err)
-			}
-			builds += heavyStageBuilds(lab)
-		}
-		b.ReportMetric(float64(builds)/float64(b.N), "grid-stage-builds")
-	})
-	b.Run("warm", func(b *testing.B) {
-		lab := New()
-		if _, err := lab.Sweep(ctx, grid); err != nil {
-			b.Fatal(err) // warm every stage artifact outside the timed loop
-		}
-		start := heavyStageBuilds(lab)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := lab.Sweep(ctx, grid); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(heavyStageBuilds(lab)-start)/float64(b.N), "grid-stage-builds")
-	})
-}
-
-// BenchmarkSweepSched compares a cold multi-axis sweep under naive
-// bench-major order (no chains declared) against the expanded stage DAG,
-// walked depth-first in grid order, on the same grid: five benchmarks × all
-// three sensitivity axes (27 points each), measured under the L target with
-// a fixed 8-worker pool. The two sides run back to back on interleaved
-// timers within each iteration, so machine-speed drift cancels out of the
-// reported sweep-sched-gain ratio (naive / DAG wall-clock; > 1 means the
-// DAG walk wins). cmd/benchgate gates that ratio at no worse than naive.
-// Each side uses a fresh Lab (cold store), so the ratio measures ordering
-// alone: stage nodes let idle workers pre-build shared stages instead of
-// waiting behind grid-order singleflight builds. On 2 cores the two orders
-// are within noise of each other, which is why the committed benchgate
-// floor carries a small noise margin.
-func BenchmarkSweepSched(b *testing.B) {
-	ctx := context.Background()
-	grid := Grid{
-		Axes: []Axis{GridAxis(SweepIdleFactor), GridAxis(SweepMemLatency),
-			GridAxis(SweepL2Size)},
-		Benchmarks: []string{"gap", "mcf", "parser", "twolf", "vortex"},
-		Targets:    []Target{TargetL},
-	}
-	var naive, sched time.Duration
-	for i := 0; i < b.N; i++ {
-		start := time.Now()
-		naiveLab := New(WithParallelism(8))
-		naiveLab.run.SetScheduling(false)
-		if _, err := naiveLab.Sweep(ctx, grid); err != nil {
-			b.Fatal(err)
-		}
-		naive += time.Since(start)
-		start = time.Now()
-		if _, err := New(WithParallelism(8)).Sweep(ctx, grid); err != nil {
-			b.Fatal(err)
-		}
-		sched += time.Since(start)
-	}
-	b.ReportMetric(naive.Seconds()/float64(b.N), "sweep-cold-naive-sec")
-	b.ReportMetric(sched.Seconds()/float64(b.N), "sweep-cold-sched-sec")
-	b.ReportMetric(naive.Seconds()/sched.Seconds(), "sweep-sched-gain")
-}
-
-// hotLoopWorkload is one prepared (trace, p-threads) pair for the hot-loop
-// benchmark; preparation and selection run once per process, outside any
-// timed region.
+// hotLoopWorkload is one prepared (trace, p-threads) pair for the hot loop;
+// preparation and selection run once per process, outside any timed or
+// counted region.
 type hotLoopWorkload struct {
 	trace    *trace.Trace
 	pthreads []*cpu.PThread
@@ -127,14 +31,14 @@ var hotLoop struct {
 	err       error
 }
 
-func hotLoopWorkloads(b *testing.B) []hotLoopWorkload {
-	b.Helper()
+func hotLoopWorkloads(tb testing.TB) []hotLoopWorkload {
+	tb.Helper()
 	hotLoop.once.Do(func() {
 		ctx := context.Background()
 		hotLoop.cfg = experiments.DefaultConfig()
-		// The gated corpus is the pinned paper nine: tests in this binary
-		// may have registered generated workloads, which must not leak into
-		// the benchgate baseline.
+		// The corpus is the pinned paper nine: tests in this binary may
+		// have registered generated workloads, which must not leak into
+		// the measured or counted loop.
 		for _, name := range program.PaperNames() {
 			prep, err := experiments.Prepare(ctx, name, program.Train, hotLoop.cfg)
 			if err != nil {
@@ -149,120 +53,86 @@ func hotLoopWorkloads(b *testing.B) []hotLoopWorkload {
 		}
 	})
 	if hotLoop.err != nil {
-		b.Fatal(hotLoop.err)
+		tb.Fatal(hotLoop.err)
 	}
 	return hotLoop.workloads
+}
+
+type simRun func(*cpu.Simulator, context.Context) (*cpu.Result, error)
+
+// hotLoopSims builds one simulator per hot-loop workload and warms it with
+// one run under run, growing every internal pool, exactly like the Lab's
+// per-worker reuse.
+func hotLoopSims(tb testing.TB, run simRun) []*cpu.Simulator {
+	tb.Helper()
+	workloads := hotLoopWorkloads(tb)
+	sims := make([]*cpu.Simulator, len(workloads))
+	for i, wl := range workloads {
+		s, err := cpu.NewSimulator(hotLoop.cfg.CPU, wl.trace, wl.pthreads)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if _, err := run(s, context.Background()); err != nil {
+			tb.Fatal(err)
+		}
+		sims[i] = s
+	}
+	return sims
+}
+
+// runHotLoop resets every warmed simulator onto its workload and runs it
+// once under run, returning the simulated cycles.
+func runHotLoop(tb testing.TB, sims []*cpu.Simulator, run simRun) int64 {
+	ctx := context.Background()
+	var cycles int64
+	for j, wl := range hotLoop.workloads {
+		s := sims[j]
+		if err := s.Reset(hotLoop.cfg.CPU, wl.trace, wl.pthreads); err != nil {
+			tb.Fatal(err)
+		}
+		res, err := run(s, ctx)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		cycles += res.Cycles
+	}
+	return cycles
+}
+
+// TestSimHotLoopAllocationFree pins the event engine's steady state over
+// the whole paper suite with L-target p-threads installed: once each
+// simulator's pools are grown, Reset plus RunContext on all nine workloads
+// performs zero heap allocations. internal/cpu's
+// TestResetSteadyStateAllocationFree checks the same on one workload.
+func TestSimHotLoopAllocationFree(t *testing.T) {
+	run := (*cpu.Simulator).RunContext
+	sims := hotLoopSims(t, run)
+	if n := testing.AllocsPerRun(1, func() { runHotLoop(t, sims, run) }); n != 0 {
+		t.Errorf("event hot loop: %v allocations per suite run after warm-up, want 0", n)
+	}
 }
 
 // simHotLoop times the cycle simulator's hot loop alone — no preparation,
 // no selection — across the full benchmark suite with L-p-threads
 // installed, under one engine — (*cpu.Simulator).RunContext or its
-// RunReference — reporting simulated cycles per wall-clock second. One
-// simulator per workload is built and warmed outside the timed region, then
-// reused through Reset every iteration, exactly like the Lab's per-worker
-// reuse: with every pool fully grown, the timed loop performs zero
-// allocations (ReportAllocs must read 0 allocs/op; benchgate gates this).
-func simHotLoop(b *testing.B, run func(*cpu.Simulator, context.Context) (*cpu.Result, error)) {
-	ctx := context.Background()
-	workloads := hotLoopWorkloads(b)
-	simCfg := hotLoop.cfg.CPU
-	sims := make([]*cpu.Simulator, len(workloads))
-	for i, wl := range workloads {
-		s, err := cpu.NewSimulator(simCfg, wl.trace, wl.pthreads)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := run(s, ctx); err != nil {
-			b.Fatal(err) // warm-up run grows every internal pool
-		}
-		sims[i] = s
-	}
+// RunReference — reporting simulated cycles per wall-clock second.
+func simHotLoop(b *testing.B, run simRun) {
+	sims := hotLoopSims(b, run)
 	b.ReportAllocs()
 	b.ResetTimer()
 	var cycles int64
 	for i := 0; i < b.N; i++ {
-		for j, wl := range workloads {
-			s := sims[j]
-			if err := s.Reset(simCfg, wl.trace, wl.pthreads); err != nil {
-				b.Fatal(err)
-			}
-			res, err := run(s, ctx)
-			if err != nil {
-				b.Fatal(err)
-			}
-			cycles += res.Cycles
-		}
+		cycles += runHotLoop(b, sims, run)
 	}
 	b.ReportMetric(float64(cycles)/b.Elapsed().Seconds(), "sim-cycles/s")
 }
 
 // BenchmarkSimHotLoop compares the event-driven wakeup scheduler against
 // the reference per-cycle scan engine on the same prepared workloads (every
-// paper benchmark, L-target p-threads installed). The event/scan
-// sim-cycles/s ratio is the tentpole speedup that cmd/benchgate gates in CI
-// (required: >= 1.5x), and the event engine's steady-state allocation rate
-// is gated at 0 allocs/op.
+// paper benchmark, L-target p-threads installed). CI profiles its event
+// side; the event/scan sim-cycles/s ratio is the engine speedup quoted in
+// EXPERIMENTS.md.
 func BenchmarkSimHotLoop(b *testing.B) {
 	b.Run("event", func(b *testing.B) { simHotLoop(b, (*cpu.Simulator).RunContext) })
 	b.Run("scan", func(b *testing.B) { simHotLoop(b, (*cpu.Simulator).RunReference) })
-}
-
-// BenchmarkTraceSpill times the two warm trace-load paths against each
-// other over the paper suite's spilled traces: the heap path (container
-// read, chunk-parallel checksum and column copy into fresh chunks, as on a
-// platform without mmap) versus the zero-copy mapped path (mmap,
-// chunk-parallel checksum + PC-range verify, columns aliasing the mapping).
-// Both read the same aligned spill file, and both sides run back to back
-// per iteration so machine-speed drift cancels out of the reported
-// spill-map-gain ratio, which cmd/benchgate gates (MinSpillMapGain).
-func BenchmarkTraceSpill(b *testing.B) {
-	if !artifactdisk.MapSupported() {
-		b.Skip("platform cannot map files")
-	}
-	workloads := hotLoopWorkloads(b)
-	store, err := artifactdisk.Open(b.TempDir(), 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	keys := make([]artifactdisk.Key, len(workloads))
-	for i, wl := range workloads {
-		keys[i] = artifactdisk.Key{Name: fmt.Sprintf("wl%d", i), Input: "train", Stage: "trace", FP: "fp"}
-		var buf bytes.Buffer
-		if err := wl.trace.EncodeBinaryV2(&buf); err != nil {
-			b.Fatal(err)
-		}
-		if err := store.SaveAligned(keys[i], buf.Bytes()); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ResetTimer()
-	var loadT, mapT time.Duration
-	for i := 0; i < b.N; i++ {
-		for j, wl := range workloads {
-			start := time.Now()
-			data, ok := store.Load(keys[j])
-			if !ok {
-				b.Fatal("heap load missed")
-			}
-			if _, err := trace.DecodeBinaryV2(data, wl.trace.Prog); err != nil {
-				b.Fatal(err)
-			}
-			loadT += time.Since(start)
-			start = time.Now()
-			m, ok := store.LoadMapped(keys[j])
-			if !ok {
-				b.Fatal("mapped load missed")
-			}
-			if _, _, err := trace.MapBytes(m.Payload(), wl.trace.Prog); err != nil {
-				b.Fatal(err)
-			}
-			// The unmap is untimed: production retains the mapping for the
-			// engine's lifetime, so teardown is not part of the load path.
-			mapT += time.Since(start)
-			m.Close()
-		}
-	}
-	b.ReportMetric(loadT.Seconds()/float64(b.N), "trace-spill-load-sec")
-	b.ReportMetric(mapT.Seconds()/float64(b.N), "trace-spill-map-sec")
-	b.ReportMetric(loadT.Seconds()/mapT.Seconds(), "spill-map-gain")
 }

@@ -93,15 +93,17 @@ type Runner struct {
 	observe     func(Event)
 
 	// sched lets the executor expand the preparation chains sinks declare
-	// (the default; see SetScheduling). It is scheduling state, deliberately
-	// outside Config so it never reaches a fingerprint: toggling it changes
-	// build order, not results.
+	// (the default). Tests clear it to claim sweep and campaign sinks in
+	// naive bench-major job order, each running its own Prepare. It is
+	// scheduling state, deliberately outside Config so it never reaches a
+	// fingerprint: clearing it changes build order, not results.
 	sched bool
 
 	// mappedSpill enables the zero-copy mmap trace-spill path (the
-	// default; see SetMappedSpill). Like sched it is never part of a
-	// fingerprint: results are byte-identical mapped or decoded, only the
-	// load cost changes.
+	// default). Tests clear it to force the chunk-parallel heap decode of
+	// warm trace loads. Like sched it is never part of a fingerprint:
+	// results are byte-identical mapped or decoded, only the load cost
+	// changes.
 	mappedSpill bool
 
 	// mappings holds the live artifact mappings whose columns back mapped
@@ -152,23 +154,6 @@ func NewRunner(cfg Config, parallelism int, observe func(Event)) *Runner {
 
 // Config returns the engine's base configuration.
 func (r *Runner) Config() Config { return r.cfg }
-
-// SetScheduling toggles chain expansion (enabled by default), a test hook with no public option. Disabled, the executor drops every
-// declared preparation chain, so sweep and campaign sinks are claimed in
-// naive bench-major job order, each running its own Prepare — the baseline
-// the scheduling tests and benchmark compare against. The figures declare
-// no chains, so it does not affect them. Results are byte-identical either
-// way; only build order and wall-clock change. Call before issuing work; it
-// is not synchronized with in-flight calls.
-func (r *Runner) SetScheduling(enabled bool) { r.sched = enabled }
-
-// SetMappedSpill toggles the zero-copy mmap path for trace spill loads
-// (enabled by default), a test hook with no public option. Disabled — or,
-// on its own, wherever mapping is impossible — warm trace loads fall back
-// to the chunk-parallel heap decode. Results are
-// byte-identical either way; only load cost and memory sharing change.
-// Call before issuing work; it is not synchronized with in-flight loads.
-func (r *Runner) SetMappedSpill(enabled bool) { r.mappedSpill = enabled }
 
 // ErrClosed is returned by every stage request of a closed Runner.
 var ErrClosed = errors.New("experiments: engine closed")
@@ -249,13 +234,22 @@ func (l *latencyReservoir) percentiles() (p50, p95 int64) {
 	return rank(0.50), rank(0.95)
 }
 
-func (r *Runner) emit(ctx context.Context, ev Event) {
+func (r *Runner) emit(ctx context.Context, ev Event) { r.emitDone(ctx, ev, nil) }
+
+// emitDone delivers ev and, with a non-nil done, numbers it as the call's
+// next completion: done is counted under the lock that orders delivery, so
+// observers see Done run 1..Total however the workers race to finish.
+func (r *Runner) emitDone(ctx context.Context, ev Event, done *int) {
 	if r.observe == nil {
 		return
 	}
 	ev.Tag = eventTag(ctx)
 	r.obsMu.Lock()
 	defer r.obsMu.Unlock()
+	if done != nil {
+		*done++
+		ev.Done = *done
+	}
 	r.observe(ev)
 }
 
@@ -394,7 +388,7 @@ func (r *Runner) Campaign(ctx context.Context, names []string, targets []pthsel.
 	entries := make([]CampaignBench, len(names))
 	errs := make([]error, len(names))
 	sinks := make([]sink, len(names))
-	var done atomic.Int64
+	var done int // completions delivered, under obsMu
 	for i, name := range names {
 		entries[i] = CampaignBench{Name: name}
 		// The sink reports into the campaign's own slots and returns nil:
@@ -409,8 +403,8 @@ func (r *Runner) Campaign(ctx context.Context, names []string, targets []pthsel.
 					entries[i].Baseline = baselineReport(prep.Baseline)
 					entries[i].Runs = runReports(runs)
 				}
-				r.emit(ctx, Event{Kind: EventBenchDone, Bench: name, Err: err,
-					Done: int(done.Add(1)), Total: len(names)})
+				r.emitDone(ctx, Event{Kind: EventBenchDone, Bench: name, Err: err,
+					Total: len(names)}, &done)
 				return nil
 			}}
 	}

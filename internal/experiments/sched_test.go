@@ -9,10 +9,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/pthsel"
 )
@@ -62,7 +64,7 @@ func TestSweepSchedMatchesNaive(t *testing.T) {
 	grid := schedTestGrid()
 
 	naive := NewRunner(DefaultConfig(), 4, nil)
-	naive.SetScheduling(false)
+	naive.sched = false
 	repN, err := naive.Sweep(ctx, grid)
 	if err != nil {
 		t.Fatal(err)
@@ -98,7 +100,7 @@ func TestCampaignSchedMatchesNaive(t *testing.T) {
 
 	run := func(sched bool) (*CampaignReport, *Runner) {
 		r := NewRunner(cfg, 4, nil)
-		r.SetScheduling(sched)
+		r.sched = sched
 		rep, err := r.Campaign(ctx, names, targets)
 		if err != nil {
 			t.Fatal(err)
@@ -177,6 +179,52 @@ func TestSweepSchedConcurrent(t *testing.T) {
 			t.Errorf("goroutine %d saw different sweep values", g)
 		}
 	}
+}
+
+// TestProgressInDeliveryOrder pins completion numbering: however the
+// workers race to finish, an observer sees Done count 1..Total in the
+// order it receives the point-done (sweep) and bench-done (campaign)
+// events. Repeated sweeps make a race likely: after the first they are
+// warm, each point only simulates, and idle points share one timing run,
+// so several points finish together.
+func TestProgressInDeliveryOrder(t *testing.T) {
+	ctx := context.Background()
+	var done []int
+	r := NewRunner(DefaultConfig(), 8, func(ev Event) {
+		if ev.Kind == EventPointDone || ev.Kind == EventBenchDone {
+			done = append(done, ev.Done)
+		}
+		// A slow observer, like labd's, which encodes and fans out every
+		// event: workers that finish meanwhile queue up on delivery.
+		time.Sleep(50 * time.Microsecond)
+	})
+	check := func(call string, total int) {
+		t.Helper()
+		for i, d := range done {
+			if d != i+1 {
+				t.Fatalf("%s: Done sequence %v, want 1..%d in delivery order", call, done, total)
+			}
+		}
+		if len(done) != total {
+			t.Fatalf("%s: %d completion events, want %d", call, len(done), total)
+		}
+		done = done[:0]
+	}
+	grid := Grid{
+		Axes:       []Axis{GridAxis(SweepIdleFactor)},
+		Benchmarks: []string{"gap", "twolf"},
+		Targets:    []pthsel.Target{pthsel.TargetL},
+	}
+	for i := 0; i < 5; i++ {
+		if _, err := r.Sweep(ctx, grid); err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("sweep %d", i), 6)
+	}
+	if _, err := r.Campaign(ctx, grid.Benchmarks, grid.Targets); err != nil {
+		t.Fatal(err)
+	}
+	check("campaign", 2)
 }
 
 // TestSweepDAGExport pins the plan export: node dedup across grid points,

@@ -168,8 +168,8 @@ func (r *Runner) runStageNode(ctx context.Context, c *chain, d stageDef) {
 }
 
 // runDAG is the one fan-out executor: it plans sinks (their declared
-// chains included unless SetScheduling(false) dropped them) and runs the
-// DAG on a bounded pool of r.parallelism workers. The ready set is a
+// chains included unless r.sched is cleared) and runs the DAG on a
+// bounded pool of r.parallelism workers. The ready set is a
 // stack seeded in reverse plan order, and a finished node pushes the
 // children it unblocked in reverse, so one worker walks the DAG
 // depth-first in plan (grid) order. Every node runs exactly once.

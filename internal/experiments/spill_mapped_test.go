@@ -137,7 +137,7 @@ func TestMappedSpillRestartWarm(t *testing.T) {
 	samePrepared(t, ctx, cfg, p0, p1)
 
 	r0 := NewRunner(cfg, 0, nil)
-	r0.SetMappedSpill(false)
+	r0.mappedSpill = false
 	if err := r0.AttachDiskStore(t.TempDir(), 0); err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestMappedSpillRestartWarm(t *testing.T) {
 
 	// Mapped path disabled: the same v2 file loads through the heap decoder.
 	r3 := NewRunner(cfg, 0, nil)
-	r3.SetMappedSpill(false)
+	r3.mappedSpill = false
 	if err := r3.AttachDiskStore(dir, 0); err != nil {
 		t.Fatal(err)
 	}

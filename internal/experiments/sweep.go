@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"sync/atomic"
 
 	"repro/internal/program/gen"
 	"repro/internal/pthsel"
@@ -225,7 +224,7 @@ func (r *Runner) sweepSinks(g Grid) (*SweepReport, []sink, error) {
 		rep.Axes[i] = ax.Name
 	}
 	sinks := make([]sink, 0, len(rep.Points))
-	var done atomic.Int64
+	var done int // completions delivered, under obsMu
 	for bi, bench := range names {
 		for _, pt := range pts {
 			i, point := len(sinks), pt.point()
@@ -235,8 +234,8 @@ func (r *Runner) sweepSinks(g Grid) (*SweepReport, []sink, error) {
 					if err == nil {
 						rep.Points[i] = SweepPointReport{Bench: bench, Workload: labels[bi], Labels: pt.labels, Runs: runReports(runs)}
 					}
-					r.emit(ctx, Event{Kind: EventPointDone, Bench: bench, Point: point, Err: err,
-						Done: int(done.Add(1)), Total: len(rep.Points)})
+					r.emitDone(ctx, Event{Kind: EventPointDone, Bench: bench, Point: point, Err: err,
+						Total: len(rep.Points)}, &done)
 					if err != nil {
 						return fmt.Errorf("%s@%s: %w", bench, point, err)
 					}

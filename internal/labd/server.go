@@ -95,7 +95,7 @@ type job struct {
 	errMsg   string
 	done     int
 	total    int
-	lines    []json.RawMessage // encoded StreamLines, replay for late subscribers
+	lines    []json.RawMessage // NDJSON-encoded StreamLines, replay for late subscribers
 	lost     int64             // replay lines dropped to the buffer bound
 	subs     map[*subscriber]struct{}
 	finished bool // terminal: lines is complete, subs are closed
@@ -197,7 +197,7 @@ func (s *Server) observe(ev preexec.Event) {
 // publish appends one line to the job's replay buffer and fans it out to
 // every subscriber, never blocking: a full queue counts a drop instead.
 func (j *job) publish(replayCap int, line labapi.StreamLine) {
-	raw, err := json.Marshal(line)
+	raw, err := marshalLine(line)
 	if err != nil {
 		return
 	}
@@ -496,8 +496,11 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
+	// writeLine writes one newline-terminated line as it is: the replay
+	// buffer and every subscriber queue share the slice, so it is never
+	// appended to.
 	writeLine := func(raw json.RawMessage) bool {
-		if _, err := w.Write(append(raw, '\n')); err != nil {
+		if _, err := w.Write(raw); err != nil {
 			return false
 		}
 		if flusher != nil {
@@ -505,13 +508,13 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		}
 		return true
 	}
-	marshalLine := func(line labapi.StreamLine) json.RawMessage {
-		raw, _ := json.Marshal(line)
+	lagging := func(n int64) json.RawMessage {
+		raw, _ := marshalLine(labapi.StreamLine{Kind: labapi.KindLagging, Dropped: n})
 		return raw
 	}
 
 	if lost > 0 {
-		if !writeLine(marshalLine(labapi.StreamLine{Kind: labapi.KindLagging, Dropped: lost})) {
+		if !writeLine(lagging(lost)) {
 			return
 		}
 	}
@@ -527,7 +530,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		// Surface queue overflow as soon as it is observed, so the gap is
 		// marked in-stream where it happened.
 		if n := sub.dropped.Swap(0); n > 0 {
-			if !writeLine(marshalLine(labapi.StreamLine{Kind: labapi.KindLagging, Dropped: n})) {
+			if !writeLine(lagging(n)) {
 				return
 			}
 		}
@@ -538,7 +541,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 				// stream (possibly the artifact line) was lost; mark the
 				// gap so the client knows to re-fetch the finished job.
 				if n := sub.dropped.Swap(0); n > 0 {
-					writeLine(marshalLine(labapi.StreamLine{Kind: labapi.KindLagging, Dropped: n}))
+					writeLine(lagging(n))
 				}
 				return
 			}
@@ -552,6 +555,12 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 }
 
 // ---------------------------------------------------------------- helpers --
+
+// marshalLine encodes one stream line as NDJSON, newline included.
+func marshalLine(line labapi.StreamLine) (json.RawMessage, error) {
+	raw, err := json.Marshal(line)
+	return append(raw, '\n'), err
+}
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"slices"
 	"strings"
 	"sync"
@@ -446,6 +447,48 @@ func TestSubscriberDropAndMark(t *testing.T) {
 	replay, lost, _ := j.subscribe(2)
 	if len(replay) != 10 || lost != 0 {
 		t.Errorf("replay %d lines lost %d, want 10 and 0", len(replay), lost)
+	}
+}
+
+// TestConcurrentStreamsOneJob runs two event streams of one job side by
+// side: the replay buffer and both subscriber queues share each encoded
+// line, so the handlers must only read it (run under -race). Both clients
+// receive the whole stream.
+func TestConcurrentStreamsOneJob(t *testing.T) {
+	srv, ts := newTestServer(t, Config{Dir: t.TempDir()})
+	j := &job{id: "jx", state: labapi.JobRunning, subs: map[*subscriber]struct{}{}}
+	srv.mu.Lock()
+	srv.jobs[j.id] = j
+	srv.mu.Unlock()
+	j.publish(replayBufferCap, labapi.StreamLine{Kind: "stage-start", Done: -1})
+
+	var wg sync.WaitGroup
+	streams := make([][]labapi.StreamLine, 2)
+	for i := range streams {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			streams[i] = streamEvents(t, ts.URL, j.id)
+		}(i)
+	}
+	for subscribed := 0; subscribed < len(streams); time.Sleep(time.Millisecond) {
+		j.mu.Lock()
+		subscribed = len(j.subs)
+		j.mu.Unlock()
+	}
+	for i := 0; i < 10; i++ {
+		j.publish(replayBufferCap, labapi.StreamLine{Kind: "stage-start", Done: i})
+	}
+	j.finish(replayBufferCap, labapi.JobDone, "", labapi.StreamLine{Kind: labapi.KindJobDone})
+	wg.Wait()
+
+	for i, lines := range streams {
+		if len(lines) != 12 { // replayed line, 10 live lines, job-done
+			t.Fatalf("client %d: %d lines, want 12: %+v", i, len(lines), lines)
+		}
+		if !reflect.DeepEqual(lines, streams[0]) {
+			t.Errorf("client %d stream differs from client 0's", i)
+		}
 	}
 }
 

@@ -1,9 +1,9 @@
-// The hot-path allocation analyzer. The benchmark gate proves the steady
-// state allocates nothing (allocs/op == 0), but only for the code paths the
-// benchmark happens to execute; hotalloc complements it by statically
-// rejecting alloc-inducing constructs anywhere in a function tagged
-// //lab:hotpath, including branches the benchmark never takes. The tags live
-// on the simulator's per-cycle machinery and the trace cursor accessors.
+// The hot-path allocation analyzer. TestSimHotLoopAllocationFree proves the
+// steady state allocates nothing, but only for the code paths the paper
+// suite happens to execute; hotalloc complements it by statically rejecting
+// alloc-inducing constructs anywhere in a function tagged //lab:hotpath,
+// including branches the suite never takes. The tags live on the
+// simulator's per-cycle machinery and the trace cursor accessors.
 
 package lint
 

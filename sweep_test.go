@@ -30,11 +30,12 @@ func TestSweepGridStageReuse(t *testing.T) {
 	// the baseline simulation is shared; only params (and the assembled
 	// view) rebuild per point.
 	lab := New()
-	if _, err := lab.Sweep(ctx, Grid{
+	idle := Grid{
 		Axes:       []Axis{GridAxis(SweepIdleFactor)},
 		Benchmarks: []string{"gap"},
 		Targets:    []Target{TargetL},
-	}); err != nil {
+	}
+	if _, err := lab.Sweep(ctx, idle); err != nil {
 		t.Fatal(err)
 	}
 	got := stageCounts(lab)
@@ -49,6 +50,17 @@ func TestSweepGridStageReuse(t *testing.T) {
 	}
 	if lab.StagePrepares(StagePrepared) != 3 {
 		t.Errorf("idle axis: StagePrepares(prepared) = %d, want 3 (one assembly per point)", lab.StagePrepares(StagePrepared))
+	}
+
+	// The same sweep again on the warm Lab builds no stage at all: every
+	// artifact is served from the store, and only the targets simulate.
+	if _, err := lab.Sweep(ctx, idle); err != nil {
+		t.Fatal(err)
+	}
+	for _, st := range Stages() {
+		if n := lab.StagePrepares(st); n != got[st] {
+			t.Errorf("warm idle axis: StagePrepares(%s) moved %d -> %d, want no build", st, got[st], n)
+		}
 	}
 
 	// Memory-latency axis: a timing knob. Trace, profile and slices are
