@@ -19,14 +19,7 @@
 //	report -table 3        # the validation table
 //	report -json           # machine-readable JSON stream, one object per artifact
 //	report -render f.json  # render a saved artifact stream ("-" = stdin)
-//	report -dag idle,mem   # Graphviz DOT of the sweep grid's stage schedule
 //	report -v              # engine progress on stderr
-//
-// The -dag mode plans instead of runs: it expands the named sensitivity
-// axes over the paper benchmarks into the stage dependency DAG the fan-out
-// executor would walk, annotated with cold/cached/spill status, and prints
-// it as Graphviz DOT
-// (pipe to `dot -Tsvg` to visualize).
 //
 // The -render mode closes the round trip: any artifact stream this command
 // (or cmd/sweep -json) emitted renders back to the exact tables a live run
@@ -60,19 +53,11 @@ func main() {
 	table := flag.Int("table", 0, "regenerate one table (3); 0 = all")
 	asJSON := flag.Bool("json", false, "emit JSON artifacts instead of rendered tables")
 	renderPath := flag.String("render", "", "render a saved JSON artifact stream instead of recomputing (\"-\" = stdin)")
-	dagAxes := flag.String("dag", "", "print the stage-schedule DAG for a sweep over these axes (comma-separated, e.g. \"idle,mem\") as Graphviz DOT, without running it")
 	verbose := flag.Bool("v", false, "log engine progress events to stderr")
 	flag.Parse()
 
 	if *renderPath != "" {
 		if err := renderStream(*renderPath); err != nil {
-			fmt.Fprintln(os.Stderr, "report:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *dagAxes != "" {
-		if err := printDAG(*dagAxes); err != nil {
 			fmt.Fprintln(os.Stderr, "report:", err)
 			os.Exit(1)
 		}
@@ -140,25 +125,6 @@ func artifacts(ctx context.Context, lab *preexec.Lab, only []string) []artifact 
 		}})
 	}
 	return append(arts, artifact{"ed2", 0, 0, func() (preexec.Report, error) { return lab.ED2Study(ctx, names) }})
-}
-
-// printDAG plans a sweep grid over the named sensitivity axes for the paper
-// benchmarks and prints the executor's stage DAG as DOT.
-func printDAG(axes string) error {
-	g := preexec.Grid{Benchmarks: preexec.PaperBenchmarks()}
-	for _, name := range strings.Split(axes, ",") {
-		axis, err := preexec.ParseSweepAxis(strings.TrimSpace(name))
-		if err != nil {
-			return err
-		}
-		g.Axes = append(g.Axes, preexec.GridAxis(axis))
-	}
-	dag, err := preexec.New().SweepDAG(g)
-	if err != nil {
-		return err
-	}
-	fmt.Print(dag.DOT())
-	return nil
 }
 
 // decoderFor maps an artifact name from the stream to its report type.

@@ -11,8 +11,7 @@
 //	sweep -axis mem -json                   # machine-readable artifact
 //	                                        # (render with: report -render -)
 //
-// Local sweeps walk their stage DAG depth-first in grid order. To inspect
-// the planned DAG without running it, see `report -dag`.
+// Local sweeps walk their stage DAG depth-first in grid order.
 //
 // Generated workloads join the sweep through the repeatable -gen flag,
 // taking the generator spec grammar family:seed[:knob=value,...]. With -gen

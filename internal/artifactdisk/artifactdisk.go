@@ -356,17 +356,6 @@ func (m *Mapping) Close() error {
 // MapSupported reports whether the platform supports LoadMapped.
 func MapSupported() bool { return mmapSupported }
 
-// Has reports whether an artifact is resident under k, without touching its
-// recency or counting a load or miss. It is a planning probe — the stage
-// DAG export uses it to mark a stage as a disk load rather than a rebuild —
-// so it must not perturb the LRU order the way Load does.
-func (s *Store) Has(k Key) bool {
-	path := s.pathFor(k)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.entries[path] != nil
-}
-
 // Quarantine removes the artifact stored under k (if any) and counts it as
 // quarantined. Callers use it when a payload that passed the container
 // checksum still fails semantic decoding.

@@ -261,7 +261,7 @@ func TestOpenLRUTieBreakDeterministic(t *testing.T) {
 		s2 := openTestStore(t, dir, 2*one)
 		got := map[string]bool{}
 		for i, k := range keys {
-			if s2.Has(k) {
+			if s2.entries[s2.pathFor(k)] != nil {
 				got[filepath.Base(paths[i])] = true
 			}
 		}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"sort"
 	"strings"
@@ -227,9 +228,9 @@ func (l *latencyReservoir) percentiles() (p50, p95 int64) {
 		return 0, 0
 	}
 	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+	// The nearest rank of q is the ceil(q·n)-th smallest of n samples.
 	rank := func(q float64) int64 {
-		i := int(q * float64(len(s)-1))
-		return s[i]
+		return s[int(math.Ceil(q*float64(len(s))))-1]
 	}
 	return rank(0.50), rank(0.95)
 }

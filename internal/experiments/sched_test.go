@@ -2,15 +2,14 @@ package experiments
 
 // Tests for the stage-DAG executor. Its contract is that chain expansion
 // changes only build order: every test here pins some facet of "identical
-// results, identical store traffic" against the chain-less path, and that
-// the plan is a pure function of the grid and the store state.
+// results, identical store traffic" against the chain-less path, or the
+// sharing of stage nodes across sinks.
 
 import (
 	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -227,10 +226,14 @@ func TestProgressInDeliveryOrder(t *testing.T) {
 	check("campaign", 2)
 }
 
-// TestSweepDAGExport pins the plan export: node dedup across grid points,
-// one measurement sink per job, cold→cached status transitions against the
-// live store, and well-formed DOT.
-func TestSweepDAGExport(t *testing.T) {
+// TestSweepStoreTrafficShared pins the sharing chain expansion adds to a
+// sweep's store traffic: stage nodes are deduplicated across sinks by
+// artifact key, and each sink hangs off one prepared node. On a warm
+// 3-point idle sweep over gap, every stage the points agree on is
+// requested once by its shared node; only params and prepared, which read
+// the idle factor, are requested per point, and prepared once more by each
+// sink's own Prepare call.
+func TestSweepStoreTrafficShared(t *testing.T) {
 	ctx := context.Background()
 	r := NewRunner(DefaultConfig(), 0, nil)
 	grid := Grid{
@@ -238,104 +241,26 @@ func TestSweepDAGExport(t *testing.T) {
 		Benchmarks: []string{"gap"},
 		Targets:    []pthsel.Target{pthsel.TargetL},
 	}
-
-	dag, err := r.SweepDAG(grid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sinks, cold, cached int
-	for _, n := range dag.Nodes {
-		switch n.Status {
-		case schedMeasure:
-			sinks++
-		case schedCold:
-			cold++
-		case schedCached:
-			cached++
-		}
-	}
-	if sinks != 3 {
-		t.Errorf("DAG has %d measurement sinks, want 3 (one per grid point)", sinks)
-	}
-	if cached != 0 {
-		t.Errorf("fresh engine planned %d cached nodes, want 0", cached)
-	}
-	// The idle axis only perturbs params/prepared: heavy stages dedup to one
-	// node each, so the stage-node count is far below 3 points × 8 stages.
-	if stageNodes := len(dag.Nodes) - sinks; stageNodes >= 3*len(Stages()) {
-		t.Errorf("stage nodes not deduplicated: %d nodes for a 3-point single-bench grid", stageNodes)
-	}
-	if cold == 0 || len(dag.Edges) == 0 {
-		t.Errorf("degenerate plan: %d cold nodes, %d edges", cold, len(dag.Edges))
-	}
-	// Every measurement sink hangs off exactly one chain: one in-edge, from
-	// that chain's prepared node.
-	inEdges := make([][]int, len(dag.Nodes))
-	for _, e := range dag.Edges {
-		inEdges[e.To] = append(inEdges[e.To], e.From)
-	}
-	for i, n := range dag.Nodes {
-		if n.Status != schedMeasure {
-			continue
-		}
-		if in := inEdges[i]; len(in) != 1 || dag.Nodes[in[0]].Stage != string(StagePrepared) {
-			t.Errorf("sink %d (%s) has in-edges %v, want exactly one from a prepared node", i, n.Point, in)
-		}
-	}
-
-	dot := dag.DOT()
-	for _, want := range []string{"digraph stages {", "->", "gap/train", "[cold]", "[measure]", "}"} {
-		if !strings.Contains(dot, want) {
-			t.Errorf("DOT output missing %q:\n%s", want, dot)
-		}
-	}
-
-	// Planning must not execute or count anything...
-	if n := r.StagePrepares(StageTrace); n != 0 {
-		t.Fatalf("SweepDAG executed %d trace builds", n)
-	}
-	// ...and after the sweep actually runs, a re-plan sees a warm store.
 	if _, err := r.Sweep(ctx, grid); err != nil {
 		t.Fatal(err)
 	}
-	dag2, err := r.SweepDAG(grid)
-	if err != nil {
+	before := r.StoreStats()
+	if _, err := r.Sweep(ctx, grid); err != nil {
 		t.Fatal(err)
 	}
-	for _, n := range dag2.Nodes {
-		if n.Status == schedCold || n.Status == schedSpill {
-			t.Errorf("post-sweep plan still projects %s/%s %s as %s", n.Bench, n.Input, n.Stage, n.Status)
-		}
+	after := r.StoreStats()
+	want := map[Stage]int64{
+		StageTrace: 1, StageProfile: 1, StageProblems: 1, StageSlices: 1,
+		StageCurves: 1, StageBaseline: 1, StageParams: 3, StagePrepared: 6,
 	}
-}
-
-// TestSweepDAGDeterministic pins the plan as a pure function of the grid
-// and the store state: two fresh engines that ran the same sweep plan a
-// larger grid (whose mem points leave curves, baseline and everything
-// downstream cold) to byte-identical DOT, however long their builds took.
-func TestSweepDAGDeterministic(t *testing.T) {
-	ctx := context.Background()
-	plan := func() string {
-		r := NewRunner(DefaultConfig(), 0, nil)
-		if _, err := r.Sweep(ctx, Grid{
-			Axes:       []Axis{GridAxis(SweepIdleFactor)},
-			Benchmarks: []string{"gap"},
-			Targets:    []pthsel.Target{pthsel.TargetL},
-		}); err != nil {
-			t.Fatal(err)
+	for _, st := range Stages() {
+		a, b := after.Stages[st], before.Stages[st]
+		if cold := a.Cold - b.Cold; cold != 0 {
+			t.Errorf("%s: warm sweep built %d times", st, cold)
 		}
-		dag, err := r.SweepDAG(Grid{
-			Axes:       []Axis{GridAxis(SweepIdleFactor), GridAxis(SweepMemLatency)},
-			Benchmarks: []string{"gap"},
-			Targets:    []pthsel.Target{pthsel.TargetL},
-		})
-		if err != nil {
-			t.Fatal(err)
+		if got := a.Hit + a.Shared - b.Hit - b.Shared; got != want[st] {
+			t.Errorf("%s: warm sweep made %d hit+shared requests, want %d", st, got, want[st])
 		}
-		return dag.DOT()
-	}
-	if a, b := plan(), plan(); a != b {
-		t.Errorf("identical engines planned different DAGs:\n%s\nvs\n%s", a, b)
 	}
 }
 
@@ -371,5 +296,28 @@ func TestRunnerTimesStageBuilds(t *testing.T) {
 	}
 	if un := st.Stages[StageCurves]; un.Cold != 1 {
 		t.Errorf("curves cold count = %d, want 1", un.Cold)
+	}
+}
+
+// TestLatencyPercentilesNearestRank pins the reservoir's percentiles to the
+// nearest-rank definition: of n samples, pq is the ceil(q·n)-th smallest.
+func TestLatencyPercentilesNearestRank(t *testing.T) {
+	for _, tc := range []struct {
+		n        int
+		p50, p95 int64
+	}{
+		{n: 1, p50: 1, p95: 1},
+		{n: 2, p50: 1, p95: 2},
+		{n: 10, p50: 5, p95: 10},
+		{n: 20, p50: 10, p95: 19},
+		{n: 256, p50: 128, p95: 244},
+	} {
+		var l latencyReservoir
+		for v := tc.n; v >= 1; v-- { // recorded out of order: 1..n ns
+			l.record(int64(v))
+		}
+		if p50, p95 := l.percentiles(); p50 != tc.p50 || p95 != tc.p95 {
+			t.Errorf("n=%d: p50, p95 = %d, %d; want %d, %d", tc.n, p50, p95, tc.p50, tc.p95)
+		}
 	}
 }

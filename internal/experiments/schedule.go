@@ -23,30 +23,15 @@ package experiments
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sync"
 
 	"repro/internal/program"
 )
 
-// Scheduler node statuses, annotated on DAG exports.
-const (
-	schedCold    = "cold"    // projected to execute the stage
-	schedCached  = "cached"  // already complete in the in-memory store
-	schedSpill   = "spill"   // resident in the disk tier; a load, not a build
-	schedMeasure = "measure" // a measurement sink (one grid point / benchmark)
-)
-
 // schedNode is one DAG node: a stage build for one workload, or a
 // measurement sink. waiting/children carry the dependency edges.
 type schedNode struct {
-	seq    int // insertion (plan) order
-	bench  string
-	input  program.InputClass
-	stage  Stage  // pipeline stage; unset on measurement sinks
-	label  string // sweep sinks: the grid point
-	status string
-
+	seq      int // insertion (plan) order
 	waiting  int // unfinished dependencies (scheduler-mutex-guarded)
 	children []*schedNode
 	run      func(ctx context.Context) error
@@ -59,7 +44,6 @@ type schedNode struct {
 // nil declares none.
 type sink struct {
 	bench string
-	label string // sweeps: the grid point, shown on DAG exports
 	prep  *Config
 	run   func(ctx context.Context) error
 }
@@ -74,20 +58,16 @@ type dagBuilder struct {
 	order []*schedNode
 }
 
-func (r *Runner) newDAGBuilder() *dagBuilder {
-	return &dagBuilder{r: r, nodes: map[artifactKey]*schedNode{}}
-}
-
 // addChain adds one (benchmark, input, config) preparation chain — every
 // pipeline stage through StagePrepared — reusing nodes already added by
-// other chains, and returns the chain's prepared node. An error means the
-// chain cannot even be planned (unknown workload, unfingerprintable
-// config); callers add a dependency-free sink instead, whose Prepare call
-// surfaces the identical error through the normal path.
-func (b *dagBuilder) addChain(name string, input program.InputClass, cfg Config) (*schedNode, error) {
+// other chains, and returns the chain's prepared node. It returns nil when
+// the chain cannot even be planned (unknown workload, unfingerprintable
+// config); the caller then adds a dependency-free sink, whose Prepare call
+// surfaces the error through the normal path.
+func (b *dagBuilder) addChain(name string, input program.InputClass, cfg Config) *schedNode {
 	c, err := newChain(name, input, cfg)
 	if err != nil {
-		return nil, err
+		return nil
 	}
 	var last *schedNode
 	for _, d := range stageTable {
@@ -96,18 +76,10 @@ func (b *dagBuilder) addChain(name string, input program.InputClass, cfg Config)
 			last = n
 			continue
 		}
-		n := &schedNode{seq: len(b.order), bench: name, input: input, stage: d.stage}
-		if _, _, done := b.r.store.peek(key); done {
-			n.status = schedCached // complete (or a cached failure)
-		} else if b.r.diskHas(d.codec, key) {
-			n.status = schedSpill // a verified load, not a build
-		} else {
-			n.status = schedCold
-		}
-		n.run = func(ctx context.Context) error {
+		n := &schedNode{seq: len(b.order), run: func(ctx context.Context) error {
 			b.r.runStageNode(ctx, c, d)
 			return nil
-		}
+		}}
 		for _, u := range d.up {
 			if dep := b.nodes[c.key(u)]; dep != nil {
 				dep.children = append(dep.children, n)
@@ -118,27 +90,19 @@ func (b *dagBuilder) addChain(name string, input program.InputClass, cfg Config)
 		b.order = append(b.order, n)
 		last = n
 	}
-	return last, nil
+	return last
 }
 
-// plan expands sinks into a schedule DAG: with chains set, every declared
-// preparation chain (stage nodes shared across sinks by artifact key) with
-// its sink hanging off the chain's prepared node; without, the sinks alone,
-// all ready at once. A chain that cannot be planned (unknown workload,
-// unfingerprintable config) leaves its sink dependency-free, so the sink's
-// own Prepare call reports the error; the first such error is returned for
-// SweepDAG, the one caller that reports it.
-func (r *Runner) plan(sinks []sink, chains bool) (*dagBuilder, error) {
-	b := r.newDAGBuilder()
-	var first error
+// plan expands sinks into a schedule DAG, nodes in topological (plan)
+// order: with chains set, every declared preparation chain (stage nodes
+// shared across sinks by artifact key) with its sink hanging off the
+// chain's prepared node; without, the sinks alone, all ready at once.
+func (r *Runner) plan(sinks []sink, chains bool) []*schedNode {
+	b := &dagBuilder{r: r, nodes: map[artifactKey]*schedNode{}}
 	for _, s := range sinks {
-		n := &schedNode{bench: s.bench, label: s.label, status: schedMeasure, run: s.run}
+		n := &schedNode{run: s.run}
 		if chains && s.prep != nil {
-			dep, err := b.addChain(s.bench, s.prep.MeasureInput, *s.prep)
-			if err != nil && first == nil {
-				first = fmt.Errorf("%s@%s: %w", s.bench, s.label, err)
-			}
-			if dep != nil {
+			if dep := b.addChain(s.bench, s.prep.MeasureInput, *s.prep); dep != nil {
 				dep.children = append(dep.children, n)
 				n.waiting = 1
 			}
@@ -146,7 +110,7 @@ func (r *Runner) plan(sinks []sink, chains bool) (*dagBuilder, error) {
 		n.seq = len(b.order) // after its chain: order stays topological
 		b.order = append(b.order, n)
 	}
-	return b, first
+	return b.order
 }
 
 // runStageNode executes one scheduled stage node. A failed upstream means
@@ -179,8 +143,7 @@ func (r *Runner) runStageNode(ctx context.Context, c *chain, d stageDef) {
 // table: ctx's own inside Suite, else a fresh one for this call.
 func (r *Runner) runDAG(ctx context.Context, sinks []sink) error {
 	ctx = withTimingRuns(ctx)
-	b, _ := r.plan(sinks, r.sched)
-	nodes := b.order
+	nodes := r.plan(sinks, r.sched)
 	if len(nodes) == 0 {
 		return ctx.Err()
 	}

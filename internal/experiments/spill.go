@@ -135,13 +135,6 @@ func diskKey(key artifactKey) artifactdisk.Key {
 	}
 }
 
-// diskHas reports whether the disk tier could satisfy key, a stage spilled
-// through codec, without a build — the DAG planner's status probe. It never
-// touches recency or counters.
-func (r *Runner) diskHas(codec *stageCodec, key artifactKey) bool {
-	return r.disk != nil && codec != nil && r.disk.Has(diskKey(key))
-}
-
 // spillLoad tries to satisfy a stage from the disk tier, reporting whether
 // the artifact was served and whether it came through the zero-copy mapped
 // path. A payload that passes container verification but fails stage

@@ -183,11 +183,20 @@ func (r *Runner) Sweep(ctx context.Context, g Grid) (*SweepReport, error) {
 	return rep, nil
 }
 
+// CheckSweep validates a grid without running it: the resolution Sweep
+// performs before it runs anything, so its error is exactly the one Sweep
+// would return for an unknown, duplicated or missing benchmark or a bad
+// workload spec. Like Sweep, it registers the grid's workload specs.
+func (r *Runner) CheckSweep(g Grid) error {
+	_, _, err := r.sweepSinks(g)
+	return err
+}
+
 // sweepSinks resolves a grid into its report skeleton and one sink per
 // (benchmark, grid point) job: grid validated, workloads registered, names
 // validated, targets defaulted and the cartesian product expanded
 // benchmark-major, row-major — the report row order every execution order
-// must preserve. Sweep runs the sinks; SweepDAG only plans them.
+// must preserve. Sweep runs the sinks; CheckSweep only resolves them.
 func (r *Runner) sweepSinks(g Grid) (*SweepReport, []sink, error) {
 	if err := g.Validate(); err != nil {
 		return nil, nil, err
@@ -228,7 +237,7 @@ func (r *Runner) sweepSinks(g Grid) (*SweepReport, []sink, error) {
 	for bi, bench := range names {
 		for _, pt := range pts {
 			i, point := len(sinks), pt.point()
-			sinks = append(sinks, sink{bench: bench, label: point, prep: &pt.cfg,
+			sinks = append(sinks, sink{bench: bench, prep: &pt.cfg,
 				run: func(ctx context.Context) error {
 					_, runs, err := r.ideal(ctx, bench, targets, pt.cfg)
 					if err == nil {

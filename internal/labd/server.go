@@ -7,7 +7,6 @@
 //	GET    /v1/jobs             list jobs
 //	GET    /v1/jobs/{id}        one job
 //	GET    /v1/jobs/{id}/events NDJSON event stream (replay + live)
-//	GET    /v1/jobs/{id}/dag    the job's planned stage DAG (Graphviz DOT)
 //	DELETE /v1/jobs/{id}        cancel a running job
 //	GET    /v1/stats            jobs + artifact-store counters
 //
@@ -84,11 +83,6 @@ type Server struct {
 type job struct {
 	id     string
 	cancel context.CancelFunc
-	// dag is the job's planned stage DAG in Graphviz DOT form, captured at
-	// submission against the engine's stores as they stood then (a grid
-	// that cannot be planned is rejected, never a job). Immutable after
-	// handleSweep publishes the job.
-	dag string
 
 	mu       sync.Mutex
 	state    labapi.JobState
@@ -134,7 +128,6 @@ func New(cfg Config) (*Server, error) {
 	s.mux.HandleFunc("GET /v1/jobs", s.handleJobs)
 	s.mux.HandleFunc("GET /v1/jobs/{id}", s.handleJob)
 	s.mux.HandleFunc("GET /v1/jobs/{id}/events", s.handleEvents)
-	s.mux.HandleFunc("GET /v1/jobs/{id}/dag", s.handleDAG)
 	s.mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleCancel)
 	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
 	return s, nil
@@ -276,7 +269,7 @@ func (j *job) snapshot() labapi.Job {
 
 // buildGrid turns a wire request into a validated engine grid, resolving
 // axis, workload-spec and target names exactly as cmd/sweep does locally.
-// Validation comes before handleSweep's synchronous SweepDAG call, which a
+// Validation comes before handleSweep's synchronous CheckSweep call, which a
 // repeated axis would otherwise size at the product of every repeat.
 func buildGrid(req labapi.SweepRequest) (preexec.Grid, error) {
 	var g preexec.Grid
@@ -315,7 +308,7 @@ const maxSweepBody = 1 << 20
 // largest documented grid, every paper benchmark over the three-axis
 // idle×mem×l2 product (`sweep -all -axis idle,mem,l2`), is 9 × 27 = 243
 // jobs; the cap is the next power of two. A larger grid is refused before
-// its workloads are registered: planning registers every spec
+// its workloads are registered: validating the grid registers every spec
 // synchronously in the handler, into a registry that never shrinks.
 const maxSweepJobs = 256
 
@@ -343,12 +336,9 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("sweep grid has %d jobs, more than the %d allowed", n, maxSweepJobs))
 		return
 	}
-	// Plan the job's stage DAG before it runs, so clients can inspect which
-	// stages were cold, cached or disk-resident in the store state this job
-	// was submitted against.
-	// A grid that cannot be planned (no, unknown or duplicated benchmarks)
+	// A grid the engine rejects (no, unknown or duplicated benchmarks)
 	// would only fail as a job: reject it here with the engine's message.
-	dag, err := s.lab.SweepDAG(grid)
+	err = s.lab.CheckSweep(grid)
 	if errors.Is(err, preexec.ErrClosed) {
 		httpError(w, http.StatusServiceUnavailable, errShuttingDown)
 		return
@@ -359,7 +349,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 
 	ctx, cancel := context.WithCancel(s.base)
-	j := &job{state: labapi.JobRunning, cancel: cancel, subs: map[*subscriber]struct{}{}, dag: dag.DOT()}
+	j := &job{state: labapi.JobRunning, cancel: cancel, subs: map[*subscriber]struct{}{}}
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -442,22 +432,6 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	if j := s.jobByID(w, r); j != nil {
 		writeJSON(w, http.StatusOK, j.snapshot())
 	}
-}
-
-// handleDAG serves the job's planned stage DAG as Graphviz DOT text — the
-// plan captured at submission, not a live view of execution.
-func (s *Server) handleDAG(w http.ResponseWriter, r *http.Request) {
-	j := s.jobByID(w, r)
-	if j == nil {
-		return
-	}
-	if j.dag == "" {
-		httpError(w, http.StatusNotFound, fmt.Errorf("job %q has no planned DAG", j.id))
-		return
-	}
-	w.Header().Set("Content-Type", "text/vnd.graphviz; charset=utf-8")
-	w.WriteHeader(http.StatusOK)
-	fmt.Fprint(w, j.dag)
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {

@@ -42,7 +42,7 @@ func DefaultPolicy() Policy {
 			"repro/cmd/report",
 			"repro/cmd/sweep",
 		},
-		RootMethodNames:  []string{"Render", "Fingerprint", "MarshalJSON", "DOT"},
+		RootMethodNames:  []string{"Render", "Fingerprint", "MarshalJSON"},
 		RootNamePrefixes: []string{"Encode"},
 		WalltimePackages: []string{
 			"repro/internal/cpu",

@@ -54,27 +54,6 @@
 // every stage's request outcomes (cold, cached, shared in-flight, disk
 // load) plus the disk tier's counters; DiskStoreErr reports whether a
 // requested disk store opened.
-//
-// # Migration from the pre-Lab API
-//
-// The package previously exposed free functions that re-prepared each
-// benchmark per call and returned pre-rendered strings. The mapping:
-//
-//	Benchmark(name) (panics)          -> lab.Benchmark(name) (returns error)
-//	Analyze(prog, cfg)                -> lab.Analyze(ctx, prog)
-//	AnalyzeBenchmark(name, cfg)       -> lab.AnalyzeBenchmark(ctx, name)
-//	study.Select(target)              -> study.Select(ctx, target)
-//	study.Measure(sel)                -> study.Measure(ctx, sel)
-//	study.Run(target)                 -> study.Run(ctx, target)
-//	Figure2(names, cfg) (string)      -> lab.Figure2(ctx, names) (*Figure2Report)
-//	Figure3(names, cfg) (string, ...) -> lab.Figure3(ctx, names) (*Figure3Report)
-//	Table3(names, cfg)                -> lab.Table3(ctx, names) (*Table3Report)
-//	Figure4(names, cfg)               -> lab.Figure4(ctx, names) (*Figure4Report)
-//	Figure5(axis, names, cfg)         -> lab.Figure5(ctx, axis, names) (*Figure5Report)
-//	ED2Study(names, cfg)              -> lab.ED2Study(ctx, names) (*ED2Report)
-//
-// The configuration moves from per-call arguments to the engine
-// (WithConfig); the rendered string of any figure is now report.Render().
 package preexec
 
 import (
@@ -143,14 +122,6 @@ type (
 	StageStoreStats = experiments.StageStoreStats
 	// DiskStoreStats is the on-disk spill tier's counter snapshot.
 	DiskStoreStats = artifactdisk.Stats
-	// DAGReport is a sweep grid's planned stage DAG — nodes annotated with
-	// cold/cached/spill/measure status — as the fan-out executor would walk
-	// it (see Lab.SweepDAG; DOT renders Graphviz).
-	DAGReport = experiments.DAGReport
-	// DAGNode is one node of a DAGReport.
-	DAGNode = experiments.DAGNode
-	// DAGEdge is one dependency edge of a DAGReport.
-	DAGEdge = experiments.DAGEdge
 
 	// WorkloadSpec declares one generated synthetic workload: a memory-
 	// behaviour family, a seed, and knobs for working-set size, chain depth,
@@ -632,17 +603,16 @@ func (l *Lab) Suite(ctx context.Context, fn func(ctx context.Context) error) err
 	return l.run.Suite(ctx, fn)
 }
 
-// SweepDAG plans a grid without running it: the stage dependency DAG the
-// fan-out executor would walk (depth-first, in plan order), with every node
-// annotated by its status against the engine's current stores (cold /
-// cached / spill / measure). The report's DOT method renders Graphviz (cmd/report -dag; the daemon's
-// GET /v1/jobs/{id}/dag). Planning registers the grid's workloads but
-// builds nothing and touches no counters.
-func (l *Lab) SweepDAG(g Grid) (*DAGReport, error) {
+// CheckSweep validates a grid without running it, exactly as Sweep does
+// before it runs anything: an unknown, duplicated or missing benchmark or a
+// bad workload spec is the error Sweep would return. Like Sweep, it
+// registers the grid's workload specs; it builds nothing and touches no
+// counters.
+func (l *Lab) CheckSweep(g Grid) error {
 	if err := l.err(); err != nil {
-		return nil, err
+		return err
 	}
-	return l.run.SweepDAG(g)
+	return l.run.CheckSweep(g)
 }
 
 // GridAxis converts a Figure 5 sensitivity axis into a declarative sweep
