@@ -57,7 +57,7 @@ func main() {
 	flag.Parse()
 
 	if *renderPath != "" {
-		if err := renderStream(*renderPath); err != nil {
+		if err := renderStream(*renderPath, os.Stdout); err != nil {
 			fmt.Fprintln(os.Stderr, "report:", err)
 			os.Exit(1)
 		}
@@ -147,19 +147,17 @@ func decoderFor(name string) func([]byte) (preexec.Report, error) {
 		return decode(&preexec.ED2Report{})
 	case name == "sweep":
 		return decode(&preexec.SweepReport{})
-	case name == "campaign":
-		return decode(&preexec.CampaignReport{})
 	}
 	return nil
 }
 
 // renderStream decodes a JSON artifact stream (one {"artifact","report"}
 // object per line, as emitted by -json or by cmd/sweep -json) and renders
-// each artifact. Progress-event lines — objects carrying a "kind" and no
+// each artifact to out. Progress-event lines — objects carrying a "kind" and no
 // "artifact", as in a daemon job's NDJSON event stream — are skipped
 // without inspection of the kind, so streams from newer daemons with event
 // kinds this build has never heard of still render.
-func renderStream(path string) error {
+func renderStream(path string, out io.Writer) error {
 	var in io.Reader = os.Stdin
 	if path != "-" {
 		f, err := os.Open(path)
@@ -196,7 +194,7 @@ func renderStream(path string) error {
 		if err != nil {
 			return fmt.Errorf("artifact %q: %w", env.Artifact, err)
 		}
-		fmt.Println(rep.Render())
+		fmt.Fprintln(out, rep.Render())
 		n++
 	}
 	if err := sc.Err(); err != nil {

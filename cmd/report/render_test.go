@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -30,14 +31,24 @@ func TestRenderStreamSkipsEventLines(t *testing.T) {
 		sweepArtifactLine,
 		`{"kind":"job-done"}`,
 	)
-	if err := renderStream(path); err != nil {
+	if err := renderStream(path, io.Discard); err != nil {
 		t.Fatalf("renderStream: %v", err)
 	}
 }
 
+// zeroAxisSweepLine is a zero-axis sweep's artifact (Axes omitted): the
+// benchmarks × targets shape of the paper's Figure 3.
+const zeroAxisSweepLine = `{"artifact":"sweep","report":{"Targets":["L"],"Points":[{"Bench":"gap","Runs":[{"Target":"L"}]}]}}`
+
 func TestRenderStreamPureArtifacts(t *testing.T) {
-	if err := renderStream(writeStream(t, sweepArtifactLine)); err != nil {
+	var out strings.Builder
+	if err := renderStream(writeStream(t, sweepArtifactLine, zeroAxisSweepLine), &out); err != nil {
 		t.Fatalf("renderStream: %v", err)
+	}
+	for _, want := range []string{"Sweep: idle-energy-factor (0 points)", "Sweep: base configuration (1 points)", "gap   base"} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("rendered stream lacks %q:\n%s", want, out.String())
+		}
 	}
 }
 
@@ -52,7 +63,7 @@ func TestRenderStreamErrors(t *testing.T) {
 		"malformed json":            {`{"artifact":`},
 	}
 	for name, lines := range cases {
-		if err := renderStream(writeStream(t, lines...)); err == nil {
+		if err := renderStream(writeStream(t, lines...), io.Discard); err == nil {
 			t.Errorf("%s: renderStream succeeded, want error", name)
 		}
 	}

@@ -107,7 +107,10 @@ func parseCLI(args []string) (*cli, error) {
 	if *all {
 		c.names = preexec.PaperBenchmarks()
 	} else if *bench != "" {
-		c.names = strings.Split(*bench, ",")
+		c.names = nil
+		for _, name := range strings.Split(*bench, ",") {
+			c.names = append(c.names, strings.TrimSpace(name))
+		}
 	} else if len(c.workloads) > 0 {
 		c.names = nil // -gen alone sweeps only the generated workloads
 	}

@@ -58,4 +58,13 @@ func TestParseCLIRemoteArgs(t *testing.T) {
 	if len(c.names) == 0 {
 		t.Error("default benchmark triple missing")
 	}
+
+	// -bench names are trimmed like -axis and -targets names.
+	c, err = parseCLI([]string{"-addr", "http://x", "-axis", "idle", "-bench", "gap, twolf"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Join(c.names, "|"); got != "gap|twolf" {
+		t.Errorf("names = %q", got)
+	}
 }

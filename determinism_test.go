@@ -54,68 +54,32 @@ func TestResultJSONDeterminism(t *testing.T) {
 	}
 }
 
-// stripWallClock zeroes the only legitimately nondeterministic fields in a
-// campaign report (measured simulator throughput) so the remainder can be
-// compared byte-for-byte.
-func stripWallClock(rep *CampaignReport) {
-	for i := range rep.Benchmarks {
-		for j := range rep.Benchmarks[i].Runs {
-			rep.Benchmarks[i].Runs[j].SimCyclesPerSec = 0
-		}
-	}
-}
-
-// TestCampaignDeterministicAcrossParallelism runs the same campaign on a
-// serial engine and on an 8-wide worker pool: every simulated number must be
-// byte-identical (each benchmark simulates single-threaded; the pool only
-// reorders whole benchmarks, and reports are assembled in input order).
-func TestCampaignDeterministicAcrossParallelism(t *testing.T) {
-	ctx := context.Background()
-	names := PaperBenchmarks()[:4]
-	targets := []Target{TargetL}
-	campaign := func(par int) []byte {
-		rep, err := New(WithParallelism(par)).RunCampaign(ctx, names, targets)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := rep.Err(); err != nil {
-			t.Fatal(err)
-		}
-		stripWallClock(rep)
-		raw, err := json.Marshal(rep)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return raw
-	}
-	serial := campaign(1)
-	wide := campaign(8)
-	if !bytes.Equal(serial, wide) {
-		t.Errorf("campaign JSON differs between WithParallelism(1) and WithParallelism(8)\nserial: %s\nwide:   %s", serial, wide)
-	}
-}
-
-// TestWorkerSimReuseDeterministicUnderParallelism pins the zero-allocation
-// run-reuse path: every timing simulation goes through the engine's
-// simulator pool, so an 8-wide campaign has workers concurrently grabbing,
-// Resetting and returning pooled simulators whose arrays were grown by
-// earlier, unrelated runs. Repeating the campaign on the same Lab (second
-// pass guaranteed to reuse warm simulators) and on a serial Lab must yield
-// byte-identical reports. The CI race job runs this under -race, making it
-// the data-race sentinel for per-worker simulator reuse.
+// TestWorkerSimReuseDeterministicUnderParallelism pins parallelism
+// determinism and the zero-allocation run-reuse path together: every timing
+// simulation goes through the engine's simulator pool, so an 8-wide
+// zero-axis sweep has workers concurrently grabbing, Resetting and
+// returning pooled simulators whose arrays were grown by earlier, unrelated
+// runs. Repeating the sweep on the same Lab (second pass guaranteed to
+// reuse warm simulators) and on a serial Lab must yield byte-identical
+// reports: each benchmark simulates single-threaded, the pool only reorders
+// whole benchmarks, and rows are assembled in input order. The CI race job
+// runs this under -race, making it the data-race sentinel for per-worker
+// simulator reuse.
 func TestWorkerSimReuseDeterministicUnderParallelism(t *testing.T) {
 	ctx := context.Background()
-	names := PaperBenchmarks()[:4]
-	targets := []Target{TargetL, TargetE}
+	grid := Grid{Benchmarks: PaperBenchmarks()[:4], Targets: []Target{TargetL, TargetE}}
 	run := func(lab *Lab) []byte {
-		rep, err := lab.RunCampaign(ctx, names, targets)
+		rep, err := lab.Sweep(ctx, grid)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := rep.Err(); err != nil {
-			t.Fatal(err)
+		// Measured simulator throughput is the one legitimately
+		// nondeterministic field.
+		for i := range rep.Points {
+			for j := range rep.Points[i].Runs {
+				rep.Points[i].Runs[j].SimCyclesPerSec = 0
+			}
 		}
-		stripWallClock(rep)
 		raw, err := json.Marshal(rep)
 		if err != nil {
 			t.Fatal(err)
@@ -127,9 +91,9 @@ func TestWorkerSimReuseDeterministicUnderParallelism(t *testing.T) {
 	second := run(wide) // warm pool: simulators reused across benchmarks
 	serial := run(New(WithParallelism(1)))
 	if !bytes.Equal(first, second) {
-		t.Error("repeated campaign on a warm simulator pool diverged from the cold pass")
+		t.Error("repeated sweep on a warm simulator pool diverged from the cold pass")
 	}
 	if !bytes.Equal(first, serial) {
-		t.Error("8-wide pooled-simulator campaign diverged from serial execution")
+		t.Errorf("8-wide pooled-simulator sweep diverged from serial execution\nwide:   %s\nserial: %s", first, serial)
 	}
 }

@@ -7,8 +7,8 @@ import (
 )
 
 // TestGenLabRegisterSpecs drives generated workloads through the public
-// façade end to end: register specs, run a campaign over the returned names,
-// and sweep a generator-knob axis against a config axis on one engine.
+// façade end to end: register specs and run a zero-axis sweep over the
+// returned names.
 func TestGenLabRegisterSpecs(t *testing.T) {
 	ctx := context.Background()
 	lab := New()
@@ -42,19 +42,16 @@ func TestGenLabRegisterSpecs(t *testing.T) {
 		}
 	}
 
-	rep, err := lab.RunCampaign(ctx, names, []Target{TargetP})
+	rep, err := lab.Sweep(ctx, Grid{Benchmarks: names, Targets: []Target{TargetP}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := rep.Err(); err != nil {
-		t.Fatal(err)
+	if len(rep.Points) != 2 {
+		t.Fatalf("sweep covered %d points, want 2", len(rep.Points))
 	}
-	if len(rep.Benchmarks) != 2 {
-		t.Fatalf("campaign covered %d benchmarks, want 2", len(rep.Benchmarks))
-	}
-	for _, cb := range rep.Benchmarks {
-		if cb.Baseline == nil || len(cb.Runs) != 1 {
-			t.Errorf("%s: incomplete campaign entry", cb.Name)
+	for i, pt := range rep.Points {
+		if pt.Bench != names[i] || len(pt.Runs) != 1 {
+			t.Errorf("point %d: %s with %d runs, want %s with 1", i, pt.Bench, len(pt.Runs), names[i])
 		}
 	}
 }

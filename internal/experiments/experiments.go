@@ -23,7 +23,7 @@ import (
 )
 
 // simPool recycles simulators across runs: every timing simulation issued
-// through this package (baselines, target measurements, campaign workers)
+// through this package (baselines, target measurements, sweep workers)
 // grabs a pooled simulator, Resets it onto the new (config, trace,
 // p-threads) triple and returns it afterwards, so the figure suite's
 // thousands of runs reuse a handful of fully-grown simulators — in-flight

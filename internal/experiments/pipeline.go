@@ -500,11 +500,10 @@ func (r *Runner) stage(ctx context.Context, key artifactKey, compute func() (any
 
 // stagedPrepare assembles a Prepared from per-stage artifacts, requesting
 // each upstream stage of the assembly in order and computing each missing
-// one at most once per engine (shared across every sweep point, figure and
-// campaign worker whose configuration agrees on the fields that stage
-// reads). The walk and the scheduler's DAG nodes share one implementation,
-// ensure, so both orders produce identical store traffic for identical
-// work.
+// one at most once per engine (shared across every sweep point and figure
+// benchmark whose configuration agrees on the fields that stage reads).
+// The walk and the scheduler's DAG nodes share one implementation, ensure,
+// so both orders produce identical store traffic for identical work.
 func (r *Runner) stagedPrepare(ctx context.Context, name string, input program.InputClass, cfg Config) (*Prepared, error) {
 	c, err := newChain(name, input, cfg)
 	if err != nil {

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 	"strings"
 
@@ -9,30 +8,13 @@ import (
 )
 
 // Report is a structured, JSON-marshalable experiment artifact. Every
-// figure, table and campaign entry point returns one; Render turns it into
+// figure, table and sweep entry point returns one; Render turns it into
 // the human-readable table the paper's reproduction prints. Computation and
 // rendering are fully split: Render reads only the exported (serialized)
 // fields, so a report decoded from JSON renders identically to the freshly
 // computed one.
 type Report interface {
 	Render() string
-}
-
-// BaselineReport summarizes one benchmark's unoptimized run.
-type BaselineReport struct {
-	Cycles         int64
-	IPC            float64
-	DemandL2Misses int64
-	EnergyTotal    float64
-}
-
-func baselineReport(res *cpu.Result) *BaselineReport {
-	return &BaselineReport{
-		Cycles:         res.Cycles,
-		IPC:            res.IPC(),
-		DemandL2Misses: res.DemandL2Misses,
-		EnergyTotal:    res.Energy.Total(),
-	}
 }
 
 // RunReport is the JSON-stable summary of one (benchmark, target) measured
@@ -444,79 +426,5 @@ func (e *ED2Report) Render() string {
 		fmt.Fprintf(&b, "%-10s %10.1f %10.1f\n", r.Bench, r.LSavePct, r.P2SavePct)
 	}
 	fmt.Fprintf(&b, "%-10s %10.1f %10.1f\n", "GMean", e.GMeanL, e.GMeanP2)
-	return b.String()
-}
-
-// CampaignBench is one benchmark's campaign outcome: either a baseline and
-// per-target runs, or the error that prevented them.
-type CampaignBench struct {
-	Name     string
-	Error    string          `json:",omitempty"`
-	Baseline *BaselineReport `json:",omitempty"`
-	Runs     []RunReport     `json:",omitempty"`
-}
-
-// CampaignReport is the partial-result outcome of a bounded-parallel
-// campaign: per-benchmark successes and failures side by side, so one bad
-// benchmark no longer discards the rest of the batch.
-type CampaignReport struct {
-	Targets    []string
-	Benchmarks []CampaignBench
-
-	errs []error // per-benchmark errors, parallel to Benchmarks (nil = ok)
-}
-
-// Err joins every per-benchmark failure (nil when all benchmarks
-// succeeded). After a JSON round-trip the structured errors are gone;
-// rebuild them from the entries' Error strings.
-func (c *CampaignReport) Err() error {
-	if c.errs != nil {
-		return errors.Join(c.errs...)
-	}
-	var errs []error
-	for _, b := range c.Benchmarks {
-		if b.Error != "" {
-			errs = append(errs, fmt.Errorf("%s: %s", b.Name, b.Error))
-		}
-	}
-	return errors.Join(errs...)
-}
-
-// Failed counts benchmarks that did not complete (errored or never ran).
-func (c *CampaignReport) Failed() int {
-	n := 0
-	for _, b := range c.Benchmarks {
-		if b.Error != "" || b.Baseline == nil {
-			n++
-		}
-	}
-	return n
-}
-
-// Render formats the campaign summary table, successes first.
-func (c *CampaignReport) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Campaign: %d benchmarks × targets %s (%d failed)\n",
-		len(c.Benchmarks), strings.Join(c.Targets, ","), c.Failed())
-	fmt.Fprintf(&b, "%-10s %12s %10s", "bench", "base-cycles", "L2miss")
-	for _, tgt := range c.Targets {
-		fmt.Fprintf(&b, " |%22s", tgt+" (ipc/energy/ED)")
-	}
-	fmt.Fprintln(&b)
-	for _, e := range c.Benchmarks {
-		if e.Error != "" || e.Baseline == nil {
-			continue
-		}
-		fmt.Fprintf(&b, "%-10s %12d %10d", e.Name, e.Baseline.Cycles, e.Baseline.DemandL2Misses)
-		for _, r := range e.Runs {
-			fmt.Fprintf(&b, " |%7.1f%7.1f%8.1f", r.SpeedupPct, r.EnergySavePct, r.EDSavePct)
-		}
-		fmt.Fprintln(&b)
-	}
-	for _, e := range c.Benchmarks {
-		if e.Error != "" {
-			fmt.Fprintf(&b, "%-10s FAILED: %s\n", e.Name, e.Error)
-		}
-	}
 	return b.String()
 }

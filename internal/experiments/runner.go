@@ -30,15 +30,14 @@ const (
 	EventStageSpill    EventKind = "stage-spill"    // the disk tier satisfied a pipeline stage
 	EventRunStart      EventKind = "run-start"      // one (benchmark, target) measurement began
 	EventRunDone       EventKind = "run-done"       // one (benchmark, target) measurement finished
-	EventBenchDone     EventKind = "bench-done"     // one campaign benchmark finished (Done/Total track progress)
 	EventPointDone     EventKind = "point-done"     // one sweep grid point finished (Point labels it)
 )
 
 // Event is one progress notification delivered to a Runner's observer.
 // Fields beyond Kind and Bench are populated where meaningful: Input for
 // preparation and stage events, Stage for stage events, Target for run
-// events, Point for sweep progress, Done/Total for campaign and sweep
-// progress, Err when the step failed.
+// events, Point and Done/Total for sweep progress, Err when the step
+// failed.
 type Event struct {
 	Kind   EventKind
 	Bench  string
@@ -70,9 +69,9 @@ type Event struct {
 type eventTagKey struct{}
 
 // WithEventTag returns a context whose Runner events carry tag, letting one
-// observer demultiplex concurrent Sweeps, Campaigns and Prepares over a
-// shared engine. Events emitted from inside a shared singleflight build
-// carry the computing caller's tag.
+// observer demultiplex concurrent Sweeps and Prepares over a shared
+// engine. Events emitted from inside a shared singleflight build carry the
+// computing caller's tag.
 func WithEventTag(ctx context.Context, tag string) context.Context {
 	return context.WithValue(ctx, eventTagKey{}, tag)
 }
@@ -84,20 +83,20 @@ func eventTag(ctx context.Context) string {
 
 // Runner is the experiment engine behind the public Lab façade. It owns the
 // staged artifact store — every pipeline stage cached under a per-stage
-// content fingerprint, so figures, sweeps, studies and campaign workers
-// sharing one Runner share every upstream artifact their configurations
-// agree on — and the bounded fan-out executor (runDAG) that every
-// multi-benchmark entry point runs on.
+// content fingerprint, so figures, sweeps and studies sharing one Runner
+// share every upstream artifact their configurations agree on — and the
+// bounded fan-out executor (runDAG) that every multi-benchmark entry point
+// runs on.
 type Runner struct {
 	cfg         Config
 	parallelism int
 	observe     func(Event)
 
 	// sched lets the executor expand the preparation chains sinks declare
-	// (the default). Tests clear it to claim sweep and campaign sinks in
-	// naive bench-major job order, each running its own Prepare. It is
-	// scheduling state, deliberately outside Config so it never reaches a
-	// fingerprint: clearing it changes build order, not results.
+	// (the default). Tests clear it to claim sweep sinks in naive
+	// bench-major job order, each running its own Prepare. It is scheduling
+	// state, deliberately outside Config so it never reaches a fingerprint:
+	// clearing it changes build order, not results.
 	sched bool
 
 	// mappedSpill enables the zero-copy mmap trace-spill path (the
@@ -289,9 +288,9 @@ func (r *Runner) Prepare(ctx context.Context, name string, input program.InputCl
 
 // validateNames rejects unknown and silently-duplicated benchmark names
 // with a single error listing every problem and the valid set. Entry points
-// that fan out over benchmark lists (campaigns, figures, sweeps) call it up
-// front so a typo fails fast instead of surfacing as one opaque
-// per-benchmark failure deep in a long run.
+// that fan out over benchmark lists (figures, sweeps) call it up front so a
+// typo fails fast instead of surfacing as one opaque per-benchmark failure
+// deep in a long run.
 func validateNames(names []string) error {
 	if len(names) == 0 {
 		return errors.New("experiments: no benchmarks given")
@@ -371,65 +370,6 @@ func (r *Runner) measure(ctx context.Context, bench string, sel, meas *Prepared,
 		runs = append(runs, run)
 	}
 	return runs, nil
-}
-
-// Campaign evaluates names × targets on the fan-out executor and reports
-// per-benchmark outcomes instead of failing the whole batch on the first
-// error: every benchmark that succeeded carries its baseline and runs,
-// every one that failed carries its error string. Each benchmark is one
-// sink declaring its preparation chain. Unknown or duplicated benchmark
-// names are rejected up front (see validateNames); beyond that, the
-// returned error is non-nil only when the context was cancelled, and
-// per-benchmark runtime failures are reported through the CampaignReport
-// (see its Err method).
-func (r *Runner) Campaign(ctx context.Context, names []string, targets []pthsel.Target) (*CampaignReport, error) {
-	if err := validateNames(names); err != nil {
-		return nil, err
-	}
-	entries := make([]CampaignBench, len(names))
-	errs := make([]error, len(names))
-	sinks := make([]sink, len(names))
-	var done int // completions delivered, under obsMu
-	for i, name := range names {
-		entries[i] = CampaignBench{Name: name}
-		// The sink reports into the campaign's own slots and returns nil:
-		// a benchmark's failure is the report's, not the call's.
-		sinks[i] = sink{bench: name, prep: &r.cfg,
-			run: func(ctx context.Context) error {
-				prep, runs, err := r.ideal(ctx, name, targets, r.cfg)
-				if err != nil {
-					entries[i].Error = err.Error()
-					errs[i] = fmt.Errorf("%s: %w", name, err)
-				} else {
-					entries[i].Baseline = baselineReport(prep.Baseline)
-					entries[i].Runs = runReports(runs)
-				}
-				r.emitDone(ctx, Event{Kind: EventBenchDone, Bench: name, Err: err,
-					Total: len(names)}, &done)
-				return nil
-			}}
-	}
-	// Only cancellation fails the executor here.
-	ctxErr := r.runDAG(ctx, sinks)
-	if ctxErr != nil {
-		// Benchmarks that never ran (cancelled before launch or mid-flight)
-		// are failures too: without this, partial-report consumers would
-		// see entries with neither results nor an error.
-		for i := range entries {
-			if entries[i].Error == "" && entries[i].Baseline == nil {
-				entries[i].Error = "not run: " + ctxErr.Error()
-				if errs[i] == nil {
-					errs[i] = fmt.Errorf("%s: not run: %w", entries[i].Name, ctxErr)
-				}
-			}
-		}
-	}
-	rep := &CampaignReport{
-		Targets:    targetNames(targets),
-		Benchmarks: entries,
-		errs:       errs,
-	}
-	return rep, ctxErr
 }
 
 func targetNames(targets []pthsel.Target) []string {

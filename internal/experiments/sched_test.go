@@ -10,6 +10,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -85,51 +86,36 @@ func TestSweepSchedMatchesNaive(t *testing.T) {
 	}
 }
 
-// TestCampaignSchedMatchesNaive extends the identity contract to Campaign,
-// including its partial-failure path: a benchmark whose baseline simulation
-// fails must report the same error entry under both orders, and the
-// scheduler's fail-fast stage nodes must not change the cold counts of the
-// doomed chain.
-func TestCampaignSchedMatchesNaive(t *testing.T) {
+// TestSweepFailureSchedMatchesNaive extends the identity contract to the
+// failure path, on a zero-axis sweep (benchmarks × targets at the base
+// configuration): a benchmark whose baseline simulation fails must fail
+// the sweep with the same error under both orders, naming it at the "base"
+// point and not the benchmark that succeeded, and the scheduler's
+// fail-fast stage nodes must not change the cold counts of the doomed
+// chain.
+func TestSweepFailureSchedMatchesNaive(t *testing.T) {
 	ctx := context.Background()
 	cfg := DefaultConfig()
 	cfg.CPU.MaxCycles = 600_000 // mcf's baseline exceeds this; gap's does not
-	targets := []pthsel.Target{pthsel.TargetL}
-	names := []string{"gap", "mcf"}
+	grid := Grid{Benchmarks: []string{"gap", "mcf"}, Targets: []pthsel.Target{pthsel.TargetL}}
 
-	run := func(sched bool) (*CampaignReport, *Runner) {
+	run := func(sched bool) (*Runner, error) {
 		r := NewRunner(cfg, 4, nil)
 		r.sched = sched
-		rep, err := r.Campaign(ctx, names, targets)
-		if err != nil {
-			t.Fatal(err)
+		rep, err := r.Sweep(ctx, grid)
+		if err == nil {
+			t.Fatalf("sweep with sched=%v succeeded (%d points); the fixture lost its mcf failure", sched, len(rep.Points))
 		}
-		return rep, r
+		return r, err
 	}
-	repN, rn := run(false)
-	repS, rs := run(true)
+	rn, errN := run(false)
+	rs, errS := run(true)
 
-	strip := func(rep *CampaignReport) []byte {
-		out := *rep
-		out.Benchmarks = append([]CampaignBench(nil), rep.Benchmarks...)
-		for i := range out.Benchmarks {
-			runs := append([]RunReport(nil), out.Benchmarks[i].Runs...)
-			for j := range runs {
-				runs[j].SimCyclesPerSec = 0
-			}
-			out.Benchmarks[i].Runs = runs
-		}
-		raw, err := json.Marshal(&out)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return raw
+	if errN.Error() != errS.Error() {
+		t.Errorf("scheduled sweep error diverged from naive:\n%v\nvs\n%v", errN, errS)
 	}
-	if a, b := strip(repN), strip(repS); !bytes.Equal(a, b) {
-		t.Errorf("scheduled campaign diverged from naive:\n%s\nvs\n%s", a, b)
-	}
-	if repS.Err() == nil {
-		t.Error("campaign fixture lost its expected mcf failure")
+	if msg := errS.Error(); !strings.HasPrefix(msg, "mcf@base: ") || strings.Contains(msg, "gap") {
+		t.Errorf("sweep error = %q, want mcf's failure at the base point and nothing of gap", msg)
 	}
 	for _, st := range Stages() {
 		if n, s := rn.StagePrepares(st), rs.StagePrepares(st); n != s {
@@ -182,15 +168,14 @@ func TestSweepSchedConcurrent(t *testing.T) {
 
 // TestProgressInDeliveryOrder pins completion numbering: however the
 // workers race to finish, an observer sees Done count 1..Total in the
-// order it receives the point-done (sweep) and bench-done (campaign)
-// events. Repeated sweeps make a race likely: after the first they are
-// warm, each point only simulates, and idle points share one timing run,
-// so several points finish together.
+// order it receives the point-done events. Repeated sweeps make a race
+// likely: after the first they are warm, each point only simulates, and
+// idle points share one timing run, so several points finish together.
 func TestProgressInDeliveryOrder(t *testing.T) {
 	ctx := context.Background()
 	var done []int
 	r := NewRunner(DefaultConfig(), 8, func(ev Event) {
-		if ev.Kind == EventPointDone || ev.Kind == EventBenchDone {
+		if ev.Kind == EventPointDone {
 			done = append(done, ev.Done)
 		}
 		// A slow observer, like labd's, which encodes and fans out every
@@ -220,10 +205,12 @@ func TestProgressInDeliveryOrder(t *testing.T) {
 		}
 		check(fmt.Sprintf("sweep %d", i), 6)
 	}
-	if _, err := r.Campaign(ctx, grid.Benchmarks, grid.Targets); err != nil {
+	// A zero-axis grid: one base point per benchmark.
+	grid.Axes = nil
+	if _, err := r.Sweep(ctx, grid); err != nil {
 		t.Fatal(err)
 	}
-	check("campaign", 2)
+	check("zero-axis sweep", 2)
 }
 
 // TestSweepStoreTrafficShared pins the sharing chain expansion adds to a

@@ -1,10 +1,10 @@
 package experiments
 
-// The one fan-out executor. Every multi-benchmark entry point — figures,
-// sweeps, campaigns — is a list of measurement sinks (one per figure
-// benchmark, campaign benchmark or grid point), each writing its own
-// preassigned result slot. A sink may declare the (benchmark, input,
-// config) preparation chain it consumes; before fan-out every declared
+// The one fan-out executor. Every multi-benchmark entry point — figures
+// and sweeps — is a list of measurement sinks (one per figure benchmark or
+// per sweep benchmark and grid point), each writing its own preassigned
+// result slot. A sink may declare the (benchmark, input, config)
+// preparation chain it consumes; before fan-out every declared
 // chain is expanded into an explicit dependency DAG, stage nodes
 // deduplicated across sinks by artifact key. The bounded worker pool then
 // walks the DAG depth-first in plan order: the ready set is a stack, so a

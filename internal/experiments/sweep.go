@@ -255,5 +255,12 @@ func (r *Runner) sweepSinks(g Grid) (*SweepReport, []sink, error) {
 	return rep, sinks, nil
 }
 
-// point renders the job's axis labels as the Point field of progress events.
-func (pt gridPoint) point() string { return strings.Join(pt.labels, ",") }
+// point renders the job's axis labels as the Point field of progress events
+// and the prefix of its errors. A zero-axis grid's one point is "base", the
+// name SweepPointReport.Point gives it.
+func (pt gridPoint) point() string {
+	if len(pt.labels) == 0 {
+		return "base"
+	}
+	return strings.Join(pt.labels, ",")
+}

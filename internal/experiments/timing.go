@@ -35,8 +35,8 @@ func withTimingRuns(ctx context.Context) context.Context {
 }
 
 // Suite runs fn with one timing-run table for every entry point call fn
-// makes through the context it receives, so a run that several figures,
-// sweeps or campaigns measure is simulated once across all of them. The
+// makes through the context it receives, so a run that several figures or
+// sweeps measure is simulated once across all of them. The
 // table dies when Suite returns.
 func (r *Runner) Suite(ctx context.Context, fn func(context.Context) error) error {
 	return fn(withTimingRuns(ctx))

@@ -268,7 +268,8 @@ func (j *job) snapshot() labapi.Job {
 // ------------------------------------------------------------- handlers --
 
 // buildGrid turns a wire request into a validated engine grid, resolving
-// axis, workload-spec and target names exactly as cmd/sweep does locally.
+// axis, benchmark, workload-spec and target names exactly as cmd/sweep
+// does locally.
 // Validation comes before handleSweep's synchronous CheckSweep call, which a
 // repeated axis would otherwise size at the product of every repeat.
 func buildGrid(req labapi.SweepRequest) (preexec.Grid, error) {
@@ -280,7 +281,9 @@ func buildGrid(req labapi.SweepRequest) (preexec.Grid, error) {
 		}
 		g.Axes = append(g.Axes, preexec.GridAxis(axis))
 	}
-	g.Benchmarks = req.Benchmarks
+	for _, name := range req.Benchmarks {
+		g.Benchmarks = append(g.Benchmarks, strings.TrimSpace(name))
+	}
 	for _, spec := range req.Workloads {
 		parsed, err := preexec.ParseWorkloadSpec(spec)
 		if err != nil {

@@ -408,6 +408,23 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// TestBuildGridTrimsNames: a request's axis, benchmark and target names
+// are trimmed the way cmd/sweep trims its comma-separated flags, so
+// "gap, twolf" names twolf and not " twolf".
+func TestBuildGridTrimsNames(t *testing.T) {
+	var req labapi.SweepRequest
+	if err := json.Unmarshal([]byte(`{"axes":[" idle"],"benchmarks":["gap"," twolf "],"targets":[" L"]}`), &req); err != nil {
+		t.Fatal(err)
+	}
+	g, err := buildGrid(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(g.Benchmarks, []string{"gap", "twolf"}) || len(g.Axes) != 1 || len(g.Targets) != 1 {
+		t.Errorf("buildGrid = axes %d, benchmarks %q, targets %v", len(g.Axes), g.Benchmarks, g.Targets)
+	}
+}
+
 // FuzzSweepRequest drives the daemon's request boundary with raw bodies:
 // whatever decodes must either fail buildGrid with an error or yield a
 // grid that passes Validate — never a panic.

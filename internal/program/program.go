@@ -60,8 +60,8 @@ type Benchmark struct {
 }
 
 // registry holds every registered benchmark. Registration is public and
-// dynamic (generated workloads arrive mid-run, possibly from parallel
-// campaign workers), so every access goes through regMu.
+// dynamic (generated workloads arrive mid-run, possibly while parallel
+// sweep workers resolve others), so every access goes through regMu.
 var (
 	regMu    sync.RWMutex
 	registry = map[string]Benchmark{}
@@ -77,7 +77,7 @@ func register(b Benchmark) {
 }
 
 // Register adds a benchmark to the registry. It is safe for concurrent use
-// with ByName, All and Names (a campaign can register generated workloads
+// with ByName, All and Names (a sweep can register generated workloads
 // while workers resolve others). A name collision returns an error rather
 // than panicking, with one exception: re-registering a benchmark whose
 // non-empty Fingerprint matches the already-registered one is a no-op —

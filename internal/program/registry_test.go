@@ -55,7 +55,7 @@ func TestRegisterDuplicate(t *testing.T) {
 }
 
 // TestRegisterConcurrent hammers Register against ByName, All and Names from
-// parallel goroutines — the campaign-worker interleaving that was a data
+// parallel goroutines — the sweep-worker interleaving that was a data
 // race while the registry was a bare map. Meaningful under -race.
 func TestRegisterConcurrent(t *testing.T) {
 	const writers, readers, rounds = 4, 4, 50

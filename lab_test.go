@@ -147,94 +147,35 @@ func TestLabConfigIsolation(t *testing.T) {
 	}
 }
 
-// TestCampaignPartialResults: one bad benchmark must not discard the rest.
-// Unknown names are rejected up front nowadays, so the runtime failure is
-// injected through the deadlock guard: a cycle budget that gap's baseline
-// (~400k cycles) fits under but mcf's (~1M cycles) exceeds.
-func TestCampaignPartialResults(t *testing.T) {
-	ctx := context.Background()
-	cfg := DefaultConfig()
-	cfg.CPU.MaxCycles = 600_000
-	lab := New(WithConfig(cfg), WithParallelism(2))
-	rep, err := lab.RunCampaign(ctx, []string{"gap", "mcf"}, []Target{TargetL})
-	if err != nil {
-		t.Fatalf("campaign returned %v; per-benchmark errors belong in the report", err)
-	}
-	if len(rep.Benchmarks) != 2 {
-		t.Fatalf("campaign entries = %d, want 2", len(rep.Benchmarks))
-	}
-	if rep.Failed() != 1 {
-		t.Fatalf("failed = %d, want 1: %+v", rep.Failed(), rep.Benchmarks)
-	}
-	good, bad := rep.Benchmarks[0], rep.Benchmarks[1]
-	if good.Name != "gap" || good.Error != "" || good.Baseline == nil || len(good.Runs) != 1 {
-		t.Errorf("good entry malformed: %+v", good)
-	}
-	if bad.Name != "mcf" || bad.Error == "" || bad.Baseline != nil {
-		t.Errorf("bad entry malformed: %+v", bad)
-	}
-	if rep.Err() == nil || !strings.Contains(rep.Err().Error(), "mcf") {
-		t.Errorf("joined error = %v", rep.Err())
-	}
-
-	// The joined error survives a JSON round-trip via the Error strings.
-	raw, err := json.Marshal(rep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var decoded CampaignReport
-	if err := json.Unmarshal(raw, &decoded); err != nil {
-		t.Fatal(err)
-	}
-	if decoded.Err() == nil || !strings.Contains(decoded.Err().Error(), "mcf") {
-		t.Errorf("decoded joined error = %v", decoded.Err())
-	}
-	if decoded.Render() != rep.Render() {
-		t.Error("campaign render changed across the JSON round-trip")
-	}
-}
-
-// TestCampaignCancelled: a cancelled campaign still returns a renderable
-// report in which never-run benchmarks count as failures.
-func TestCampaignCancelled(t *testing.T) {
+// TestSweepCancelled: a sweep whose context is already cancelled returns
+// context.Canceled.
+func TestSweepCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	lab := New()
-	rep, err := lab.RunCampaign(ctx, []string{"gap", "twolf"}, []Target{TargetL})
+	_, err := New().Sweep(ctx, Grid{Benchmarks: []string{"gap", "twolf"}, Targets: []Target{TargetL}})
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled campaign returned %v", err)
-	}
-	if rep == nil {
-		t.Fatal("cancelled campaign returned no report")
-	}
-	if rep.Failed() != 2 {
-		t.Errorf("failed = %d, want 2 (never-run benchmarks are failures): %+v", rep.Failed(), rep.Benchmarks)
-	}
-	if out := rep.Render(); !strings.Contains(out, "not run") {
-		t.Errorf("render of cancelled campaign: %q", out)
-	}
-	if rep.Err() == nil {
-		t.Error("cancelled campaign must carry per-benchmark errors")
+		t.Fatalf("cancelled sweep returned %v", err)
 	}
 }
 
-// TestObserverProgressEvents: campaigns report bounded-pool progress.
+// TestObserverProgressEvents: a zero-axis sweep reports bounded-pool
+// progress, one point-done event per benchmark at the point named base.
 func TestObserverProgressEvents(t *testing.T) {
 	ctx := context.Background()
-	var benchDone []Event
+	var pointDone []Event
 	lab := New(WithParallelism(1), WithObserver(func(ev Event) {
-		if ev.Kind == EventBenchDone {
-			benchDone = append(benchDone, ev)
+		if ev.Kind == EventPointDone {
+			pointDone = append(pointDone, ev)
 		}
 	}))
-	if _, err := lab.RunCampaign(ctx, []string{"gap", "twolf"}, []Target{TargetL}); err != nil {
+	if _, err := lab.Sweep(ctx, Grid{Benchmarks: []string{"gap", "twolf"}, Targets: []Target{TargetL}}); err != nil {
 		t.Fatal(err)
 	}
-	if len(benchDone) != 2 {
-		t.Fatalf("bench-done events = %d, want 2", len(benchDone))
+	if len(pointDone) != 2 {
+		t.Fatalf("point-done events = %d, want 2", len(pointDone))
 	}
-	for _, ev := range benchDone {
-		if ev.Total != 2 || ev.Done < 1 || ev.Done > 2 {
+	for _, ev := range pointDone {
+		if ev.Total != 2 || ev.Done < 1 || ev.Done > 2 || ev.Point != "base" {
 			t.Errorf("bad progress event: %+v", ev)
 		}
 	}
@@ -248,10 +189,6 @@ func TestLabRejectsBadBenchmarkNames(t *testing.T) {
 	ctx := context.Background()
 	lab := New()
 	entryPoints := map[string]func([]string) error{
-		"RunCampaign": func(names []string) error {
-			_, err := lab.RunCampaign(ctx, names, []Target{TargetL})
-			return err
-		},
 		"Figure2":  func(names []string) error { _, err := lab.Figure2(ctx, names); return err },
 		"Figure3":  func(names []string) error { _, err := lab.Figure3(ctx, names); return err },
 		"Table3":   func(names []string) error { _, err := lab.Table3(ctx, names); return err },

@@ -22,7 +22,7 @@
 //
 //	lab := preexec.New(
 //	        preexec.WithConfig(cfg),        // processor/selection configuration
-//	        preexec.WithParallelism(4),     // bounded campaign worker pool
+//	        preexec.WithParallelism(4),     // bounded worker pool
 //	        preexec.WithObserver(func(ev preexec.Event) { log.Println(ev.Kind, ev.Bench) }),
 //	)
 //
@@ -30,7 +30,7 @@
 // cancelling the context aborts even a multi-billion-cycle run promptly.
 //
 // The experiment entry points (Figure2, Figure3, Table3, Figure4, Figure5,
-// ED2Study, RunCampaign) regenerate the paper's evaluation artifacts as
+// ED2Study, Sweep) regenerate the paper's evaluation artifacts as
 // structured, JSON-marshalable Report values; call Render on a report for
 // the human-readable table (see EXPERIMENTS.md for paper-vs-measured
 // values and the report schema).
@@ -43,7 +43,7 @@
 // GenAxis for sweeping generator knobs like configuration knobs):
 //
 //	names, _ := lab.RegisterSpecs(preexec.WorkloadSpec{Family: preexec.FamilyPointerChase, Seed: 7})
-//	rep, _ := lab.RunCampaign(ctx, names, []preexec.Target{preexec.TargetP})
+//	rep, _ := lab.Sweep(ctx, preexec.Grid{Benchmarks: names, Targets: []preexec.Target{preexec.TargetP}})
 //
 // # Observability probes
 //
@@ -157,12 +157,8 @@ type (
 	SweepPointReport = experiments.SweepPointReport
 	// ED2Report holds the ED² study.
 	ED2Report = experiments.ED2Report
-	// CampaignReport holds a campaign's partial results and per-run errors.
-	CampaignReport = experiments.CampaignReport
 	// RunReport is the JSON-stable summary of one measured run.
 	RunReport = experiments.RunReport
-	// BaselineReport summarizes one unoptimized run.
-	BaselineReport = experiments.BaselineReport
 )
 
 // Selection targets, named as in the paper: O (original flat-cost PTHSEL),
@@ -241,7 +237,6 @@ const (
 	EventStageSpill    = experiments.EventStageSpill
 	EventRunStart      = experiments.EventRunStart
 	EventRunDone       = experiments.EventRunDone
-	EventBenchDone     = experiments.EventBenchDone
 	EventPointDone     = experiments.EventPointDone
 )
 
@@ -280,7 +275,7 @@ type Option func(*Lab)
 // WithConfig sets the engine's configuration (default: DefaultConfig).
 func WithConfig(cfg Config) Option { return func(l *Lab) { l.cfg = cfg } }
 
-// WithParallelism bounds the worker pool used by figures and campaigns
+// WithParallelism bounds the worker pool used by figures and sweeps
 // (default and <= 0: GOMAXPROCS).
 func WithParallelism(n int) Option { return func(l *Lab) { l.parallelism = n } }
 
@@ -314,8 +309,8 @@ func WithEventTag(ctx context.Context, tag string) context.Context {
 }
 
 // Lab is the experiment engine: it owns the artifact store (one preparation
-// per benchmark × input × configuration, shared by every figure, sweep,
-// study and campaign run through it) and the bounded worker pool. A Lab is
+// per benchmark × input × configuration, shared by every figure, sweep and
+// study run through it) and the bounded worker pool. A Lab is
 // safe for concurrent use.
 type Lab struct {
 	cfg         Config
@@ -402,17 +397,17 @@ func (l *Lab) StoreStats() StoreStats { return l.run.StoreStats() }
 
 // RegisterSpecs materializes and registers generated workloads, returning
 // their canonical benchmark names in argument order. Registered names work
-// everywhere built-in names do — studies, campaigns, figures, sweep grids —
+// everywhere built-in names do — studies, figures, sweep grids —
 // and their preparations flow through the same staged artifact store, keyed
 // by the spec's content fingerprint. Registration is global (the benchmark
 // registry is shared by every Lab) and idempotent: re-registering an
-// identical spec, even concurrently from campaign workers, is a no-op.
+// identical spec, even concurrently from sweep workers, is a no-op.
 //
 //	names, err := lab.RegisterSpecs(
 //	        preexec.WorkloadSpec{Family: preexec.FamilyPointerChase, Seed: 1},
 //	        preexec.WorkloadSpec{Family: preexec.FamilyHashProbe, Seed: 2, ProblemLoads: 2},
 //	)
-//	rep, err := lab.RunCampaign(ctx, names, []preexec.Target{preexec.TargetP})
+//	rep, err := lab.Sweep(ctx, preexec.Grid{Benchmarks: names, Targets: []preexec.Target{preexec.TargetP}})
 func (l *Lab) RegisterSpecs(specs ...WorkloadSpec) ([]string, error) {
 	return gen.Register(specs...)
 }
@@ -503,18 +498,6 @@ func (s *Study) Run(ctx context.Context, target Target) (*TargetRun, error) {
 	return s.Measure(ctx, sel)
 }
 
-// RunCampaign evaluates benchmarks × targets on the bounded worker pool
-// with partial-result reporting: one failing benchmark does not discard the
-// others. The returned error is non-nil only for context cancellation;
-// per-benchmark failures are carried inside the report (see
-// CampaignReport.Err).
-func (l *Lab) RunCampaign(ctx context.Context, names []string, targets []Target) (*CampaignReport, error) {
-	if err := l.err(); err != nil {
-		return nil, err
-	}
-	return l.run.Campaign(ctx, names, targets)
-}
-
 // Figure2 reproduces the paper's Figure 2 breakdowns for the given
 // benchmarks.
 func (l *Lab) Figure2(ctx context.Context, names []string) (*Figure2Report, error) {
@@ -571,7 +554,9 @@ func (l *Lab) ED2Study(ctx context.Context, names []string) (*ED2Report, error) 
 // configurations agree on — a 3-point idle-factor or memory-latency sweep
 // performs one trace, one profile and one slice-tree build per benchmark,
 // not three. Per-point progress is streamed to the observer as
-// EventPointDone events.
+// EventPointDone events. A grid with no axes is one point, named "base", at
+// the Lab's configuration: benchmarks × targets, the shape of the paper's
+// Figure 3.
 //
 //	rep, err := lab.Sweep(ctx, preexec.Grid{
 //	        Axes:       []preexec.Axis{preexec.GridAxis(preexec.SweepIdleFactor), preexec.GridAxis(preexec.SweepMemLatency)},
@@ -584,9 +569,9 @@ func (l *Lab) Sweep(ctx context.Context, g Grid) (*SweepReport, error) {
 	return l.run.Sweep(ctx, g)
 }
 
-// Suite runs fn as one call scope for measurements: every figure, table,
-// sweep and campaign fn issues on this Lab through the context it receives
-// shares one table of timing runs, so a (trace, timing configuration,
+// Suite runs fn as one call scope for measurements: every figure, table
+// and sweep fn issues on this Lab through the context it receives shares
+// one table of timing runs, so a (trace, timing configuration,
 // p-thread list) run that several artifacts measure simulates once. Each
 // artifact is byte-identical to its standalone call, except that a run
 // another artifact already simulated reports no SimCyclesPerSec. Each
