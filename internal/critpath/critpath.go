@@ -7,13 +7,19 @@
 // The analyzer provides three services:
 //
 //  1. an estimated unoptimized execution time (the L0 the composite model
-//     needs),
+//     needs), computed by New,
 //  2. a five-category breakdown of that time (the paper's Figure 2 stack),
+//     computed by Breakdown when it is called,
 //  3. per-problem-load cost curves: the latency-reduction to execution-time-
 //     reduction function sampled at 25/50/75/100% tolerated latency, computed
 //     as the average of a pessimistic pass (only this load's misses
 //     shortened) and an optimistic pass (all other loads' L2 misses resolved)
 //     to approximate interaction costs — the paper's §4.1 worked example.
+//
+// Each service is one forward scan of the trace in integer quarter-cycles.
+// The scan keeps node times in a ring bounded by the ROB, so the baseline
+// and a cost curve allocate per window row, not per trace entry; only
+// Breakdown records every node, for its backward walk (see scan).
 package critpath
 
 import (
@@ -23,6 +29,7 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/fingerprint"
+	"repro/internal/isa"
 	"repro/internal/profile"
 	"repro/internal/trace"
 )
@@ -111,40 +118,43 @@ func FlatCurve(missLat float64) Curve {
 }
 
 // Analyzer owns the model state for one trace. It is read-only after New,
-// so CostCurve may be called concurrently.
+// so CostCurve and Breakdown may be called concurrently.
 type Analyzer struct {
 	cfg     Config
 	tr      *trace.Trace
 	prof    *profile.Profile
 	levels  []uint8 // per dynamic instruction: load service level
 	mispred []bool  // per dynamic instruction: branch mispredicted in model
+	// Per static instruction: the isa.Flags bits and a non-load's execute
+	// latency in cycles, so the scan reads two bytes per entry instead of
+	// copying an isa.Inst.
+	pcFlags []uint8
+	pcLats  []uint8
 
-	baseline  int64
-	breakdown [5]int64 // indexed by cpu.StallCategory order: mem,L2,exec,commit,fetch
+	baseline int64
 }
 
 // New builds an analyzer. The profile must have been collected from the same
 // trace (it supplies per-load service levels); mispredictions are modelled
-// with a simple 2-bit/gshare hybrid like the simulator's.
+// with a simple 2-bit/gshare hybrid like the simulator's. New computes only
+// the baseline; Breakdown rescans the trace when called.
 func New(tr *trace.Trace, prof *profile.Profile, cfg Config) *Analyzer {
 	a := &Analyzer{cfg: cfg, tr: tr, prof: prof}
 	a.levels = prof.Levels
 	a.mispred = modelMispredicts(tr)
-	n := tr.Len()
-	if n == 0 {
-		return a
+	insts := tr.Prog.Insts
+	a.pcFlags = make([]uint8, len(insts))
+	a.pcLats = make([]uint8, len(insts))
+	for pc, in := range insts {
+		a.pcFlags[pc] = in.Flags()
+		a.pcLats[pc] = 1
+		if in.IsALU() {
+			a.pcLats[pc] = uint8(in.ExecLatency())
+		}
 	}
-	// The baseline is one lane with no target load and no misses resolved.
-	p := lanePlan[[1]float64]{target: -1}
-	p.setLane(cfg, 0, 0, false)
-	E := make([][1]float64, n)
-	rec := &attribution{
-		D: make([]float64, n), C: make([]float64, n),
-		dFrom: make([]uint8, n), eFrom: make([]uint8, n), cFrom: make([]uint8, n),
+	if tr.Len() > 0 {
+		a.baseline = cycles(scan(a, baselinePlan(cfg), nil)[0])
 	}
-	end := scan(a, &p, E, rec)
-	a.baseline = int64(end[0] + 0.5)
-	a.breakdown = a.attribute(E, rec)
 	return a
 }
 
@@ -152,13 +162,41 @@ func New(tr *trace.Trace, prof *profile.Profile, cfg Config) *Analyzer {
 func (a *Analyzer) Baseline() int64 { return a.baseline }
 
 // Breakdown returns estimated cycles per category: mem, L2, exec, commit,
-// fetch — the paper's Figure 2 stack order.
-func (a *Analyzer) Breakdown() [5]int64 { return a.breakdown }
+// fetch — the paper's Figure 2 stack order. Each call runs the baseline
+// scan again, recording every node's times and last-arriving edges (27 B
+// per trace entry) for the backward critical-path walk.
+func (a *Analyzer) Breakdown() [5]int64 {
+	n := a.tr.Len()
+	if n == 0 {
+		return [5]int64{}
+	}
+	rec := &attribution{
+		D: make([]int64, n), E: make([]int64, n), C: make([]int64, n),
+		dFrom: make([]uint8, n), eFrom: make([]uint8, n), cFrom: make([]uint8, n),
+	}
+	scan(a, baselinePlan(a.cfg), rec)
+	return a.attribute(rec)
+}
+
+// Node times are int64 quarter-cycles. Every latency is a whole number of
+// cycles except a partly tolerated target miss, LatL1 + miss·(1−f) with f a
+// multiple of ¼, so every node time is a multiple of ¼ cycle and the
+// integer scan is exact: it computes the float longest-path DP's values
+// without rounding.
+const quarter = 4
+
+// never is the time of an edge that does not exist: earlier than any node
+// time, with room to add a latency without overflowing.
+const never = math.MinInt64 / 4
+
+// cycles converts a quarter-cycle time to cycles, rounding half up exactly
+// as int64(t/4 + 0.5) does for the float time t.
+func cycles(q int64) int64 { return (q + 2) / quarter }
 
 // lanes is the per-node time vector of one scan: each lane is an
 // independent longest-path computation over the same trace. The baseline
 // runs one lane, a cost curve nine.
-type lanes interface{ [1]float64 | [9]float64 }
+type lanes interface{ [1]int64 | [9]int64 }
 
 // lanePlan fixes, per lane, the modelled load-to-use latency of a
 // memory-level load and whether the access is still a demand memory access
@@ -175,24 +213,32 @@ type lanePlan[V lanes] struct {
 }
 
 // setLane configures lane k: the target load's misses are shortened by
-// reduceFrac of the miss latency, and resolveOthers treats every other
-// load's misses as L2 hits (the optimistic interaction-cost estimate).
-func (p *lanePlan[V]) setLane(cfg Config, k int, reduceFrac float64, resolveOthers bool) {
-	miss := float64(cfg.LatMem) - float64(cfg.LatL1)
+// reduce quarters of the miss latency (0 to 4), and resolveOthers treats
+// every other load's misses as L2 hits (the optimistic interaction-cost
+// estimate).
+func (p *lanePlan[V]) setLane(cfg Config, k, reduce int, resolveOthers bool) {
+	miss := int64(cfg.LatMem - cfg.LatL1)
 	// A partially-covered miss still completes through memory.
-	p.targetLat[k] = float64(cfg.LatL1) + miss*(1-reduceFrac)
-	if reduceFrac < 1 {
+	p.targetLat[k] = quarter*int64(cfg.LatL1) + miss*int64(quarter-reduce)
+	if reduce < quarter {
 		p.targetDemand |= 1 << k
 	}
 	if resolveOthers {
-		p.otherLat[k] = float64(cfg.LatL2) // resolved: found in the L2
+		p.otherLat[k] = quarter * int64(cfg.LatL2) // resolved: found in the L2
 	} else {
-		p.otherLat[k] = float64(cfg.LatMem)
+		p.otherLat[k] = quarter * int64(cfg.LatMem)
 		p.otherDemand |= 1 << k
 	}
 }
 
-// Last-arriving edge codes, recorded by the baseline scan for attribute.
+// baselinePlan is one lane with no target load and no misses resolved.
+func baselinePlan(cfg Config) *lanePlan[[1]int64] {
+	p := &lanePlan[[1]int64]{target: -1}
+	p.setLane(cfg, 0, 0, false)
+	return p
+}
+
+// Last-arriving edge codes, recorded by the attributing scan.
 const (
 	fromDOrder = iota // D[i-1] / bandwidth
 	fromMispred
@@ -204,11 +250,11 @@ const (
 	fromCOrder
 )
 
-// attribution is what the backward critical-path walk needs beyond E: the
-// full dispatch and commit times (the scan itself keeps only rings of them)
-// and each node's last-arriving edge.
+// attribution is what the backward critical-path walk needs: every node's
+// times (the scan itself keeps only a ring of them) and its last-arriving
+// edge.
 type attribution struct {
-	D, C                []float64
+	D, E, C             []int64
 	dFrom, eFrom, cFrom []uint8
 }
 
@@ -216,34 +262,48 @@ type attribution struct {
 // arrival time along each edge (dBand: D[i-Width]+1; cOrd: the later of
 // C[i-1] and C[i-Width]+1). The last-arriving edge is the first, in edge
 // order, to reach the node's time.
-func (r *attribution) record(i int, d, e, c, dPrev, dBand, dMis, dROB, e1, e2, cOrd float64) {
-	r.D[i], r.C[i] = d, c
+func (r *attribution) record(i int, d, e, c, dPrev, dBand, dMis, dROB, e1, e2, cOrd int64) {
+	r.D[i], r.E[i], r.C[i] = d, e, c
 	r.dFrom[i] = fromDOrder
-	if dOrd := later(later(0, dPrev), dBand); dROB > later(dOrd, dMis) {
+	if dOrd := max(0, dPrev, dBand); dROB > max(dOrd, dMis) {
 		r.dFrom[i] = fromROB
 	} else if dMis > dOrd {
 		r.dFrom[i] = fromMispred
 	}
 	r.eFrom[i] = fromDSelf
-	if e2 > later(d, e1) {
+	if e2 > max(d, e1) {
 		r.eFrom[i] = fromProd2
 	} else if e1 > d {
 		r.eFrom[i] = fromProd1
 	}
 	r.cFrom[i] = fromE
-	if cOrd > e+1 {
+	if cOrd > e+quarter {
 		r.cFrom[i] = fromCOrder
 	}
 }
 
-// scan runs the longest-path DP over the trace once for every lane of p,
-// fills E (one row per dynamic instruction) and returns each lane's last
-// commit time. Dispatch and commit reach back at most max(ROBSize, Width)
-// entries, so they live in rings; producers and the last mispredicted
-// branch can sit arbitrarily far back, so E is n-long. rec, when non-nil,
-// receives the full D and C and the edge codes (single-lane scans only).
+// times is one ring row: an entry's dispatch, execute and commit times.
+type times[V lanes] struct{ D, E, C V }
+
+// scan runs the longest-path DP over the trace once for every lane of p
+// and returns each lane's last commit time. rec, when non-nil, receives
+// every node's times and last-arriving edges (single-lane scans only).
 // Width and ROBSize must be at least 1.
-func scan[V lanes](a *Analyzer, p *lanePlan[V], E []V, rec *attribution) V {
+//
+// Every edge that can bind reaches back at most max(ROBSize, Width)
+// entries, so all node times live in one ring of more rows than that (a
+// power of two):
+//   - A producer p at ROBSize or more entries back cannot bind: C is
+//     monotone through its C[i-1] edge and D[i] takes the ROB edge, so
+//     E[p] < C[p] ≤ C[i-ROBSize] ≤ D[i]. The scan treats it as absent.
+//   - The mispredict edge of a branch m can bind only at m+1: D is
+//     monotone through its D[i-1] edge, so D[i] ≥ D[m+1] ≥ E[m]+pen for
+//     every later i.
+//
+// A skipped producer arrives strictly before D[i], and a skipped
+// mispredict edge no later than D[i-1], so neither skip changes a node
+// time or a last-arriving edge.
+func scan[V lanes](a *Analyzer, p *lanePlan[V], rec *attribution) V {
 	cfg := a.cfg
 	ringLen := 1
 	for ringLen <= max(cfg.ROBSize, cfg.Width) {
@@ -252,109 +312,102 @@ func scan[V lanes](a *Analyzer, p *lanePlan[V], E []V, rec *attribution) V {
 	mask := ringLen - 1
 	// Ring rows not yet written read as zero, which is what the first
 	// entry's D[i-1] and C[i-1] edges need. An edge that does not exist
-	// reads the absent row, -Inf in every lane, which is never later.
-	Dr := make([]V, ringLen)
-	Cr := make([]V, ringLen)
-	var absent, busFree V
-	fill(&absent, math.Inf(-1))
-	lastMispred := -1
-	busOcc := float64(cfg.BusOcc)
-	pen := float64(cfg.MispredPen)
-	insts := a.tr.Prog.Insts
+	// reads the absent row, never in every lane.
+	ring := make([]times[V], ringLen)
+	var absent, busFree, l1Lat, l2Lat V
+	fill(&absent, never)
+	fill(&l1Lat, quarter*int64(cfg.LatL1))
+	fill(&l2Lat, quarter*int64(cfg.LatL2))
+	misPrev := false // entry i-1 is a mispredicted branch
+	busOcc := quarter * int64(cfg.BusOcc)
+	pen := quarter * int64(cfg.MispredPen)
+	rob := int64(cfg.ROBSize)
 	// The longest-path DP is a pure forward scan; the cursor streams the PC
 	// and producer columns chunk by chunk.
 	for cu := a.tr.Cursor(); cu.Next(); {
 		i := cu.Index()
 		pc := cu.PC()
-		in := insts[pc]
+		flags := a.pcFlags[pc]
 		lvl := a.levels[i]
 
 		var lat V
 		var demand uint16
 		switch {
-		case !in.IsLoad():
-			l := 1.0
-			if in.IsALU() {
-				l = float64(in.ExecLatency())
-			}
-			fill(&lat, l)
+		case flags&isa.FlagLoad == 0:
+			fill(&lat, quarter*int64(a.pcLats[pc]))
 		case lvl == profile.LvlMem && pc == p.target:
 			lat, demand = p.targetLat, p.targetDemand
 		case lvl == profile.LvlMem:
 			lat, demand = p.otherLat, p.otherDemand
 		case lvl == profile.LvlL2:
-			fill(&lat, float64(cfg.LatL2))
+			lat = l2Lat
 		default:
-			fill(&lat, float64(cfg.LatL1))
+			lat = l1Lat
 		}
 		// Memory-bus bandwidth: every original L2 miss occupies a bus slot
 		// (covered misses via their earlier prefetch), and a demand miss
 		// cannot complete before its slot plus the memory latency.
 		bus := lvl == profile.LvlMem && busOcc > 0
 
-		dPrev, cPrev := &Dr[(i-1)&mask], &Cr[(i-1)&mask]
+		prev := &ring[(i-1)&mask]
 		dW, cW, cROB, eMis, e1, e2 := &absent, &absent, &absent, &absent, &absent, &absent
 		if i >= cfg.Width {
-			dW, cW = &Dr[(i-cfg.Width)&mask], &Cr[(i-cfg.Width)&mask]
+			w := &ring[(i-cfg.Width)&mask]
+			dW, cW = &w.D, &w.C
 		}
 		if i >= cfg.ROBSize {
-			cROB = &Cr[(i-cfg.ROBSize)&mask]
+			cROB = &ring[(i-cfg.ROBSize)&mask].C
 		}
-		if lastMispred >= 0 {
-			eMis = &E[lastMispred]
+		if misPrev {
+			eMis = &prev.E
 		}
-		if p1 := cu.Prod1(); p1 != trace.NoProducer {
-			e1 = &E[p1]
+		if p1 := cu.Prod1(); p1 != trace.NoProducer && int64(i)-p1 < rob {
+			e1 = &ring[int(p1)&mask].E
 		}
-		if p2 := cu.Prod2(); p2 != trace.NoProducer {
-			e2 = &E[p2]
+		if p2 := cu.Prod2(); p2 != trace.NoProducer && int64(i)-p2 < rob {
+			e2 = &ring[int(p2)&mask].E
 		}
-		dRow, eRow, cRow := &Dr[i&mask], &E[i], &Cr[i&mask]
+		cur := &ring[i&mask]
 
-		// Dispatch: in-order bandwidth, mispredict refill, ROB.
+		// Dispatch: in-order bandwidth, ROB, mispredict refill. D[i-1] is
+		// never negative (the zero row stands in before the first entry).
 		for k := 0; k < len(lat); k++ {
-			(*dRow)[k] = later(later(later(later(0, (*dPrev)[k]), (*dW)[k]+1), (*eMis)[k]+pen), (*cROB)[k])
+			cur.D[k] = max(prev.D[k], (*dW)[k]+quarter, (*cROB)[k])
+		}
+		if misPrev {
+			for k := 0; k < len(lat); k++ {
+				cur.D[k] = max(cur.D[k], (*eMis)[k]+pen)
+			}
 		}
 		// Execute.
 		for k := 0; k < len(lat); k++ {
-			base := later(later((*dRow)[k], (*e1)[k]), (*e2)[k])
+			base := max(cur.D[k], (*e1)[k], (*e2)[k])
 			e := base + lat[k]
 			if bus {
-				slot := later(busFree[k], base)
+				slot := max(busFree[k], base)
 				busFree[k] = slot + busOcc
 				if demand>>k&1 != 0 {
-					e = later(e, slot+lat[k])
+					e = max(e, slot+lat[k])
 				}
 			}
-			(*eRow)[k] = e
+			cur.E[k] = e
 		}
 		// Commit.
 		for k := 0; k < len(lat); k++ {
-			(*cRow)[k] = later(later((*eRow)[k]+1, (*cPrev)[k]), (*cW)[k]+1)
+			cur.C[k] = max(cur.E[k]+quarter, prev.C[k], (*cW)[k]+quarter)
 		}
 		if rec != nil {
-			rec.record(i, (*dRow)[0], (*eRow)[0], (*cRow)[0], (*dPrev)[0], (*dW)[0]+1,
-				(*eMis)[0]+pen, (*cROB)[0], (*e1)[0], (*e2)[0], later((*cPrev)[0], (*cW)[0]+1))
+			rec.record(i, cur.D[0], cur.E[0], cur.C[0], prev.D[0], (*dW)[0]+quarter,
+				(*eMis)[0]+pen, (*cROB)[0], (*e1)[0], (*e2)[0], max(prev.C[0], (*cW)[0]+quarter))
 		}
 
-		if in.IsBranch() && a.mispred[i] {
-			lastMispred = i
-		}
+		misPrev = flags&isa.FlagBranch != 0 && a.mispred[i]
 	}
-	return Cr[(a.tr.Len()-1)&mask]
-}
-
-// later returns the later of two node times: b only if strictly later,
-// the tie-break the longest-path DP's edge order relies on.
-func later(a, b float64) float64 {
-	if b > a {
-		return b
-	}
-	return a
+	return ring[(a.tr.Len()-1)&mask].C
 }
 
 // fill sets every lane of v to x.
-func fill[V lanes](v *V, x float64) {
+func fill[V lanes](v *V, x int64) {
 	for k := 0; k < len(*v); k++ {
 		(*v)[k] = x
 	}
@@ -363,9 +416,9 @@ func fill[V lanes](v *V, x float64) {
 // attribute walks the critical path backward from the last commit,
 // assigning each edge's time to a category: 0=mem, 1=L2, 2=exec, 3=commit,
 // 4=fetch (matching the simulator's StallCategory order).
-func (a *Analyzer) attribute(E [][1]float64, rec *attribution) [5]int64 {
-	var bd [5]float64
-	D, C := rec.D, rec.C
+func (a *Analyzer) attribute(rec *attribution) [5]int64 {
+	var bd [5]int64 // quarter-cycles
+	D, E, C := rec.D, rec.E, rec.C
 	type node struct {
 		kind uint8 // 0=D,1=E,2=C
 		i    int
@@ -374,7 +427,7 @@ func (a *Analyzer) attribute(E [][1]float64, rec *attribution) [5]int64 {
 	curT := C[cur.i]
 	for {
 		var next node
-		var nextT float64
+		var nextT int64
 		var cat int
 		switch cur.kind {
 		case 2: // commit node
@@ -388,15 +441,15 @@ func (a *Analyzer) attribute(E [][1]float64, rec *attribution) [5]int64 {
 				cat = 3 // commit
 			} else {
 				next = node{1, cur.i}
-				nextT = E[cur.i][0]
+				nextT = E[cur.i]
 				cat = 3 // the E->C edge is commit overhead (1 cycle)
 			}
 		case 1: // execute node
-			in := a.tr.Prog.Insts[a.tr.PC(cur.i)]
+			load := a.pcFlags[a.tr.PC(cur.i)]&isa.FlagLoad != 0
 			switch {
-			case in.IsLoad() && a.levels[cur.i] == profile.LvlMem:
+			case load && a.levels[cur.i] == profile.LvlMem:
 				cat = 0
-			case in.IsLoad() && a.levels[cur.i] == profile.LvlL2:
+			case load && a.levels[cur.i] == profile.LvlL2:
 				cat = 1
 			default:
 				cat = 2
@@ -404,10 +457,10 @@ func (a *Analyzer) attribute(E [][1]float64, rec *attribution) [5]int64 {
 			switch rec.eFrom[cur.i] {
 			case fromProd1:
 				next = node{1, int(a.tr.Prod1(cur.i))}
-				nextT = E[next.i][0]
+				nextT = E[next.i]
 			case fromProd2:
 				next = node{1, int(a.tr.Prod2(cur.i))}
-				nextT = E[next.i][0]
+				nextT = E[next.i]
 			default:
 				next = node{0, cur.i}
 				nextT = D[cur.i]
@@ -441,8 +494,8 @@ func (a *Analyzer) attribute(E [][1]float64, rec *attribution) [5]int64 {
 	}
 done:
 	var out [5]int64
-	for i := range bd {
-		out[i] = int64(bd[i] + 0.5)
+	for i, q := range bd {
+		out[i] = cycles(q)
 	}
 	return out
 }
@@ -462,20 +515,19 @@ func (a *Analyzer) CostCurve(pc int32) Curve {
 	}
 	nMiss := float64(ls.L2Misses)
 
-	fracs := [4]float64{0.25, 0.5, 0.75, 1.0}
-	p := lanePlan[[9]float64]{target: pc}
+	p := lanePlan[[9]int64]{target: pc}
 	p.setLane(a.cfg, 0, 0, true)
-	for k, f := range fracs {
-		p.setLane(a.cfg, 1+k, f, false)
-		p.setLane(a.cfg, 5+k, f, true)
+	for k := 0; k < 4; k++ {
+		p.setLane(a.cfg, 1+k, 1+k, false)
+		p.setLane(a.cfg, 5+k, 1+k, true)
 	}
-	end := scan(a, &p, make([][9]float64, a.tr.Len()), nil)
+	end := scan(a, &p, nil)
 
 	pessBase := a.baseline
-	optBase := int64(end[0] + 0.5)
-	for k := range fracs {
-		pess := int64(end[1+k] + 0.5)
-		opt := int64(end[5+k] + 0.5)
+	optBase := cycles(end[0])
+	for k := 0; k < 4; k++ {
+		pess := cycles(end[1+k])
+		opt := cycles(end[5+k])
 		pessGain := float64(pessBase-pess) / nMiss
 		optGain := float64(optBase-opt) / nMiss
 		if pessGain < 0 {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -641,10 +642,43 @@ func TestCostCurveMatchesReferenceGen(t *testing.T) {
 	}
 }
 
+// farReads builds a pointer chase whose consumer loads read their
+// producers from 1 to 130 entries back (Nops fill each gap), so every
+// machine shape below has a binding producer just inside its ROB and a
+// dominated one at or beyond it. A consumer is a load so that its own
+// latency, which the ROB edge cannot hide, carries the producer's time
+// down the chain. Each gap ends in a taken branch on the loaded zero,
+// mispredicted on its first and only execution, and the program ends in a
+// long dependent run that also reads a register loaded at index 0.
+func farReads() *isa.Program {
+	b := isa.NewBuilder("far")
+	const rFirst, rP, rC = isa.Reg(1), isa.Reg(2), isa.Reg(3)
+	b.Load(rFirst, isa.Zero, 0)
+	for k, gap := range []int{1, 2, 3, 4, 62, 63, 64, 65, 100, 127, 128, 130} {
+		b.Load(rP, rC, 0) // the producer, chained on the last consumer
+		for j := 1; j < gap; j++ {
+			b.Nop()
+		}
+		b.Load(rC, rP, 0) // reads the producer gap entries back
+		next := fmt.Sprintf("gap%d", k)
+		b.BrZ(rC, next)
+		b.Label(next)
+	}
+	for j := 0; j < 80; j++ {
+		b.AddI(rC, rC, 1)
+	}
+	b.Add(rC, rC, rFirst)
+	b.Halt()
+	b.SetMem(make([]int64, 8))
+	return b.MustBuild()
+}
+
 // TestCostCurveMatchesReferenceTiny covers the ring-buffer edges on
 // hand-built traces and profiles: fewer entries than the dispatch width or
-// the ROB, a memory-level load at index 0, and memory-level non-load
-// entries (which still take a bus slot), under several machine shapes.
+// the ROB, a memory-level load at index 0, memory-level non-load entries
+// (which still take a bus slot), producers on both sides of the ROB
+// distance and mispredicted branches followed by long dependent runs, under
+// several machine shapes.
 func TestCostCurveMatchesReferenceTiny(t *testing.T) {
 	// Loads of zero: the first entry is a memory-level load.
 	first := func(loads int) *isa.Program {
@@ -664,6 +698,7 @@ func TestCostCurveMatchesReferenceTiny(t *testing.T) {
 		{"n<width", first(1)},
 		{"n<rob", first(20)},
 		{"loop", missLoop(60)},
+		{"far", farReads()},
 	}
 	shapes := []Config{
 		DefaultConfig(cache.DefaultHierConfig()),
@@ -685,6 +720,20 @@ func TestCostCurveMatchesReferenceTiny(t *testing.T) {
 	// in missLoop.
 	if !traces[0].Inst(0).IsLoad() || traces[2].Inst(0).IsLoad() {
 		t.Fatal("index 0: want a load in first(n) and a non-load in missLoop")
+	}
+	// The far reads reach past the largest ROB below, and their branches
+	// mispredict.
+	if last := traces[3].Len() - 2; traces[3].Prod2(last) != 0 || last <= shapes[0].ROBSize {
+		t.Fatalf("far: entry %d reads %d, want index 0 beyond ROB %d", last, traces[3].Prod2(last), shapes[0].ROBSize)
+	}
+	var mispredicts int
+	for _, m := range modelMispredicts(traces[3]) {
+		if m {
+			mispredicts++
+		}
+	}
+	if mispredicts == 0 {
+		t.Fatal("far: no mispredicted branch")
 	}
 	rng := rand.New(rand.NewSource(7))
 	for k, tp := range programs {
@@ -723,34 +772,103 @@ func TestCostCurveMatchesReferenceTiny(t *testing.T) {
 	}
 }
 
-// BenchmarkCostCurves times the curves stage's per-load work: CostCurve
-// for every problem load of the paper's nine benchmarks (Train input,
-// default configuration). Tracing, profiling and New run before the timer.
-func BenchmarkCostCurves(b *testing.B) {
-	c := cpu.DefaultConfig()
-	type load struct {
-		a  *Analyzer
-		pc int32
+// TestCostCurveMemoryBounded pins the scans' memory to the window, not the
+// trace: on bzip2/train one CostCurve call allocates under 1 MiB, and New
+// under 1 MiB beyond its per-entry mispredict flags (n bytes). Not
+// parallel: TotalAlloc counts the whole process.
+func TestCostCurveMemoryBounded(t *testing.T) {
+	bm, err := program.ByName("bzip2")
+	if err != nil {
+		t.Fatal(err)
 	}
-	var loads []load
-	var entries int
+	tr := trace.MustRun(bm.Build(program.Train))
+	c := cpu.DefaultConfig()
+	prof := profile.Collect(tr, profile.ConfigFromHier(c.Hier))
+	pcs := problemPCs(prof)
+	if len(pcs) == 0 {
+		t.Fatal("bzip2: no problem loads")
+	}
+	allocated := func(f func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	n := uint64(tr.Len())
+	var a *Analyzer
+	if got, limit := allocated(func() { a = New(tr, prof, pipelineConfig(c)) }), n+1<<20; got >= limit {
+		t.Errorf("New allocated %d B on %d entries, want under %d", got, n, limit)
+	}
+	if got := allocated(func() { a.CostCurve(pcs[0]) }); got >= 1<<20 {
+		t.Errorf("CostCurve allocated %d B on %d entries, want under %d", got, n, 1<<20)
+	}
+}
+
+// Sinks for the benchmarks' results, so the compiler keeps the calls.
+var (
+	benchCurve    Curve
+	benchAnalyzer *Analyzer
+)
+
+// paperInputs traces and profiles the paper's nine benchmarks (Train
+// input, default configuration) for the benchmarks below.
+func paperInputs(b *testing.B) (c cpu.Config, trs []*trace.Trace, profs []*profile.Profile) {
+	c = cpu.DefaultConfig()
 	for _, name := range program.PaperNames() {
 		bm, err := program.ByName(name)
 		if err != nil {
 			b.Fatal(err)
 		}
 		tr := trace.MustRun(bm.Build(program.Train))
-		prof := profile.Collect(tr, profile.ConfigFromHier(c.Hier))
-		a := New(tr, prof, pipelineConfig(c))
-		for _, pc := range problemPCs(prof) {
+		trs = append(trs, tr)
+		profs = append(profs, profile.Collect(tr, profile.ConfigFromHier(c.Hier)))
+	}
+	return c, trs, profs
+}
+
+// BenchmarkCostCurves times the curves stage's per-load work: CostCurve
+// for every problem load of the paper's nine benchmarks. Tracing,
+// profiling and New run before the timer.
+func BenchmarkCostCurves(b *testing.B) {
+	c, trs, profs := paperInputs(b)
+	type load struct {
+		a  *Analyzer
+		pc int32
+	}
+	var loads []load
+	var entries int
+	for k, tr := range trs {
+		a := New(tr, profs[k], pipelineConfig(c))
+		for _, pc := range problemPCs(profs[k]) {
 			loads = append(loads, load{a, pc})
 			entries += tr.Len()
 		}
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, l := range loads {
-			l.a.CostCurve(l.pc)
+			benchCurve = l.a.CostCurve(l.pc)
+		}
+	}
+	b.ReportMetric(float64(entries)*float64(b.N)/b.Elapsed().Seconds(), "entries/s")
+}
+
+// BenchmarkAnalyzerNew times New — the mispredict model and the one-lane
+// baseline scan — on the paper's nine benchmarks. Tracing and profiling
+// run before the timer.
+func BenchmarkAnalyzerNew(b *testing.B) {
+	c, trs, profs := paperInputs(b)
+	var entries int
+	for _, tr := range trs {
+		entries += tr.Len()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for k, tr := range trs {
+			benchAnalyzer = New(tr, profs[k], pipelineConfig(c))
 		}
 	}
 	b.ReportMetric(float64(entries)*float64(b.N)/b.Elapsed().Seconds(), "entries/s")
